@@ -38,6 +38,7 @@ from .bounds import (
 from .datagen import SynthSpec, load_csv, rescale_radius, save_csv, synth
 from .harness import ExperimentPlan, ResultRow, SummaryRow, run_plan, summarize, write_results
 from .linalg import (
+    CovSketch,
     Dataset,
     EigenDecomp,
     clip_dataset,

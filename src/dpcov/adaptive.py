@@ -25,9 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import Iterable
 
 from .bounds import (
     BoundConstants,
@@ -39,7 +37,7 @@ from .bounds import (
     slw_op_bound,
     upsilon,
 )
-from .linalg import Dataset, clip_dataset, trace_stat
+from .linalg import CovSketch, Dataset
 from .mechanisms import MechanismReport, clip_mechanism
 from .privacy import PrivacyBudget, gaussian_scale, laplace_scale, pure, zcdp
 from .randomness import RandomStream, gaussian_vector, laplace_scalar
@@ -81,12 +79,6 @@ def _pow2_exponent(value: float) -> int:
     if mantissa != 0.5:
         raise ValueError(f"{value} is not a power of two")
     return exp - 1
-
-
-def _bucket_of(norm_mantissa: np.ndarray, norm_exponent: np.ndarray) -> np.ndarray:
-    # norm in (2^s, 2^(s+1)]: frexp gives norm = m * 2^e with m in [0.5, 1),
-    # so s = e-1 except exactly at powers of two (m == 0.5), where s = e-2.
-    return np.where(norm_mantissa == 0.5, norm_exponent - 2, norm_exponent - 1)
 
 
 @dataclass(frozen=True)
@@ -169,7 +161,7 @@ def svt(
 
 
 def priv_radius(
-    x: Dataset, eps: float, beta: float, b: float, stream: RandomStream
+    x: Dataset | CovSketch, eps: float, beta: float, b: float, stream: RandomStream
 ) -> float:
     """Private estimate of the largest column norm.
 
@@ -183,31 +175,21 @@ def priv_radius(
         raise ValueError("additive offset b must lie in (0, 1)")
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
-    norms = np.sort(x.norms())
-    n = x.count
+    sketch = CovSketch.of(x)
     levels = math.ceil(math.log2(1.0 / b))
     threshold = (6.0 / eps) * math.log(2.0 * (levels + 1) / beta)
-
-    def counts_above() -> Iterator[float]:
-        for j in range(levels + 1):
-            yield float(n - np.searchsorted(norms, math.ldexp(1.0, -j), side="right"))
-
-    k = svt(counts_above(), 1.0, threshold, eps, stream)
+    counts_above = (float(sketch.count_above(math.ldexp(1.0, -j))) for j in range(levels + 1))
+    k = svt(counts_above, 1.0, threshold, eps, stream)
     if k <= levels + 1:
         return min(1.0, math.ldexp(1.0, 2 - k))
     return b
 
 
-def build_histogram(x: Dataset) -> NormHistogram:
-    """Dyadic norm histogram of a dataset."""
-    norms = x.norms()
-    mantissa, exponent = np.frexp(norms)
-    buckets = _bucket_of(mantissa, exponent)
-    positive = norms > 0
-    values, tallies = np.unique(buckets[positive], return_counts=True)
-    return NormHistogram(
-        counts={int(s): int(c) for s, c in zip(values, tallies)}, n=x.count
-    )
+def build_histogram(x: Dataset | CovSketch) -> NormHistogram:
+    """Dyadic norm histogram of a dataset (of its clipped norms, for a
+    clipped sketch)."""
+    sketch = CovSketch.of(x)
+    return NormHistogram(counts=sketch.histogram(), n=sketch.count)
 
 
 def bias_hat(h: NormHistogram, tau: float) -> float:
@@ -302,7 +284,7 @@ def noise_hat_pure(
 
 
 def private_trace_ub(
-    x_clipped: Dataset,
+    x_clipped: Dataset | CovSketch,
     r_tilde: float,
     budget_frag: PrivacyBudget,
     beta: float,
@@ -310,16 +292,18 @@ def private_trace_ub(
 ) -> float:
     """Privatized upper bound on the trace of r-clipped data.
 
+    ``x_clipped`` is a dataset already clipped to radius r, or a sketch
+    clipped with ``CovSketch.clip(r)``; any column norm above r raises.
     Adds calibrated noise (Gaussian for a zCDP fragment, Laplace for a pure
     fragment) to the clipped trace plus an offset that keeps the result above
     the true clipped trace with probability at least 1 - beta/8, then caps at
     r^2, which always dominates the clipped trace.
     """
-    worst = float(np.max(x_clipped.norms()))
-    if worst > r_tilde * (1.0 + _CLIP_RTOL):
+    sketch = CovSketch.of(x_clipped)
+    if sketch.max_norm > r_tilde * (1.0 + _CLIP_RTOL):
         raise ValueError("unclipped input: column norms exceed the stated radius")
-    tr = trace_stat(x_clipped)
-    sensitivity = r_tilde * r_tilde / x_clipped.count
+    tr = sketch.trace()
+    sensitivity = r_tilde * r_tilde / sketch.count
     if sensitivity == 0.0:
         # r^2 underflowed; every column norm (hence the trace) flushed to
         # zero with it, so the capped value is exact and data-independent
@@ -399,7 +383,7 @@ def _select_tau(
 
 
 def adaptive_cov(
-    x: Dataset,
+    x: Dataset | CovSketch,
     rho: float,
     beta: float,
     stream: RandomStream,
@@ -416,6 +400,7 @@ def adaptive_cov(
     zcdp(rho)
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
+    x = CovSketch.of(x)
     d, n = x.dim, x.count
     ledger = {"radius": rho / 8, "trace": rho / 8, "svt": rho / 4, "mechanism": rho / 2}
     assert sum(ledger.values()) == rho
@@ -423,7 +408,7 @@ def adaptive_cov(
     eps_radius = math.sqrt(rho) / 2.0  # pure-DP, implies rho/8 zCDP
     b = math.ldexp(1.0, _radius_offset_exponent(d, n))
     r_tilde = priv_radius(x, eps_radius, beta / 8, b, stream.child("radius"))
-    x_clip = clip_dataset(x, r_tilde)
+    x_clip = x.clip(r_tilde)
     tr_hat = private_trace_ub(x_clip, r_tilde, zcdp(rho / 8), beta, stream.child("trace"))
     hist = build_histogram(x_clip)
 
@@ -458,7 +443,7 @@ def adaptive_cov(
 
 
 def adaptive_cov_pure(
-    x: Dataset,
+    x: Dataset | CovSketch,
     eps: float,
     beta: float,
     stream: RandomStream,
@@ -474,13 +459,14 @@ def adaptive_cov_pure(
     pure(eps)
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
+    x = CovSketch.of(x)
     d, n = x.dim, x.count
     ledger = {"radius": eps / 4, "trace": eps / 4, "svt": eps / 4, "mechanism": eps / 4}
     assert sum(ledger.values()) == eps
 
     b = math.ldexp(1.0, _radius_offset_exponent(d, n))
     r_tilde = priv_radius(x, eps / 4, beta / 8, b, stream.child("radius"))
-    x_clip = clip_dataset(x, r_tilde)
+    x_clip = x.clip(r_tilde)
     tr_hat = private_trace_ub(x_clip, r_tilde, pure(eps / 4), beta, stream.child("trace"))
     hist = build_histogram(x_clip)
 

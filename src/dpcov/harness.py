@@ -26,7 +26,7 @@ import numpy as np
 from .adaptive import TAU_CAP_EXPONENT, adaptive_cov, adaptive_cov_pure
 from .bounds import BoundConstants
 from .datagen import SynthSpec, load_csv, rescale_radius, synth
-from .linalg import Dataset, covariance, frobenius_dist
+from .linalg import CovSketch, Dataset, frobenius_dist
 from .mechanisms import (
     MechanismReport,
     gauss_cov,
@@ -200,7 +200,7 @@ def _materialize(plan: ExperimentPlan, config: _Config) -> Dataset:
 
 
 def _run_mechanism(
-    name: str, x: Dataset, budget: PrivacyBudget, plan: ExperimentPlan, stream: RandomStream
+    name: str, x: CovSketch, budget: PrivacyBudget, plan: ExperimentPlan, stream: RandomStream
 ) -> MechanismReport:
     if name == "gauss":
         return gauss_cov(x, budget.value, stream)
@@ -231,11 +231,11 @@ def _run_mechanism(
 def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
     """Execute the plan and return per-repetition rows plus a summary."""
     configs = _expand_configs(plan)
-    datasets = {c.index: _materialize(plan, c) for c in configs}
-    exact = {c.index: covariance(datasets[c.index]) for c in configs}
+    # one pass over each dataset; every mechanism and repetition reads the sketch
+    sketches = {c.index: CovSketch(_materialize(plan, c)) for c in configs}
 
     def one_run(config: _Config, mech: str, rep: int) -> ResultRow:
-        x = datasets[config.index]
+        x = sketches[config.index]
         stream = RandomStream(plan.master_seed, zero_noise=plan.zero_noise).child(
             f"run/{config.index}/{mech}/{rep}"
         )
@@ -255,7 +255,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
             beta=plan.beta,
             seed=plan.master_seed,
             rep=rep,
-            frobenius_error=frobenius_dist(report.estimate, exact[config.index]),
+            frobenius_error=frobenius_dist(report.estimate, x.G),
             elapsed_ms=elapsed_ms,
             chosen_tau=report.clip_threshold if is_adaptive else None,
             chosen_branch=report.variant if is_adaptive else None,

@@ -1,5 +1,6 @@
 """Exact (non-private) linear algebra: covariance, symmetric eigendecomposition,
-norm clipping, and the trace/tail statistics the private mechanisms are built on.
+norm clipping, the trace/tail statistics the private mechanisms are built on,
+and :class:`CovSketch`, the one-pass summary of a dataset they all read.
 
 Matrices are plain float64 ndarrays.  Symmetric matrices are kept *exactly*
 symmetric (entry-wise equal to their transpose); every function returning one
@@ -9,7 +10,9 @@ one column per individual.
 
 from __future__ import annotations
 
+import copy
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,6 +20,8 @@ import numpy as np
 
 __all__ = [
     "Dataset",
+    "CovSketch",
+    "Gram",
     "EigenDecomp",
     "covariance",
     "eig_sym",
@@ -32,6 +37,10 @@ __all__ = [
 
 # Relative slack for "norm <= bound" checks; clipping can overshoot by a few ulp.
 _NORM_RTOL = 1e-9
+
+# Columns per block when a sketch accumulates a bucket's Gram: the working
+# block is d * _CHUNK_COLUMNS floats whatever n is.
+_CHUNK_COLUMNS = 1024
 
 
 @dataclass(frozen=True)
@@ -230,3 +239,235 @@ def tail_gamma(x: Dataset, tau: float) -> float:
 def radius(x: Dataset) -> float:
     """Largest column norm max_i ||X_i||."""
     return float(np.max(x.norms()))
+
+
+def _norm_bucket(norms: np.ndarray) -> np.ndarray:
+    """The dyadic bucket s with norm in (2^s, 2^(s+1)] of each positive norm.
+
+    frexp gives norm = m * 2^e with m in [0.5, 1), so s = e-1 except exactly
+    at powers of two (m == 0.5), where s = e-2.
+    """
+    mantissa, exponent = np.frexp(norms)
+    return np.where(mantissa == 0.5, exponent - 2, exponent - 1)
+
+
+class Gram:
+    """A covariance matrix of ``count`` columns and its exact spectrum.
+
+    ``cov`` is exactly symmetric and read-only.  :meth:`spectrum` runs
+    ``np.linalg.eigvalsh`` on first request and returns the same array after.
+    """
+
+    __slots__ = ("cov", "dim", "count", "_spectrum", "_lock")
+
+    def __init__(self, cov: np.ndarray, count: int):
+        cov.flags.writeable = False
+        self.cov = cov
+        self.dim = cov.shape[0]
+        self.count = count
+        self._spectrum = None
+        self._lock = threading.Lock()
+
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues in descending order (read-only)."""
+        with self._lock:
+            if self._spectrum is None:
+                values = np.linalg.eigvalsh(self.cov)[::-1]
+                values.flags.writeable = False
+                self._spectrum = values
+            return self._spectrum
+
+
+class _Layout(NamedTuple):
+    """The column norms sorted ascending, with what is read off them."""
+
+    order: np.ndarray  # column indices in norm order
+    norms: np.ndarray  # sorted norms
+    sq_prefix: np.ndarray  # sq_prefix[k] = sum of the k smallest squared norms
+    buckets: dict[int, tuple[int, int]]  # s -> sorted positions [lo, hi)
+
+
+class CovSketch:
+    """Sufficient statistics of a dataset for the covariance mechanisms.
+
+    Built from a :class:`Dataset` with one column-norm pass (exactly
+    ``Dataset.norms()``); the rest is derived on first need and kept:
+
+    * the norms sorted, with prefix sums of their squares;
+    * ``G``, which is ``covariance(x)`` bit for bit;
+    * per dyadic bucket s (norms in (2^s, 2^(s+1)]): its count and sum of
+      squared norms, read off the sorted norms; ``A_s``, the Gram of its
+      columns; and ``B_s``, the Gram of its unit-normalised columns.
+
+    From these, the data clipped at a radius is summarised without touching
+    the columns again: counts above a level and the clipped trace by binary
+    search over the sorted norms, the dyadic histogram from the buckets, and
+    the unit-ball Gram of the columns clipped at tau = 2^t,
+    ``sum_{s<t} A_s / tau^2 + sum_{s>=t} B_s``.  ``A_s`` is stored divided by
+    4^(s+1) so that buckets of tiny norms stay in floating range.
+
+    Each ``A_s`` and ``B_s`` is built the first time a clipped Gram needs
+    it, in blocks of ``_CHUNK_COLUMNS`` columns, so mechanisms that never
+    clip pay only for the norms and ``G``, and no second d x n array is
+    ever held.  Memory: d^2 * (1 + 2 * occupied buckets + clip exponents
+    queried) floats, plus 4n for the norms, their order and the prefix sums.
+    The source columns are referenced, not copied.  Lazy parts are filled
+    under a lock, so threads may share a sketch.
+
+    :meth:`clip` gives a view of the same statistics for the columns clipped
+    to norm at most r; views share every cache.
+    """
+
+    def __init__(self, x: Dataset):
+        self.dim, self.count = x.dim, x.count
+        self.clip_radius = math.inf
+        self._dataset = x
+        self._norms = x.norms()
+        self._top = float(np.max(self._norms))
+        self._cache: dict = {}
+        self._lock = threading.RLock()
+
+    @classmethod
+    def of(cls, x: "Dataset | CovSketch") -> "CovSketch":
+        """``x`` itself if it is a sketch, else the sketch of the dataset."""
+        return x if isinstance(x, cls) else cls(x)
+
+    def clip(self, r: float) -> "CovSketch":
+        """The same statistics for the columns clipped to norm at most r."""
+        if not r > 0:
+            raise ValueError("clip radius must be positive")
+        view = copy.copy(self)
+        view.clip_radius = min(self.clip_radius, r)
+        return view
+
+    @property
+    def G(self) -> np.ndarray:
+        """``covariance(x)`` of the source dataset (read-only)."""
+        return self._exact().cov
+
+    @property
+    def max_norm(self) -> float:
+        """Largest clipped column norm."""
+        return min(self._top, self.clip_radius)
+
+    def count_above(self, level: float) -> int:
+        """Number of clipped column norms strictly above ``level``."""
+        if level >= self.clip_radius:
+            return 0
+        return self.count - int(np.searchsorted(self._layout().norms, level, side="right"))
+
+    def trace(self) -> float:
+        """(1/n) sum_i min(||X_i||, r)^2, the trace of the clipped covariance."""
+        kept = self._unclipped()
+        total = self._layout().sq_prefix[kept]
+        if kept < self.count:
+            total += (self.count - kept) * self.clip_radius * self.clip_radius
+        return float(total / self.count)
+
+    def histogram(self) -> dict[int, int]:
+        """Dyadic counts of the clipped norms: bucket s holds the norms in
+        (2^s, 2^(s+1)]; zero norms are in no bucket."""
+        kept = self._unclipped()
+        buckets = self._layout().buckets
+        counts = {s: min(hi, kept) - lo for s, (lo, hi) in buckets.items() if lo < kept}
+        if kept < self.count:
+            top = int(_norm_bucket(np.float64(self.clip_radius)))
+            counts[top] = counts.get(top, 0) + self.count - kept
+        return counts
+
+    def _exact(self) -> Gram:
+        """The unclipped covariance ``covariance(x)``, with its spectrum."""
+        return self._cached("G", lambda: Gram(covariance(self._dataset), self.count))
+
+    def gram(self, tau: float | None = None) -> Gram:
+        """The covariance of the clipped columns; with ``tau``, that of the
+        columns clipped at tau and rescaled to the unit ball,
+        (1/n) sum_i X_i X_i^T / max(||X_i||, tau)^2.
+
+        Results for dyadic tau, and the unclipped covariance, are cached
+        with their spectra.
+        """
+        r = self.clip_radius
+        if r >= self._top:
+            return self._exact() if tau is None else self._unit(tau)
+        if tau is None:
+            return Gram(self._unit(r).cov * r * r, self.count)
+        if tau <= r:
+            return self._unit(tau)
+        return Gram((r / tau) ** 2 * self._unit(r).cov, self.count)
+
+    # -- internals --------------------------------------------------------
+
+    def _cached(self, key, build):
+        with self._lock:
+            value = self._cache.get(key)
+            if value is None:
+                value = self._cache[key] = build()
+            return value
+
+    def _layout(self) -> _Layout:
+        return self._cached("layout", self._sort_norms)
+
+    def _sort_norms(self) -> _Layout:
+        order = np.argsort(self._norms, kind="stable")
+        norms = self._norms[order]
+        sq_prefix = np.concatenate(([0.0], np.cumsum(norms * norms)))
+        # buckets are runs of the sorted norms; zero columns lead and join none
+        first = int(np.searchsorted(norms, 0.0, side="right"))
+        ids = _norm_bucket(norms[first:])
+        edges = [first, *(np.flatnonzero(np.diff(ids)) + first + 1), self.count]
+        buckets = {
+            int(ids[lo - first]): (int(lo), int(hi)) for lo, hi in zip(edges, edges[1:]) if lo < hi
+        }
+        return _Layout(order, norms, sq_prefix, buckets)
+
+    def _unclipped(self) -> int:
+        """Number of columns with norm at most the clip radius."""
+        return int(np.searchsorted(self._layout().norms, self.clip_radius, side="right"))
+
+    def _unit(self, tau: float) -> Gram:
+        if not tau > 0:
+            raise ValueError("clip threshold must be positive")
+        mantissa, exponent = math.frexp(tau)
+        if mantissa != 0.5:
+            return Gram(self._unit_cov(tau), self.count)
+        return self._cached(exponent - 1, lambda: Gram(self._unit_cov(tau), self.count))
+
+    def _unit_cov(self, tau: float) -> np.ndarray:
+        if tau >= self._top:  # nothing is clipped
+            return self.G / tau / tau
+        # tau = m * 2^e with m in [0.5, 1): bucket s lies wholly at or below
+        # tau when s <= e-2, wholly above it when 2^s >= tau
+        mantissa, e = math.frexp(tau)
+        first_clipped = e - 1 if mantissa == 0.5 else e
+        total = np.zeros((self.dim, self.dim))
+        for s, (lo, hi) in self._layout().buckets.items():
+            if s <= e - 2:
+                weight = math.ldexp((1.0 / mantissa) ** 2, 2 * (s + 1 - e))
+                total += weight * self._bucket_gram("A", s)
+            elif s >= first_clipped:
+                total += self._bucket_gram("B", s)
+            else:  # the bucket straddles a non-dyadic tau
+                total += self._block_gram(lo, hi, lambda norms: np.maximum(norms, tau))
+        return _symmetrize(total / self.count)
+
+    def _bucket_gram(self, kind: str, s: int) -> np.ndarray:
+        lo, hi = self._layout().buckets[s]
+        if kind == "A":
+            scale = math.ldexp(1.0, s + 1)
+            return self._cached(("A", s), lambda: self._block_gram(lo, hi, lambda _: scale))
+        return self._cached(("B", s), lambda: self._block_gram(lo, hi, lambda norms: norms))
+
+    def _block_gram(self, lo: int, hi: int, divisor) -> np.ndarray:
+        """Gram of the columns at sorted positions lo..hi-1, each divided by
+        ``divisor`` of its norm, accumulated _CHUNK_COLUMNS columns at a time."""
+        layout = self._layout()
+        acc = np.zeros((self.dim, self.dim))
+        for start in range(lo, hi, _CHUNK_COLUMNS):
+            stop = min(start + _CHUNK_COLUMNS, hi)
+            block = self._dataset.columns[:, layout.order[start:stop]]
+            block /= divisor(layout.norms[start:stop])
+            acc += block @ block.T
+        acc = _symmetrize(acc)
+        acc.flags.writeable = False
+        return acc

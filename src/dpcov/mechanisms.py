@@ -15,6 +15,10 @@ the unit l2-ball:
 ``clip_mechanism`` wraps any of them: clip columns to radius tau, feed the
 mechanism the (1/tau)-rescaled data, and scale the estimate back by tau^2.
 
+Every mechanism takes a :class:`Dataset` or its :class:`CovSketch` and reads
+only the sketch: a dataset is summarised on entry, so callers that run many
+mechanisms on one dataset should build the sketch once and pass it.
+
 All outputs are exactly symmetric and, for a fixed stream, deterministic
 functions of the inputs.
 """
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Dataset, covariance, eig_sym, radius, reconstruct
+from .linalg import CovSketch, Dataset, Gram, covariance, eig_sym, reconstruct
 from .privacy import PrivacyBudget, gaussian_scale, laplace_scale, pure, zcdp
 from .randomness import RandomStream, gaussian_vector, laplace_vector, sgw_matrix, slw_matrix
 
@@ -70,32 +74,31 @@ class MechanismReport:
             raise ValueError("mechanism estimate must be exactly symmetric")
 
 
-def _require_ball(x: Dataset):
-    worst = radius(x)
-    if worst > 1.0 + _BALL_RTOL:
-        raise ValueError(f"norms exceed 1 (max norm {worst})")
+def _ball_sketch(x: Dataset | CovSketch) -> CovSketch:
+    sketch = CovSketch.of(x)
+    if sketch.max_norm > 1.0 + _BALL_RTOL:
+        raise ValueError(f"norms exceed 1 (max norm {sketch.max_norm})")
+    return sketch
 
 
-def gauss_cov(x: Dataset, rho: float, stream: RandomStream) -> MechanismReport:
+def gauss_cov(x: Dataset | CovSketch, rho: float, stream: RandomStream) -> MechanismReport:
     """Covariance plus a symmetric Gaussian Wigner matrix scaled by
     1/(sqrt(rho) * n)."""
-    _require_ball(x)
-    scale = gaussian_scale(math.sqrt(2.0) / x.count, zcdp(rho))
-    est = covariance(x) + scale * sgw_matrix(stream, x.dim)
-    return MechanismReport(est, zcdp(rho), "gauss")
+    return _gauss(_ball_sketch(x).gram(), rho, stream)
 
 
-def lap_cov(x: Dataset, eps: float, stream: RandomStream) -> MechanismReport:
+def lap_cov(x: Dataset | CovSketch, eps: float, stream: RandomStream) -> MechanismReport:
     """Covariance plus a symmetric Laplace Wigner matrix scaled by
     sqrt(2)*d/(eps*n)."""
-    _require_ball(x)
-    scale = laplace_scale(math.sqrt(2.0) * x.dim / x.count, pure(eps))
-    est = covariance(x) + scale * slw_matrix(stream, x.dim)
-    return MechanismReport(est, pure(eps), "lap")
+    return _lap(_ball_sketch(x).gram(), eps, stream)
 
 
 def separate_cov(
-    x: Dataset, rho: float, stream: RandomStream, *, project_nonnegative: bool = False
+    x: Dataset | CovSketch,
+    rho: float,
+    stream: RandomStream,
+    *,
+    project_nonnegative: bool = False,
 ) -> MechanismReport:
     """Privatize eigenvalues and eigenvectors separately, rho/2 each.
 
@@ -103,56 +106,73 @@ def separate_cov(
     sqrt(2)/n l2-sensitivity of the sorted spectrum.  The basis comes from
     eigendecomposing the Gaussian-noised covariance.
     """
-    _require_ball(x)
-    zcdp(rho)  # validate
-    sigma = covariance(x)
-    lam = eig_sym(sigma).values
-    lam_noisy = lam + gaussian_scale(math.sqrt(2.0) / x.count, zcdp(rho / 2)) * gaussian_vector(
-        stream, x.dim
-    )
-    noised = sigma + gaussian_scale(math.sqrt(2.0) / x.count, zcdp(rho / 2)) * sgw_matrix(
-        stream, x.dim
-    )
-    basis = eig_sym(noised).basis
-    if project_nonnegative:
-        lam_noisy = np.maximum(lam_noisy, 0.0)
-    return MechanismReport(reconstruct(basis, lam_noisy), zcdp(rho), "separate")
+    return _separate(_ball_sketch(x).gram(), rho, stream, project_nonnegative)
 
 
 def separate_cov_pure(
-    x: Dataset, eps: float, stream: RandomStream, *, project_nonnegative: bool = False
+    x: Dataset | CovSketch,
+    eps: float,
+    stream: RandomStream,
+    *,
+    project_nonnegative: bool = False,
 ) -> MechanismReport:
     """Pure-DP variant of the eigenvalue/eigenvector split, eps/2 each.
 
     Eigenvalues get Laplace noise calibrated to their 2/n l1-sensitivity;
     the basis comes from the Laplace-noised covariance.
     """
-    _require_ball(x)
+    return _separate_pure(_ball_sketch(x).gram(), eps, stream, project_nonnegative)
+
+
+# The mechanisms proper, on the covariance of data in the unit ball.
+
+
+def _gauss(g: Gram, rho: float, stream: RandomStream) -> MechanismReport:
+    scale = gaussian_scale(math.sqrt(2.0) / g.count, zcdp(rho))
+    return MechanismReport(g.cov + scale * sgw_matrix(stream, g.dim), zcdp(rho), "gauss")
+
+
+def _lap(g: Gram, eps: float, stream: RandomStream) -> MechanismReport:
+    scale = laplace_scale(math.sqrt(2.0) * g.dim / g.count, pure(eps))
+    return MechanismReport(g.cov + scale * slw_matrix(stream, g.dim), pure(eps), "lap")
+
+
+def _separate(
+    g: Gram, rho: float, stream: RandomStream, project_nonnegative: bool = False
+) -> MechanismReport:
+    zcdp(rho)  # validate
+    scale = gaussian_scale(math.sqrt(2.0) / g.count, zcdp(rho / 2))
+    lam_noisy = g.spectrum() + scale * gaussian_vector(stream, g.dim)
+    basis = eig_sym(g.cov + scale * sgw_matrix(stream, g.dim)).basis
+    if project_nonnegative:
+        lam_noisy = np.maximum(lam_noisy, 0.0)
+    return MechanismReport(reconstruct(basis, lam_noisy), zcdp(rho), "separate")
+
+
+def _separate_pure(
+    g: Gram, eps: float, stream: RandomStream, project_nonnegative: bool = False
+) -> MechanismReport:
     pure(eps)  # validate
-    sigma = covariance(x)
-    lam = eig_sym(sigma).values
-    lam_noisy = lam + laplace_vector(
-        stream, x.dim, laplace_scale(2.0 / x.count, pure(eps / 2))
+    lam_noisy = g.spectrum() + laplace_vector(
+        stream, g.dim, laplace_scale(2.0 / g.count, pure(eps / 2))
     )
-    noised = sigma + laplace_scale(math.sqrt(2.0) * x.dim / x.count, pure(eps / 2)) * slw_matrix(
-        stream, x.dim
-    )
-    basis = eig_sym(noised).basis
+    scale = laplace_scale(math.sqrt(2.0) * g.dim / g.count, pure(eps / 2))
+    basis = eig_sym(g.cov + scale * slw_matrix(stream, g.dim)).basis
     if project_nonnegative:
         lam_noisy = np.maximum(lam_noisy, 0.0)
     return MechanismReport(reconstruct(basis, lam_noisy), pure(eps), "separate_pure")
 
 
 BASE_MECHANISMS = {
-    "gauss": lambda x, budget, stream: gauss_cov(x, budget.value, stream),
-    "lap": lambda x, budget, stream: lap_cov(x, budget.value, stream),
-    "separate": lambda x, budget, stream: separate_cov(x, budget.value, stream),
-    "separate_pure": lambda x, budget, stream: separate_cov_pure(x, budget.value, stream),
+    "gauss": _gauss,
+    "lap": _lap,
+    "separate": _separate,
+    "separate_pure": _separate_pure,
 }
 
 
 def clip_mechanism(
-    x: Dataset, budget: PrivacyBudget, tau: float, stream: RandomStream, base: str
+    x: Dataset | CovSketch, budget: PrivacyBudget, tau: float, stream: RandomStream, base: str
 ) -> MechanismReport:
     """Run a base mechanism on columns clipped to radius tau and rescaled to
     the unit ball, then scale the estimate back by tau^2."""
@@ -163,16 +183,11 @@ def clip_mechanism(
     expected = "pure" if base in ("lap", "separate_pure") else "zcdp"
     if budget.kind != expected:
         raise ValueError(f"base mechanism {base!r} needs a {expected} budget")
-    cols = x.columns
-    norms = np.linalg.norm(cols, axis=0)
-    # clip-then-rescale in one step: X_i / max(tau, ||X_i||) stays finite for
-    # subnormal tau and zero columns, unlike multiplying by 1/tau
-    scaled = cols / np.maximum(norms, tau)[np.newaxis, :]
-    inner = BASE_MECHANISMS[base](Dataset(scaled, ball_constrained=True), budget, stream)
+    inner = BASE_MECHANISMS[base](CovSketch.of(x).gram(tau), budget.value, stream)
     return MechanismReport(tau * tau * inner.estimate, budget, base, clip_threshold=tau)
 
 
-def zero_cov(x: Dataset) -> MechanismReport:
+def zero_cov(x: Dataset | CovSketch) -> MechanismReport:
     """The trivial trace-sensitive baseline: a zero matrix, zero budget."""
     return MechanismReport(np.zeros((x.dim, x.dim)), None, "zero")
 

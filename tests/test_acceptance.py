@@ -28,6 +28,7 @@ from dpcov.bounds import (
 from dpcov.datagen import SynthSpec, synth
 from dpcov.harness import ExperimentPlan, run_plan, write_results
 from dpcov.linalg import (
+    CovSketch,
     Dataset,
     clip_dataset,
     covariance,
@@ -161,8 +162,8 @@ def test_criterion_04_worst_case_scaling(capsys):
     dims = (16, 64, 256, 1024)
     gauss_means, sep_means = [], []
     for d in dims:
-        x = synth(SynthSpec(n=n, d=d, bins=1, seed=1400 + d))
-        sigma = covariance(x)
+        x = CovSketch(synth(SynthSpec(n=n, d=d, bins=1, seed=1400 + d)))
+        sigma = x.G
         ge = [
             frobenius_dist(
                 gauss_cov(x, rho, RandomStream(1401).child(f"{d}/{r}")).estimate, sigma
@@ -221,8 +222,9 @@ def test_criterion_06_trace_sensitivity(capsys):
     bins = (1, 2, 4, 8)
     means = {"gauss": [], "separate": [], "adaptive": []}
     for n_bins in bins:
-        x = synth(SynthSpec(n=n, d=d, bins=n_bins, seed=1600 + n_bins))
-        sigma = covariance(x)
+        # one pass over the data; the three mechanisms and every rep read the sketch
+        x = CovSketch(synth(SynthSpec(n=n, d=d, bins=n_bins, seed=1600 + n_bins)))
+        sigma = x.G
         errs = {"gauss": [], "separate": [], "adaptive": []}
         for r in range(reps):
             # one stream label per (mechanism, rep), shared across bin counts:
@@ -265,19 +267,20 @@ def test_criterion_07_adaptive_optimality(capsys):
     started = time.perf_counter()
     n, rho, beta, runs = 4096, 0.1, 0.05, 50
     x = skewed_dataset(n, seed=1700, heavy=5)
+    sketch = CovSketch(x)
     d = x.dim
-    sigma = covariance(x)
+    sigma = sketch.G
     tr = trace_stat(x)
 
     adaptive_errors = [
         frobenius_dist(
-            adaptive_cov(x, rho, beta, RandomStream(1701).child(f"r{i}")).estimate, sigma
+            adaptive_cov(sketch, rho, beta, RandomStream(1701).child(f"r{i}")).estimate, sigma
         )
         for i in range(runs)
     ]
     plain_errors = [
         frobenius_dist(
-            separate_cov(x, rho, RandomStream(1702).child(f"r{i}")).estimate, sigma
+            separate_cov(sketch, rho, RandomStream(1702).child(f"r{i}")).estimate, sigma
         )
         for i in range(runs)
     ]
@@ -299,7 +302,7 @@ def test_criterion_07_adaptive_optimality(capsys):
             runs_e = [
                 frobenius_dist(
                     clip_mechanism(
-                        x, zcdp(rho), tau, RandomStream(1703).child(f"{tau}/{branch}/{i}"), branch
+                        sketch, zcdp(rho), tau, RandomStream(1703).child(f"{tau}/{branch}/{i}"), branch
                     ).estimate,
                     sigma,
                 )

@@ -1,0 +1,295 @@
+"""CovSketch against the Dataset path it replaces.
+
+Every statistic the mechanisms read from a sketch is recomputed here from the
+columns (``covariance(clip_dataset(...))``, per-vector norm loops), on
+generated datasets whose norms span several dyadic buckets and on the
+degenerate shapes: zero columns, n=1, d=1, norms exactly 2^k, and columns
+whose norms underflow.
+"""
+
+import math
+import sys
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracle_utils import bucket_exponent
+
+from dpcov.adaptive import adaptive_cov, adaptive_cov_pure, build_histogram, private_trace_ub
+from dpcov.datagen import SynthSpec, synth
+from dpcov.linalg import CovSketch, Dataset, clip_dataset, covariance, eig_sym, trace_stat
+from dpcov.mechanisms import clip_mechanism, gauss_cov, lap_cov, separate_cov, separate_cov_pure
+from dpcov.privacy import pure, zcdp
+from dpcov.randomness import RandomStream
+
+
+def dataset_from_norms(norms, d, seed):
+    """Random directions with exactly these target norms (0 gives a zero column)."""
+    rng = np.random.default_rng(seed)
+    cols = rng.standard_normal((d, len(norms)))
+    cols /= np.linalg.norm(cols, axis=0)
+    return Dataset(cols * np.asarray(norms, dtype=float))
+
+
+@st.composite
+def datasets(draw):
+    """d x n data with norms spread over 2^-9..2^1, some zero, some exactly 2^k."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 30))
+    norms = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["spread", "spread", "dyadic", "zero"]))
+        exponent = draw(st.integers(-9, 0))
+        if kind == "zero":
+            norms.append(0.0)
+        elif kind == "dyadic":
+            norms.append(math.ldexp(1.0, exponent))
+        else:
+            norms.append(math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), exponent + 1))
+    return dataset_from_norms(norms, d, draw(st.integers(0, 2**32 - 1)))
+
+
+def occupied_buckets(x):
+    return sorted({bucket_exponent(v) for v in x.norms() if v > 0})
+
+
+def rel_fro(a, b):
+    scale = np.linalg.norm(b)
+    return np.linalg.norm(a - b) / scale if scale > 0 else np.linalg.norm(a - b)
+
+
+def bucket_counts(norms):
+    """Per-vector dyadic histogram, the oracle for ``build_histogram``."""
+    counts: dict[int, int] = {}
+    for v in norms:
+        if v > 0:
+            counts[bucket_exponent(v)] = counts.get(bucket_exponent(v), 0) + 1
+    return counts
+
+
+def clip_exponents(x):
+    """Every t from one above the top occupied bucket to 4 below the lowest."""
+    buckets = occupied_buckets(x)
+    if not buckets:
+        return range(0, -5, -1)
+    return range(min(buckets[-1] + 1, 0), buckets[0] - 5, -1)
+
+
+def check_against_dataset_path(x):
+    sketch = CovSketch(x)
+    assert np.array_equal(sketch.G, covariance(x))
+    assert sketch.max_norm == float(np.max(x.norms()))
+    norms = x.norms()
+    for j in range(0, 14):
+        level = math.ldexp(1.0, -j)
+        assert sketch.count_above(level) == int(np.sum(norms > level))
+    assert build_histogram(sketch).counts == bucket_counts(norms)
+    for t in clip_exponents(x):
+        tau = math.ldexp(1.0, t)
+        clipped = clip_dataset(x, tau)
+        want = covariance(clipped)
+        view = sketch.clip(tau)
+        assert rel_fro(view.gram().cov, want) <= 1e-12
+        assert rel_fro(sketch.gram(tau).cov * tau * tau, want) <= 1e-12
+        assert np.array_equal(view.gram().cov, view.gram().cov.T)
+        assert abs(view.trace() - trace_stat(clipped)) <= 1e-12 * max(trace_stat(clipped), 1e-300)
+        # clipped norms are min(||x||, tau) exactly
+        exact = np.minimum(norms, tau)
+        assert view.max_norm == float(np.max(exact))
+        for j in range(0, 14):
+            level = math.ldexp(1.0, -j)
+            assert view.count_above(level) == int(np.sum(exact > level))
+        hist = build_histogram(view).counts
+        assert hist == bucket_counts(exact)
+        # the Dataset path recomputes clipped norms, which may land an ulp on
+        # either side of tau; away from that boundary the counts agree
+        direct = build_histogram(clipped).counts
+        boundary = {t - 1, t}
+        assert {s: c for s, c in hist.items() if s not in boundary} == {
+            s: c for s, c in direct.items() if s not in boundary
+        }
+        assert sum(hist.values()) == sum(direct.values())
+
+
+class TestEquivalence:
+    @settings(max_examples=80, deadline=None)
+    @given(datasets())
+    def test_matches_dataset_path(self, x):
+        check_against_dataset_path(x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(datasets(), st.floats(0.01, 1.0))
+    def test_non_dyadic_threshold(self, x, tau):
+        # a threshold inside a bucket splits it; that bucket is read from the columns
+        want = covariance(clip_dataset(x, tau))
+        got = CovSketch(x).gram(tau).cov * tau * tau
+        assert rel_fro(got, want) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(datasets(), st.integers(-9, 0), st.integers(-12, 0))
+    def test_clipped_view_at_any_threshold(self, x, r_exp, t_exp):
+        r, tau = math.ldexp(1.0, r_exp), math.ldexp(1.0, t_exp)
+        twice = clip_dataset(clip_dataset(x, r), tau)
+        want = covariance(twice) / (tau * tau)
+        assert rel_fro(CovSketch(x).clip(r).gram(tau).cov, want) <= 1e-12
+
+    def test_synthetic_workload_shape(self):
+        x = synth(SynthSpec(n=3000, d=12, bins=4, seed=3))
+        check_against_dataset_path(x)
+
+
+class TestDegenerate:
+    def test_all_zero_columns(self):
+        x = Dataset(np.zeros((3, 5)))
+        check_against_dataset_path(x)
+        sketch = CovSketch(x)
+        assert sketch.max_norm == 0.0 and sketch.trace() == 0.0
+        assert build_histogram(sketch).counts == {}
+
+    def test_some_zero_columns(self):
+        check_against_dataset_path(dataset_from_norms([0.0, 0.3, 0.0, 0.9, 0.05], d=3, seed=1))
+
+    def test_single_column(self):
+        check_against_dataset_path(dataset_from_norms([0.37], d=4, seed=2))
+
+    def test_one_dimension(self):
+        x = Dataset(np.array([[0.5, -0.25, 0.7, 0.0, -1.0, 0.01]]))
+        check_against_dataset_path(x)
+
+    def test_norms_exactly_powers_of_two(self):
+        cols = np.zeros((3, 6))
+        for i, k in enumerate((0, -1, -1, -3, -6, -6)):
+            cols[i % 3, i] = math.ldexp(1.0, k)
+        x = Dataset(cols)
+        assert set(x.norms()) == {1.0, 0.5, 0.125, 2.0**-6}
+        check_against_dataset_path(x)
+        # a norm equal to the threshold is not clipped and sits in the bucket below it
+        view = CovSketch(x).clip(0.5)
+        assert view.count_above(0.25) == 3
+        assert build_histogram(view).counts == {-2: 3, -4: 1, -7: 2}
+
+    def test_underflowing_norms(self):
+        # squares of these entries underflow, so the column norms come out 0
+        # (subnormal entries) or coarse; the sketch must agree with the
+        # Dataset path, not with exact arithmetic
+        cols = np.array([[5e-324, 1e-310, 3e-160, 0.5], [0.0, 2e-309, 0.0, 0.25]])
+        x = Dataset(cols)
+        check_against_dataset_path(x)
+        stream = RandomStream(3, zero_noise=True)
+        assert np.array_equal(gauss_cov(x, 1.0, stream).estimate, covariance(x))
+        assert np.all(np.isfinite(adaptive_cov(x, 1.0, 0.05, RandomStream(4)).estimate))
+
+
+class TestMechanismsOnSketch:
+    """A dataset becomes a sketch on entry: passing either gives the same bytes."""
+
+    def test_same_bytes_as_dataset(self):
+        x = synth(SynthSpec(n=500, d=10, bins=3, seed=7))
+        sketch = CovSketch(x)
+        calls = (
+            lambda v, s: gauss_cov(v, 0.3, s),
+            lambda v, s: lap_cov(v, 1.0, s),
+            lambda v, s: separate_cov(v, 0.3, s),
+            lambda v, s: separate_cov_pure(v, 1.0, s),
+            lambda v, s: adaptive_cov(v, 0.3, 0.05, s),
+            lambda v, s: adaptive_cov_pure(v, 1.0, 0.05, s),
+            lambda v, s: clip_mechanism(v, zcdp(0.3), 0.125, s, "separate"),
+            lambda v, s: clip_mechanism(v, pure(1.0), 0.3, s, "lap"),
+        )
+        for i, call in enumerate(calls):
+            a = call(x, RandomStream(8).child(str(i)))
+            b = call(sketch, RandomStream(8).child(str(i)))
+            assert np.array_equal(a.estimate, b.estimate)
+            assert a.details == b.details
+
+    def test_spectrum_is_memoised_and_exact(self):
+        x = synth(SynthSpec(n=400, d=9, bins=2, seed=9))
+        sketch = CovSketch(x)
+        separate_cov(sketch, 0.5, RandomStream(1))
+        first = sketch.gram().spectrum()
+        separate_cov_pure(sketch, 1.0, RandomStream(2))
+        assert sketch.gram().spectrum() is first
+        assert np.max(np.abs(first - eig_sym(covariance(x)).values)) <= 1e-14
+        clipped = sketch.gram(0.25)
+        assert sketch.clip(0.5).gram(0.25) is clipped  # shared across views
+
+    def test_ball_check_reads_clipped_norms(self):
+        x = Dataset(2.0 * np.eye(3))
+        with pytest.raises(ValueError, match="norms exceed 1"):
+            gauss_cov(CovSketch(x), 1.0, RandomStream(0))
+        clipped = CovSketch(x).clip(1.0)
+        got = gauss_cov(clipped, 1.0, RandomStream(0, zero_noise=True)).estimate
+        assert np.array_equal(got, covariance(clip_dataset(x, 1.0)))
+
+    def test_trace_rejects_unclipped_sketch(self):
+        x = dataset_from_norms([0.9, 0.1], d=2, seed=5)
+        with pytest.raises(ValueError, match="unclipped"):
+            private_trace_ub(CovSketch(x), 0.5, zcdp(0.1), 0.05, RandomStream(0))
+        # the clipped view passes the same check
+        private_trace_ub(CovSketch(x).clip(0.5), 0.5, zcdp(0.1), 0.05, RandomStream(0))
+
+    def test_bucket_grams_never_copy_the_data(self):
+        d, n = 32, 40_000
+        x = synth(SynthSpec(n=n, d=d, bins=4, seed=11))
+        sketch = CovSketch(x)
+        tracemalloc.start()
+        try:
+            sketch.gram(2.0**-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d * n / 4
+
+
+class TestSharedAcrossThreads:
+    def test_lazy_parts_are_built_once(self):
+        # more threads than cores, switching often: every thread must get the
+        # one cached Gram (and spectrum) per key, never a second build
+        sketch = CovSketch(synth(SynthSpec(n=3000, d=12, bins=4, seed=13)))
+        taus = [math.ldexp(1.0, t) for t in range(0, -6, -1)]
+        seen = [None] * 8
+        errors = []
+
+        def work(i):
+            try:
+                seen[i] = [(sketch.gram(tau), sketch.gram(tau).spectrum()) for tau in taus]
+            except Exception as exc:  # reported below; a thread must not die silently
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(seen))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        for got in seen[1:]:
+            assert all(g is h and a is b for (g, a), (h, b) in zip(got, seen[0]))
+
+
+class TestTinyRadiusRegression:
+    """The private radius can land far below every norm (2^-525 here); the
+    clipped norms are then min(||x||, r) = r exactly, not recomputed norms
+    that overshoot r and trip the unclipped-input check."""
+
+    def test_reported_stream(self):
+        x = synth(SynthSpec(n=256, d=8, bins=4, seed=5))
+        rep = adaptive_cov(x, 0.1, 0.05, RandomStream(5).child("bench/adaptive/11"))
+        assert rep.details["r_tilde"] == 2.0**-525
+        assert np.all(np.isfinite(rep.estimate))
+        assert np.array_equal(rep.estimate, rep.estimate.T)
+
+    def test_every_stream_succeeds(self):
+        sketch = CovSketch(synth(SynthSpec(n=256, d=8, bins=4, seed=5)))
+        for i in range(400):
+            rep = adaptive_cov(sketch, 0.1, 0.05, RandomStream(5).child(f"bench/adaptive/{i}"))
+            assert np.all(np.isfinite(rep.estimate))
+            assert np.array_equal(rep.estimate, rep.estimate.T)
