@@ -10,21 +10,15 @@ and pure-DP flavours, with a reproducible benchmark harness and CLI on top.
 
 from .adaptive import (
     NormHistogram,
-    ThresholdSearchConfig,
     adaptive_cov,
     adaptive_cov_pure,
     bias_hat,
     build_histogram,
-    diff_query,
-    gauss_noise_bound,
-    lap_noise_bound,
     noise_hat,
-    noise_hat_pure,
     priv_radius,
     private_trace_ub,
-    separate_noise_bound,
-    separate_noise_bound_pure,
     svt,
+    threshold_query,
 )
 from .bounds import (
     BoundConstants,
@@ -46,18 +40,18 @@ from .linalg import (
     covariance,
     eig_sym,
     frobenius_dist,
-    jacobi_eig_sym,
     radius,
     reconstruct,
     tail_gamma,
     trace_stat,
 )
 from .mechanisms import (
+    GAUSSIAN,
+    LAPLACE,
     MechanismReport,
     clip_mechanism,
     gauss_cov,
     lap_cov,
-    sensitivity_probe,
     separate_cov,
     separate_cov_pure,
     zero_cov,

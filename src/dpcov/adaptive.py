@@ -1,62 +1,60 @@
 """The tail-sensitive mechanism: private clipping-threshold selection.
 
-Pipeline (zCDP budget rho, failure parameter beta):
+One pipeline serves both DP notions; a :class:`~dpcov.mechanisms.NoiseFamily`
+supplies its noise, its error bounds and its budget split.  With budget B
+and failure parameter beta:
 
-1. a private radius estimate r (sparse vector technique over dyadic radii,
-   rho/8),
-2. clip to r and compute a private upper bound on the trace (rho/8),
+1. a private radius estimate r (sparse vector technique over dyadic radii),
+2. clip to r and compute a private upper bound on the trace,
 3. sparse vector technique over the dyadic threshold grid r, r/2, ... with
    queries comparing an upper bound on the clipping bias against an upper
-   bound on the mechanism noise (rho/4),
-4. run the clipped Gaussian or clipped separate-spectrum mechanism at the
-   selected threshold, whichever has the smaller noise bound (rho/2).
+   bound on the mechanism noise,
+4. run the family's clipped plain or clipped separate mechanism at the
+   selected threshold, whichever has the smaller noise bound.
 
-The sub-budgets sum exactly to rho (asserted on every invocation).  A
-pure-DP variant splits eps into four equal parts and swaps every Gaussian
-ingredient for its Laplace counterpart.
+The family's ledger splits B over the four stages: rho/8, rho/8, rho/4 and
+rho/2 under zCDP (the two SVT stages run as eps-DP mechanisms with
+eps^2/2 equal to their share), eps/4 each under pure DP.  Every run composes
+the ledger with :func:`~dpcov.privacy.compose` and raises ValueError unless
+it adds up to exactly B; the check also runs under ``python -O``.
 
-The bias/noise queries fed to the SVT are normalized by 4*r^2 so that each
-has sensitivity at most 1 on r-clipped data; the SVT noise in original units
-is then Lap(8 r^2/eps) / Lap(16 r^2/eps).
+The bias/noise queries fed to the SVT are normalized by n/(4*r^2) so that
+each has sensitivity at most 1 on r-clipped data; the SVT noise in original
+units is then Lap(8 r^2/(n eps)) / Lap(16 r^2/(n eps)) for the SVT's eps.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import accumulate
+from typing import Callable, Iterable
 
-from .bounds import (
-    BoundConstants,
-    DEFAULT_CONSTANTS,
-    eta,
-    lap_vec_bound,
-    omega,
-    slw_frob_bound,
-    slw_op_bound,
-    upsilon,
-)
+from .bounds import DEFAULT_CONSTANTS, BoundConstants
 from .linalg import CovSketch, Dataset
-from .mechanisms import MechanismReport, clip_mechanism
-from .privacy import PrivacyBudget, gaussian_scale, laplace_scale, pure, zcdp
-from .randomness import RandomStream, gaussian_vector, laplace_scalar
+from .mechanisms import (
+    FAMILIES,
+    GAUSSIAN,
+    LAPLACE,
+    MechanismReport,
+    NoiseBounds,
+    NoiseFamily,
+    clip_mechanism,
+)
+from .privacy import PrivacyBudget
+from .randomness import RandomStream, laplace_scalar
 
 __all__ = [
     "NormHistogram",
-    "ThresholdSearchConfig",
     "svt",
     "priv_radius",
     "build_histogram",
     "bias_hat",
-    "gauss_noise_bound",
-    "separate_noise_bound",
     "noise_hat",
-    "lap_noise_bound",
-    "separate_noise_bound_pure",
-    "noise_hat_pure",
     "private_trace_ub",
-    "diff_query",
+    "threshold_query",
     "adaptive_cov",
     "adaptive_cov_pure",
 ]
@@ -99,16 +97,11 @@ class NormHistogram:
         if total > self.n or any(c < 0 for c in self.counts.values()):
             raise ValueError("bucket counts must be nonnegative and sum to at most n")
         neg = sorted(s for s in self.counts if s < 0)
-        weights = [self.counts[s] * math.ldexp(1.0, 2 * s + 2) for s in neg]
-        tallies = [self.counts[s] for s in neg]
-        suffix_weight = [0.0] * (len(neg) + 1)
-        suffix_count = [0] * (len(neg) + 1)
-        for i in range(len(neg) - 1, -1, -1):
-            suffix_weight[i] = suffix_weight[i + 1] + weights[i]
-            suffix_count[i] = suffix_count[i + 1] + tallies[i]
+        weights = (self.counts[s] * math.ldexp(1.0, 2 * s + 2) for s in reversed(neg))
+        tallies = (self.counts[s] for s in reversed(neg))
         object.__setattr__(self, "_neg_buckets", neg)
-        object.__setattr__(self, "_suffix_weight", suffix_weight)
-        object.__setattr__(self, "_suffix_count", suffix_count)
+        object.__setattr__(self, "_suffix_weight", list(accumulate(weights, initial=0.0))[::-1])
+        object.__setattr__(self, "_suffix_count", list(accumulate(tallies, initial=0))[::-1])
 
     def bias_upper_bound_exp(self, t: int) -> float:
         """Bias bound at threshold 2**t, computed in exponent space so the
@@ -117,21 +110,6 @@ class NormHistogram:
         tau_sq = math.ldexp(1.0, 2 * t)  # 0.0 on underflow; bound only loosens
         raw = self._suffix_weight[idx] - tau_sq * self._suffix_count[idx]
         return max(0.0, raw / self.n)
-
-
-@dataclass(frozen=True)
-class ThresholdSearchConfig:
-    """Grid and budget for the threshold SVT."""
-
-    smallest_tau_exponent: int
-    svt_budget: PrivacyBudget
-    beta: float
-
-    def __post_init__(self):
-        if self.smallest_tau_exponent >= 0:
-            raise ValueError("smallest_tau_exponent must be negative")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
 
 
 def svt(
@@ -205,82 +183,12 @@ def bias_hat(h: NormHistogram, tau: float) -> float:
     return h.bias_upper_bound_exp(t)
 
 
-def gauss_noise_bound(tau: float, rho: float, beta: float, d: int, n: int) -> float:
-    """Error bound of the clipped Gaussian mechanism at threshold tau."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return tau * tau * omega(d, beta) / (math.sqrt(rho) * n)
-
-
-def separate_noise_bound(
-    tr_hat: float, tau: float, rho: float, beta: float, d: int, n: int
-) -> float:
-    """Error bound of the clipped separate-spectrum mechanism at threshold
-    tau, given a (privatized) trace upper bound."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    lead = 2.0**1.25 * math.sqrt(max(tr_hat, 0.0)) / (rho**0.25 * math.sqrt(n))
-    return tau * lead * math.sqrt(upsilon(d, beta / 2)) + (
-        tau * tau * math.sqrt(2.0) / (math.sqrt(rho) * n) * eta(d, beta / 2)
-    )
-
-
-def noise_hat(tr_hat: float, tau: float, rho: float, beta: float, d: int, n: int) -> float:
-    """The smaller of the two zCDP noise bounds."""
-    return min(
-        gauss_noise_bound(tau, rho, beta, d, n),
-        separate_noise_bound(tr_hat, tau, rho, beta, d, n),
-    )
-
-
-def lap_noise_bound(
-    tau: float,
-    eps: float,
-    beta: float,
-    d: int,
-    n: int,
-    constants: BoundConstants = DEFAULT_CONSTANTS,
-) -> float:
-    """Error bound of the clipped Laplace mechanism at threshold tau."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return tau * tau * (math.sqrt(2.0) * d / (eps * n)) * slw_frob_bound(d, beta, constants)
-
-
-def separate_noise_bound_pure(
-    tr_hat: float,
-    tau: float,
-    eps: float,
-    beta: float,
-    d: int,
-    n: int,
-    constants: BoundConstants = DEFAULT_CONSTANTS,
-) -> float:
-    """Pure-DP analogue of :func:`separate_noise_bound`: eigenvector term
-    from the Laplace Wigner operator-norm bound at eps/2, eigenvalue term
-    from the Laplace vector bound at eps/2."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    op_noise = (2.0 * math.sqrt(2.0) * d / (eps * n)) * slw_op_bound(d, beta / 2, constants)
-    return tau * 2.0 * math.sqrt(max(tr_hat, 0.0) * op_noise) + (
-        tau * tau * (4.0 / (eps * n)) * lap_vec_bound(d, beta / 2, constants)
-    )
-
-
-def noise_hat_pure(
-    tr_hat: float,
-    tau: float,
-    eps: float,
-    beta: float,
-    d: int,
-    n: int,
-    constants: BoundConstants = DEFAULT_CONSTANTS,
-) -> float:
-    """The smaller of the two pure-DP noise bounds."""
-    return min(
-        lap_noise_bound(tau, eps, beta, d, n, constants),
-        separate_noise_bound_pure(tr_hat, tau, eps, beta, d, n, constants),
-    )
+def noise_hat(bounds: NoiseBounds, tr_hat: float, tau: float) -> float:
+    """The smaller of a family's two clipped-mechanism noise bounds at
+    threshold tau, given a (privatized) trace upper bound; ``bounds`` is the
+    family's :meth:`~dpcov.mechanisms.NoiseFamily.noise_bounds` at the final
+    mechanism's budget."""
+    return min(bounds(tr_hat, tau))
 
 
 def private_trace_ub(
@@ -308,78 +216,38 @@ def private_trace_ub(
         # r^2 underflowed; every column norm (hence the trace) flushed to
         # zero with it, so the capped value is exact and data-independent
         return min(tr, r_tilde * r_tilde)
-    if budget_frag.kind == "zcdp":
-        scale = gaussian_scale(sensitivity, budget_frag)
-        draw = scale * float(gaussian_vector(stream, 1)[0])
-        offset = scale * math.sqrt(2.0 * math.log(8.0 / beta))
-    else:
-        scale = laplace_scale(sensitivity, budget_frag)
-        draw = laplace_scalar(stream, scale)
-        offset = scale * math.log(8.0 / beta)
+    family = FAMILIES[budget_frag.kind]
+    draw, offset = family.scalar_noise(stream, sensitivity, budget_frag.value, beta / 8)
     return min(tr + draw + offset, r_tilde * r_tilde)
 
 
-def diff_query(
-    h: NormHistogram,
-    tr_hat: float,
-    tau: float,
-    rho: float,
-    beta: float,
-    r_tilde: float,
-    d: int,
-    n: int,
-) -> float:
-    """The normalized bias-vs-noise query fed to the threshold SVT:
+def threshold_query(
+    bounds: NoiseBounds, h: NormHistogram, tr_hat: float, r_tilde: float, n: int
+) -> Callable[[int], float]:
+    """The threshold SVT's query at tau = 2^t, as a function of t:
 
-        (n / (4 r^2)) * (bias_hat(h, tau) - noise_hat(tr_hat, tau, ...))
+        (n / (4 r^2)) * (bias_hat(h, tau) - noise_hat(bounds, tr_hat, tau))
 
-    On r-clipped data one column change moves n*bias_hat by at most 4*r^2,
-    so the normalization caps the sensitivity at 1.  Nondecreasing as tau
-    walks down the dyadic grid.
+    for a private radius r > 0.  On r-clipped data one column change moves
+    n*bias_hat by at most 4*r^2, so the normalization caps the sensitivity at
+    1.  Nondecreasing as tau walks down the dyadic grid.
+
+    n/(4 r^2) overflows once r is below about 2^-512.  There bias and noise
+    are evaluated in units of r instead, at tau/r and tr_hat/r^2: r is a power
+    of two, so this scales both exactly wherever nothing underflows.
     """
-    t = _pow2_exponent(tau)
-    return _diff_exp(h, tr_hat, t, rho, beta, r_tilde, d, n)
+    four_r_sq = 4.0 * r_tilde * r_tilde
+    scale, unit = (n / four_r_sq if four_r_sq else math.inf), 0
+    if scale == math.inf:
+        unit = _pow2_exponent(r_tilde)
+        h = NormHistogram({s - unit: c for s, c in h.counts.items()}, h.n)
+        scale, tr_hat = n / 4.0, math.ldexp(tr_hat, -2 * unit)
 
+    def query(t: int) -> float:
+        tau = math.ldexp(1.0, t - unit)
+        return scale * (h.bias_upper_bound_exp(t - unit) - noise_hat(bounds, tr_hat, tau))
 
-def _diff_exp(h, tr_hat, t, rho, beta, r_tilde, d, n):
-    tau = math.ldexp(1.0, t)
-    return (n / (4.0 * r_tilde * r_tilde)) * (
-        h.bias_upper_bound_exp(t) - noise_hat(tr_hat, tau, rho, beta, d, n)
-    )
-
-
-def _diff_exp_pure(h, tr_hat, t, eps, beta, r_tilde, d, n, constants):
-    tau = math.ldexp(1.0, t)
-    return (n / (4.0 * r_tilde * r_tilde)) * (
-        h.bias_upper_bound_exp(t) - noise_hat_pure(tr_hat, tau, eps, beta, d, n, constants)
-    )
-
-
-def _radius_offset_exponent(d: int, n: int) -> int:
-    return max(-2 * d * n, _MIN_FLOAT_EXPONENT)
-
-
-def _select_tau(
-    r_tilde: float,
-    diff_at,
-    svt_eps: float,
-    config: ThresholdSearchConfig,
-    stream: RandomStream,
-) -> float:
-    """Run the SVT down the dyadic grid and step one level back up."""
-    if r_tilde * r_tilde == 0.0:
-        # the final estimate is scaled by tau^2 <= r^2 = 0: any threshold
-        # yields the zero matrix, so skip the (ill-conditioned) search
-        return r_tilde
-    start = _pow2_exponent(r_tilde)
-    end = config.smallest_tau_exponent
-    exponents = range(start, end - 1, -1) if start >= end else range(0)
-    queries = (diff_at(t) for t in exponents)
-    k = svt(queries, 1.0, 0.0, svt_eps, stream)
-    selected = start + 1 - k
-    tau = math.ldexp(1.0, selected + 1)  # 0.0 if below the float64 range
-    tau = max(tau, math.ldexp(1.0, _MIN_FLOAT_EXPONENT))
-    return min(tau, r_tilde)
+    return query
 
 
 def adaptive_cov(
@@ -397,49 +265,7 @@ def adaptive_cov(
     that actually ran ('gauss' or 'separate'); the selected threshold,
     radius, trace bound, and ledger are in ``details``.
     """
-    zcdp(rho)
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
-    x = CovSketch.of(x)
-    d, n = x.dim, x.count
-    ledger = {"radius": rho / 8, "trace": rho / 8, "svt": rho / 4, "mechanism": rho / 2}
-    assert sum(ledger.values()) == rho
-
-    eps_radius = math.sqrt(rho) / 2.0  # pure-DP, implies rho/8 zCDP
-    b = math.ldexp(1.0, _radius_offset_exponent(d, n))
-    r_tilde = priv_radius(x, eps_radius, beta / 8, b, stream.child("radius"))
-    x_clip = x.clip(r_tilde)
-    tr_hat = private_trace_ub(x_clip, r_tilde, zcdp(rho / 8), beta, stream.child("trace"))
-    hist = build_histogram(x_clip)
-
-    config = ThresholdSearchConfig(
-        smallest_tau_exponent=max(-d * n, tau_cap_exponent),
-        svt_budget=zcdp(rho / 4),
-        beta=beta,
-    )
-    eps_svt = math.sqrt(rho) / math.sqrt(2.0)  # pure-DP, implies rho/4 zCDP
-    tau = _select_tau(
-        r_tilde,
-        lambda t: _diff_exp(hist, tr_hat, t, rho / 2, beta / 2, r_tilde, d, n),
-        eps_svt,
-        config,
-        stream.child("svt"),
-    )
-
-    sep = separate_noise_bound(tr_hat, tau, rho / 2, beta / 2, d, n)
-    gau = gauss_noise_bound(tau, rho / 2, beta / 2, d, n)
-    branch = "gauss" if sep >= gau else "separate"
-    inner = clip_mechanism(x_clip, zcdp(rho / 2), tau, stream.child("mech"), branch)
-    details = {
-        "r_tilde": r_tilde,
-        "tr_hat": tr_hat,
-        "tau": tau,
-        "branch": branch,
-        "ledger": ledger,
-    }
-    return MechanismReport(
-        inner.estimate, zcdp(rho), branch, clip_threshold=tau, details=details
-    )
+    return _adaptive(GAUSSIAN, x, rho, beta, stream, tau_cap_exponent)
 
 
 def adaptive_cov_pure(
@@ -453,48 +279,51 @@ def adaptive_cov_pure(
 ) -> MechanismReport:
     """Tail-sensitive private covariance under eps-DP.
 
-    Same pipeline as :func:`adaptive_cov` with every stage at eps/4 and the
-    Laplace-side bound functions driving the threshold search and dispatch.
+    Same pipeline as :func:`adaptive_cov` with every stage at eps/4, Laplace
+    noise, and the Laplace-side bounds (with ``constants``) driving the
+    threshold search and dispatch ('lap' or 'separate-pure').
     """
-    pure(eps)
+    family = dataclasses.replace(LAPLACE, constants=constants)
+    return _adaptive(family, x, eps, beta, stream, tau_cap_exponent)
+
+
+def _adaptive(
+    family: NoiseFamily, x, value: float, beta: float, stream: RandomStream, tau_cap_exponent: int
+) -> MechanismReport:
+    budget = family.budget(value)
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
+    if tau_cap_exponent >= 0:
+        raise ValueError("tau_cap_exponent must be negative")
+    ledger = family.ledger(value)
     x = CovSketch.of(x)
     d, n = x.dim, x.count
-    ledger = {"radius": eps / 4, "trace": eps / 4, "svt": eps / 4, "mechanism": eps / 4}
-    assert sum(ledger.values()) == eps
 
-    b = math.ldexp(1.0, _radius_offset_exponent(d, n))
-    r_tilde = priv_radius(x, eps / 4, beta / 8, b, stream.child("radius"))
+    b = math.ldexp(1.0, max(-2 * d * n, _MIN_FLOAT_EXPONENT))
+    r_tilde = priv_radius(x, family.svt_eps(ledger["radius"]), beta / 8, b, stream.child("radius"))
     x_clip = x.clip(r_tilde)
-    tr_hat = private_trace_ub(x_clip, r_tilde, pure(eps / 4), beta, stream.child("trace"))
+    trace_budget = family.budget(ledger["trace"])
+    tr_hat = private_trace_ub(x_clip, r_tilde, trace_budget, beta, stream.child("trace"))
     hist = build_histogram(x_clip)
 
-    config = ThresholdSearchConfig(
-        smallest_tau_exponent=max(-d * n, tau_cap_exponent),
-        svt_budget=pure(eps / 4),
-        beta=beta,
-    )
-    eps_mech = eps / 4
-    tau = _select_tau(
-        r_tilde,
-        lambda t: _diff_exp_pure(hist, tr_hat, t, eps_mech, beta / 2, r_tilde, d, n, constants),
-        eps / 4,
-        config,
-        stream.child("svt"),
-    )
+    bounds = family.noise_bounds(ledger["mechanism"], beta / 2, d, n)
+    if r_tilde * r_tilde == 0.0:
+        # the final estimate is scaled by tau^2 <= r^2 = 0: any threshold
+        # yields the zero matrix, so skip the (ill-conditioned) search
+        tau = r_tilde
+    else:
+        # SVT down the dyadic grid r, r/2, ..., 2^end, then one level back up
+        query = threshold_query(bounds, hist, tr_hat, r_tilde, n)
+        start, end = _pow2_exponent(r_tilde), max(-d * n, tau_cap_exponent)
+        queries = (query(t) for t in range(start, end - 1, -1))
+        k = svt(queries, 1.0, 0.0, family.svt_eps(ledger["svt"]), stream.child("svt"))
+        # the k-th query is at 2^(start+1-k); 0.0 if below the float64 range
+        tau = math.ldexp(1.0, start + 2 - k)
+        tau = min(max(tau, math.ldexp(1.0, _MIN_FLOAT_EXPONENT)), r_tilde)
 
-    sep = separate_noise_bound_pure(tr_hat, tau, eps_mech, beta / 2, d, n, constants)
-    lap = lap_noise_bound(tau, eps_mech, beta / 2, d, n, constants)
-    branch = "lap" if sep >= lap else "separate_pure"
-    inner = clip_mechanism(x_clip, pure(eps_mech), tau, stream.child("mech"), branch)
-    details = {
-        "r_tilde": r_tilde,
-        "tr_hat": tr_hat,
-        "tau": tau,
-        "branch": branch,
-        "ledger": ledger,
-    }
-    return MechanismReport(
-        inner.estimate, pure(eps), branch, clip_threshold=tau, details=details
-    )
+    plain, separate = bounds(tr_hat, tau)
+    branch = family.plain if separate >= plain else family.separate
+    mech_budget = family.budget(ledger["mechanism"])
+    inner = clip_mechanism(x_clip, mech_budget, tau, stream.child("mech"), branch)
+    details = dict(r_tilde=r_tilde, tr_hat=tr_hat, tau=tau, branch=branch, ledger=ledger)
+    return MechanismReport(inner.estimate, budget, branch, clip_threshold=tau, details=details)

@@ -13,13 +13,14 @@ import sys
 
 from .adaptive import TAU_CAP_EXPONENT
 from .harness import (
-    MECHANISM_NAMES,
+    MECHANISMS,
     ExperimentPlan,
     NumericalFailure,
     run_plan,
     write_results,
 )
 from .datagen import SynthSpec
+from .mechanisms import FAMILIES
 from .privacy import pure, zcdp
 
 EXIT_OK = 0
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--mechanism",
         required=True,
-        help=f"comma-separated list from {{{','.join(MECHANISM_NAMES)}}}",
+        help=f"comma-separated list from {{{','.join(MECHANISMS)}}}",
     )
     source = run.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="CSV file, one row per individual")
@@ -127,17 +128,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
     if args.verbose:
-        for mech in plan.mechanisms:
-            if not mech.startswith("adaptive"):
-                continue
-            v = plan.budget.value
-            split = (
-                {"radius": v / 8, "trace": v / 8, "svt": v / 4, "mechanism": v / 2}
-                if plan.budget.kind == "zcdp"
-                else {"radius": v / 4, "trace": v / 4, "svt": v / 4, "mechanism": v / 4}
-            )
-            parts = ", ".join(f"{k}={s:.6g}" for k, s in split.items())
-            print(f"{mech} budget ledger ({plan.budget.kind}={v:.6g}): {parts}")
+        family, v = FAMILIES[plan.budget.kind], plan.budget.value
+        if family.adaptive in plan.mechanisms:
+            parts = ", ".join(f"{k}={s:.6g}" for k, s in family.ledger(v).items())
+            print(f"{family.adaptive} budget ledger ({plan.budget.kind}={v:.6g}): {parts}")
         for row in rows:
             extra = ""
             if row.chosen_tau is not None:

@@ -28,6 +28,9 @@ from .bounds import BoundConstants
 from .datagen import SynthSpec, load_csv, rescale_radius, synth
 from .linalg import CovSketch, Dataset, frobenius_dist
 from .mechanisms import (
+    GAUSSIAN,
+    LAPLACE,
+    ZERO,
     MechanismReport,
     gauss_cov,
     lap_cov,
@@ -39,7 +42,7 @@ from .privacy import PrivacyBudget, zcdp_to_approx
 from .randomness import RandomStream
 
 __all__ = [
-    "MECHANISM_NAMES",
+    "MECHANISMS",
     "ExperimentPlan",
     "ResultRow",
     "SummaryRow",
@@ -48,26 +51,33 @@ __all__ = [
     "write_results",
 ]
 
-MECHANISM_NAMES = ("gauss", "lap", "separate", "separate-pure", "adaptive", "adaptive-pure", "zero")
-_ZCDP_MECHS = ("gauss", "separate", "adaptive")
-_PURE_MECHS = ("lap", "separate-pure", "adaptive-pure")
+# name -> (budget kind, run(x, budget value, plan, stream)); a kind of None
+# runs under either.  Each run calls a public mechanism through this module's
+# name for it, so rebinding that name (to a tracing wrapper, say) is seen.
+MECHANISMS = {
+    GAUSSIAN.plain: (GAUSSIAN.kind, lambda x, v, p, s: gauss_cov(x, v, s)),
+    LAPLACE.plain: (LAPLACE.kind, lambda x, v, p, s: lap_cov(x, v, s)),
+    GAUSSIAN.separate: (GAUSSIAN.kind, lambda x, v, p, s: separate_cov(x, v, s)),
+    LAPLACE.separate: (LAPLACE.kind, lambda x, v, p, s: separate_cov_pure(x, v, s)),
+    GAUSSIAN.adaptive: (
+        GAUSSIAN.kind,
+        lambda x, v, p, s: adaptive_cov(x, v, p.beta, s, tau_cap_exponent=p.tau_cap_exponent),
+    ),
+    LAPLACE.adaptive: (
+        LAPLACE.kind,
+        lambda x, v, p, s: adaptive_cov_pure(
+            x,
+            v,
+            p.beta,
+            s,
+            tau_cap_exponent=p.tau_cap_exponent,
+            constants=BoundConstants(p.lap_constant),
+        ),
+    ),
+    ZERO: (None, lambda x, v, p, s: zero_cov(x)),
+}
+_BUDGET_FLAGS = {"zcdp": "--rho (zCDP budget)", "pure": "--eps (pure-DP budget)"}
 SWEEP_AXES = ("d", "n", "N", "rho", "eps")
-
-RESULT_COLUMNS = (
-    "mechanism",
-    "d",
-    "n",
-    "N",
-    "budget_kind",
-    "budget_value",
-    "beta",
-    "seed",
-    "rep",
-    "frobenius_error",
-    "chosen_tau",
-    "chosen_branch",
-)
-
 
 class NumericalFailure(RuntimeError):
     """A mechanism produced a non-finite estimate."""
@@ -97,12 +107,11 @@ class ExperimentPlan:
         if not self.mechanisms:
             raise ValueError("no mechanisms selected")
         for m in self.mechanisms:
-            if m not in MECHANISM_NAMES:
+            if m not in MECHANISMS:
                 raise ValueError(f"unknown mechanism {m!r}")
-            if m in _ZCDP_MECHS and self.budget.kind != "zcdp":
-                raise ValueError(f"mechanism {m!r} needs --rho (zCDP budget)")
-            if m in _PURE_MECHS and self.budget.kind != "pure":
-                raise ValueError(f"mechanism {m!r} needs --eps (pure-DP budget)")
+            kind = MECHANISMS[m][0]
+            if kind not in (None, self.budget.kind):
+                raise ValueError(f"mechanism {m!r} needs {_BUDGET_FLAGS[kind]}")
         if (self.synth_spec is None) == (self.csv_path is None):
             raise ValueError("exactly one of synth_spec and csv_path is required")
         if self.repetitions < 1:
@@ -202,30 +211,7 @@ def _materialize(plan: ExperimentPlan, config: _Config) -> Dataset:
 def _run_mechanism(
     name: str, x: CovSketch, budget: PrivacyBudget, plan: ExperimentPlan, stream: RandomStream
 ) -> MechanismReport:
-    if name == "gauss":
-        return gauss_cov(x, budget.value, stream)
-    if name == "lap":
-        return lap_cov(x, budget.value, stream)
-    if name == "separate":
-        return separate_cov(x, budget.value, stream)
-    if name == "separate-pure":
-        return separate_cov_pure(x, budget.value, stream)
-    if name == "adaptive":
-        return adaptive_cov(
-            x, budget.value, plan.beta, stream, tau_cap_exponent=plan.tau_cap_exponent
-        )
-    if name == "adaptive-pure":
-        return adaptive_cov_pure(
-            x,
-            budget.value,
-            plan.beta,
-            stream,
-            tau_cap_exponent=plan.tau_cap_exponent,
-            constants=BoundConstants(plan.lap_constant),
-        )
-    if name == "zero":
-        return zero_cov(x)
-    raise ValueError(f"unknown mechanism {name!r}")
+    return MECHANISMS[name][1](x, budget.value, plan, stream)
 
 
 def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
@@ -244,7 +230,6 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         if not np.all(np.isfinite(report.estimate)):
             raise NumericalFailure(f"non-finite estimate from {mech!r}")
-        is_adaptive = mech.startswith("adaptive")
         return ResultRow(
             mechanism=mech,
             d=x.dim,
@@ -257,8 +242,8 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
             rep=rep,
             frobenius_error=frobenius_dist(report.estimate, x.G),
             elapsed_ms=elapsed_ms,
-            chosen_tau=report.clip_threshold if is_adaptive else None,
-            chosen_branch=report.variant if is_adaptive else None,
+            chosen_tau=report.clip_threshold,
+            chosen_branch=report.variant if report.clip_threshold is not None else None,
         )
 
     tasks = [
@@ -301,6 +286,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_csv(path: Path, rows, fields: list[str]) -> None:
+    """One row per item, one column per field; ``bins`` is headed ``N``."""
+    with path.open("w", newline="") as fh:
+        fh.write(",".join("N" if f == "bins" else f for f in fields) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(getattr(row, f)) for f in fields) + "\n")
+
+
 def write_results(
     rows: list[ResultRow],
     summaries: list[SummaryRow],
@@ -311,50 +304,11 @@ def write_results(
     sidecar; returns the metadata.  All three are deterministic functions of
     the plan and master seed."""
     out_path = Path(out_path)
-    with out_path.open("w", newline="") as fh:
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.mechanism,
-                        r.d,
-                        r.n,
-                        r.bins,
-                        r.budget_kind,
-                        r.budget_value,
-                        r.beta,
-                        r.seed,
-                        r.rep,
-                        r.frobenius_error,
-                        r.chosen_tau,
-                        r.chosen_branch,
-                    )
-                )
-                + "\n"
-            )
-    summary_path = out_path.with_suffix(".summary.csv")
-    with summary_path.open("w", newline="") as fh:
-        fh.write("mechanism,d,n,N,budget_kind,budget_value,mean_error,std_error,runs\n")
-        for s in summaries:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        s.mechanism,
-                        s.d,
-                        s.n,
-                        s.bins,
-                        s.budget_kind,
-                        s.budget_value,
-                        s.mean_error,
-                        s.std_error,
-                        s.runs,
-                    )
-                )
-                + "\n"
-            )
+    # wall-clock times stay out of the file, which must be rerun-stable
+    result_fields = [f.name for f in dataclasses.fields(ResultRow) if f.name != "elapsed_ms"]
+    _write_csv(out_path, rows, result_fields)
+    summary_fields = [f.name for f in dataclasses.fields(SummaryRow)]
+    _write_csv(out_path.with_suffix(".summary.csv"), summaries, summary_fields)
     meta = {
         "mechanisms": list(plan.mechanisms),
         "budget_kind": plan.budget.kind,

@@ -25,7 +25,6 @@ __all__ = [
     "EigenDecomp",
     "covariance",
     "eig_sym",
-    "jacobi_eig_sym",
     "reconstruct",
     "frobenius_dist",
     "clip_vector",
@@ -126,50 +125,6 @@ def eig_sym(a: np.ndarray) -> EigenDecomp:
     vecs = vecs[:, order]
     pick = np.argmax(np.abs(vecs), axis=0)
     signs = np.sign(vecs[pick, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    return EigenDecomp(basis=vecs * signs, values=vals)
-
-
-def jacobi_eig_sym(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> EigenDecomp:
-    """Cyclic Jacobi eigendecomposition, kept as a self-contained reference
-    solver to cross-check :func:`eig_sym` (it is much slower at large d).
-
-    Sweeps over all (p, q) pairs, rotating each off-diagonal entry to zero,
-    until the off-diagonal Frobenius mass falls below ``tol * ||A||_F``.
-    """
-    a = _check_square_symmetric(a).copy()
-    d = a.shape[0]
-    v = np.eye(d)
-    target = tol * max(np.linalg.norm(a), np.finfo(float).tiny)
-    for _ in range(max_sweeps):
-        # measured entry-wise; the ||A||^2 - sum(diag^2) form cancels badly
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= target:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot_p, rot_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rot_p - s * rot_q
-                a[q, :] = s * rot_p + c * rot_q
-                rot_p, rot_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * rot_p - s * rot_q
-                a[:, q] = s * rot_p + c * rot_q
-                rot_p, rot_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * rot_p - s * rot_q
-                v[:, q] = s * rot_p + c * rot_q
-    vals = np.diag(a).copy()
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
-    pick = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[pick, np.arange(d)])
     signs[signs == 0] = 1.0
     return EigenDecomp(basis=vecs * signs, values=vals)
 

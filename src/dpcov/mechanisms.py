@@ -1,40 +1,66 @@
-"""Private covariance estimators.
+"""Private covariance estimators: one body per mechanism, one noise family
+per DP notion.
 
-Four noise-addition mechanisms over the empirical covariance of a dataset in
-the unit l2-ball:
+A :class:`NoiseFamily` holds all that the zCDP and the pure-DP form of a
+mechanism differ in.  ``GAUSSIAN`` (zCDP, budget rho) calibrates Gaussian
+noise to l2-sensitivities and bounds it with ``omega`` / ``upsilon`` /
+``eta``; ``LAPLACE`` (pure DP, budget eps) calibrates Laplace noise to
+l1-sensitivities and bounds it with ``slw_frob_bound`` / ``slw_op_bound`` /
+``lap_vec_bound`` under its :class:`BoundConstants`.  A family also names
+its three mechanisms and holds the adaptive mechanism's budget split.
 
-* ``gauss_cov``    -- symmetric Gaussian noise calibrated to zCDP.
-* ``lap_cov``      -- symmetric Laplace noise calibrated to pure DP.
-* ``separate_cov`` -- eigenvalues and eigenvectors privatized separately,
-  each with half the zCDP budget: noisy eigenvalues from a Gaussian vector,
-  eigenvectors from an eigendecomposition of the Gaussian-noised covariance,
-  then reassembled.  Noisy eigenvalues are used as produced (no projection or
-  re-sorting) unless ``project_nonnegative`` is requested.
-* ``separate_cov_pure`` -- the same split under pure DP with Laplace noise.
-
-``clip_mechanism`` wraps any of them: clip columns to radius tau, feed the
-mechanism the (1/tau)-rescaled data, and scale the estimate back by tau^2.
+Two bodies run on either family, over the covariance of data in the unit
+l2-ball.  Plain (``gauss_cov`` / ``lap_cov``): the covariance plus a
+symmetric Wigner noise matrix.  Separate (``separate_cov`` /
+``separate_cov_pure``): half the budget each to the eigenvalues (a noise
+vector on the exact spectrum, used as produced -- no projection or
+re-sorting -- unless ``project_nonnegative`` is requested) and to the
+eigenvectors (the eigenbasis of the noise-matrix-perturbed covariance), then
+reassembled.  ``clip_mechanism`` wraps either body: clip columns to radius
+tau, run it on the (1/tau)-rescaled data, and scale the estimate back by
+tau^2.
 
 Every mechanism takes a :class:`Dataset` or its :class:`CovSketch` and reads
-only the sketch: a dataset is summarised on entry, so callers that run many
-mechanisms on one dataset should build the sketch once and pass it.
-
-All outputs are exactly symmetric and, for a fixed stream, deterministic
-functions of the inputs.
+only the sketch: callers that run many mechanisms on one dataset should
+build the sketch once and pass it.  All outputs are exactly symmetric and,
+for a fixed stream, deterministic functions of the inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .linalg import CovSketch, Dataset, Gram, covariance, eig_sym, reconstruct
-from .privacy import PrivacyBudget, gaussian_scale, laplace_scale, pure, zcdp
-from .randomness import RandomStream, gaussian_vector, laplace_vector, sgw_matrix, slw_matrix
+from .bounds import (
+    DEFAULT_CONSTANTS,
+    BoundConstants,
+    eta,
+    lap_vec_bound,
+    omega,
+    slw_frob_bound,
+    slw_op_bound,
+    upsilon,
+)
+from .linalg import CovSketch, Dataset, Gram, eig_sym, reconstruct
+from .privacy import PrivacyBudget, compose, gaussian_scale, laplace_scale
+from .randomness import (
+    RandomStream,
+    gaussian_vector,
+    laplace_scalar,
+    laplace_vector,
+    sgw_matrix,
+    slw_matrix,
+)
 
 __all__ = [
+    "NoiseFamily",
+    "GAUSSIAN",
+    "LAPLACE",
+    "FAMILIES",
+    "ZERO",
     "MechanismReport",
     "gauss_cov",
     "lap_cov",
@@ -42,13 +68,138 @@ __all__ = [
     "separate_cov_pure",
     "clip_mechanism",
     "zero_cov",
-    "sensitivity_probe",
-    "BASE_MECHANISMS",
 ]
 
 _BALL_RTOL = 1e-9
 
-VARIANTS = ("gauss", "lap", "separate", "separate_pure", "zero")
+# (tr_hat, tau) -> (plain bound, separate bound); see NoiseFamily.noise_bounds
+NoiseBounds = Callable[[float, float], tuple[float, float]]
+
+
+@dataclass(frozen=True)
+class NoiseFamily:
+    """The noise of one DP notion.
+
+    ``plain``, ``separate`` and ``adaptive`` name the family's mechanisms;
+    ``split`` is the adaptive budget split, (stage, share) in pipeline order.
+    For ``value`` of its budget and data of n columns in dimension d, each
+    family defines:
+
+    * ``matrix_noise(stream, d, n, value)``: a symmetric noise matrix for the
+      covariance; ``vector_noise(stream, d, n, value)``: a noise vector for
+      its sorted spectrum;
+    * ``scalar_noise(stream, sensitivity, value, p)``: a draw for a scalar of
+      that sensitivity and an offset with draw + offset >= 0 with
+      probability at least 1-p;
+    * ``svt_eps(value)``: the pure-DP epsilon at which a stage holding
+      ``value`` runs the sparse vector technique;
+    * ``noise_bounds(value, beta, d, n)``: (tr_hat, tau) -> the error bounds
+      of the clipped plain and separate mechanisms, each holding with
+      probability at least 1-beta.  The norm bounds are evaluated once, in
+      this call.
+    """
+
+    kind: str
+    plain: str
+    separate: str
+    adaptive: str
+    split: tuple[tuple[str, float], ...]
+
+    def budget(self, value: float) -> PrivacyBudget:
+        return PrivacyBudget(self.kind, value)
+
+    def ledger(self, value: float) -> dict[str, float]:
+        """The adaptive mechanism's budget per stage.  The stages are composed
+        with :func:`compose`; a split that does not add up to exactly
+        ``value`` raises ValueError (a check, not an assert, so it also runs
+        under ``python -O``)."""
+        ledger = {stage: value * share for stage, share in self.split}
+        total = compose(self.budget(v) for v in ledger.values())
+        if total != self.budget(value):
+            raise ValueError(f"{self.adaptive} budget split composes to {total.value}, not {value}")
+        return ledger
+
+
+@dataclass(frozen=True)
+class _Gaussian(NoiseFamily):
+    def matrix_noise(self, stream, d, n, value):
+        return gaussian_scale(math.sqrt(2.0) / n, self.budget(value)) * sgw_matrix(stream, d)
+
+    def vector_noise(self, stream, d, n, value):
+        return gaussian_scale(math.sqrt(2.0) / n, self.budget(value)) * gaussian_vector(stream, d)
+
+    def scalar_noise(self, stream, sensitivity, value, p):
+        scale = gaussian_scale(sensitivity, self.budget(value))
+        draw = scale * float(gaussian_vector(stream, 1)[0])
+        return draw, scale * math.sqrt(2.0 * math.log(1.0 / p))
+
+    def svt_eps(self, value):
+        return math.sqrt(2.0 * value)  # eps-DP implies eps^2/2-zCDP
+
+    def noise_bounds(self, value, beta, d, n):
+        frob, op, vec = omega(d, beta), upsilon(d, beta / 2), eta(d, beta / 2)
+
+        def bounds(tr_hat, tau):
+            lead = 2.0**1.25 * math.sqrt(max(tr_hat, 0.0)) / (value**0.25 * math.sqrt(n))
+            return (
+                tau * tau * frob / (math.sqrt(value) * n),
+                tau * lead * math.sqrt(op)
+                + tau * tau * math.sqrt(2.0) / (math.sqrt(value) * n) * vec,
+            )
+
+        return bounds
+
+
+@dataclass(frozen=True)
+class _Laplace(NoiseFamily):
+    constants: BoundConstants = DEFAULT_CONSTANTS
+
+    def matrix_noise(self, stream, d, n, value):
+        return laplace_scale(math.sqrt(2.0) * d / n, self.budget(value)) * slw_matrix(stream, d)
+
+    def vector_noise(self, stream, d, n, value):
+        return laplace_vector(stream, d, laplace_scale(2.0 / n, self.budget(value)))
+
+    def scalar_noise(self, stream, sensitivity, value, p):
+        scale = laplace_scale(sensitivity, self.budget(value))
+        return laplace_scalar(stream, scale), scale * math.log(1.0 / p)
+
+    def svt_eps(self, value):
+        return value
+
+    def noise_bounds(self, value, beta, d, n):
+        c = self.constants
+        frob = slw_frob_bound(d, beta, c)
+        op_noise = (2.0 * math.sqrt(2.0) * d / (value * n)) * slw_op_bound(d, beta / 2, c)
+        vec = lap_vec_bound(d, beta / 2, c)
+
+        def bounds(tr_hat, tau):
+            return (
+                tau * tau * (math.sqrt(2.0) * d / (value * n)) * frob,
+                tau * 2.0 * math.sqrt(max(tr_hat, 0.0) * op_noise)
+                + tau * tau * (4.0 / (value * n)) * vec,
+            )
+
+        return bounds
+
+
+GAUSSIAN = _Gaussian(
+    kind="zcdp",
+    plain="gauss",
+    separate="separate",
+    adaptive="adaptive",
+    split=(("radius", 1 / 8), ("trace", 1 / 8), ("svt", 1 / 4), ("mechanism", 1 / 2)),
+)
+LAPLACE = _Laplace(
+    kind="pure",
+    plain="lap",
+    separate="separate-pure",
+    adaptive="adaptive-pure",
+    split=(("radius", 1 / 4), ("trace", 1 / 4), ("svt", 1 / 4), ("mechanism", 1 / 4)),
+)
+FAMILIES = {f.kind: f for f in (GAUSSIAN, LAPLACE)}
+ZERO = "zero"
+_VARIANTS = {ZERO} | {name for f in FAMILIES.values() for name in (f.plain, f.separate)}
 
 
 @dataclass(frozen=True)
@@ -68,7 +219,7 @@ class MechanismReport:
     details: dict | None = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not np.array_equal(self.estimate, self.estimate.T):
             raise ValueError("mechanism estimate must be exactly symmetric")
@@ -84,13 +235,13 @@ def _ball_sketch(x: Dataset | CovSketch) -> CovSketch:
 def gauss_cov(x: Dataset | CovSketch, rho: float, stream: RandomStream) -> MechanismReport:
     """Covariance plus a symmetric Gaussian Wigner matrix scaled by
     1/(sqrt(rho) * n)."""
-    return _gauss(_ball_sketch(x).gram(), rho, stream)
+    return _plain(GAUSSIAN, _ball_sketch(x).gram(), rho, stream)
 
 
 def lap_cov(x: Dataset | CovSketch, eps: float, stream: RandomStream) -> MechanismReport:
     """Covariance plus a symmetric Laplace Wigner matrix scaled by
     sqrt(2)*d/(eps*n)."""
-    return _lap(_ball_sketch(x).gram(), eps, stream)
+    return _plain(LAPLACE, _ball_sketch(x).gram(), eps, stream)
 
 
 def separate_cov(
@@ -106,7 +257,7 @@ def separate_cov(
     sqrt(2)/n l2-sensitivity of the sorted spectrum.  The basis comes from
     eigendecomposing the Gaussian-noised covariance.
     """
-    return _separate(_ball_sketch(x).gram(), rho, stream, project_nonnegative)
+    return _separate(GAUSSIAN, _ball_sketch(x).gram(), rho, stream, project_nonnegative)
 
 
 def separate_cov_pure(
@@ -121,91 +272,46 @@ def separate_cov_pure(
     Eigenvalues get Laplace noise calibrated to their 2/n l1-sensitivity;
     the basis comes from the Laplace-noised covariance.
     """
-    return _separate_pure(_ball_sketch(x).gram(), eps, stream, project_nonnegative)
+    return _separate(LAPLACE, _ball_sketch(x).gram(), eps, stream, project_nonnegative)
 
 
-# The mechanisms proper, on the covariance of data in the unit ball.
+# The two mechanism bodies, on the covariance of data in the unit ball.
 
 
-def _gauss(g: Gram, rho: float, stream: RandomStream) -> MechanismReport:
-    scale = gaussian_scale(math.sqrt(2.0) / g.count, zcdp(rho))
-    return MechanismReport(g.cov + scale * sgw_matrix(stream, g.dim), zcdp(rho), "gauss")
-
-
-def _lap(g: Gram, eps: float, stream: RandomStream) -> MechanismReport:
-    scale = laplace_scale(math.sqrt(2.0) * g.dim / g.count, pure(eps))
-    return MechanismReport(g.cov + scale * slw_matrix(stream, g.dim), pure(eps), "lap")
+def _plain(family: NoiseFamily, g: Gram, value: float, stream: RandomStream) -> MechanismReport:
+    noise = family.matrix_noise(stream, g.dim, g.count, value)
+    return MechanismReport(g.cov + noise, family.budget(value), family.plain)
 
 
 def _separate(
-    g: Gram, rho: float, stream: RandomStream, project_nonnegative: bool = False
+    family: NoiseFamily, g: Gram, value: float, stream: RandomStream, project_nonnegative=False
 ) -> MechanismReport:
-    zcdp(rho)  # validate
-    scale = gaussian_scale(math.sqrt(2.0) / g.count, zcdp(rho / 2))
-    lam_noisy = g.spectrum() + scale * gaussian_vector(stream, g.dim)
-    basis = eig_sym(g.cov + scale * sgw_matrix(stream, g.dim)).basis
+    budget = family.budget(value)  # validate before drawing
+    lam_noisy = g.spectrum() + family.vector_noise(stream, g.dim, g.count, value / 2)
+    basis = eig_sym(g.cov + family.matrix_noise(stream, g.dim, g.count, value / 2)).basis
     if project_nonnegative:
         lam_noisy = np.maximum(lam_noisy, 0.0)
-    return MechanismReport(reconstruct(basis, lam_noisy), zcdp(rho), "separate")
-
-
-def _separate_pure(
-    g: Gram, eps: float, stream: RandomStream, project_nonnegative: bool = False
-) -> MechanismReport:
-    pure(eps)  # validate
-    lam_noisy = g.spectrum() + laplace_vector(
-        stream, g.dim, laplace_scale(2.0 / g.count, pure(eps / 2))
-    )
-    scale = laplace_scale(math.sqrt(2.0) * g.dim / g.count, pure(eps / 2))
-    basis = eig_sym(g.cov + scale * slw_matrix(stream, g.dim)).basis
-    if project_nonnegative:
-        lam_noisy = np.maximum(lam_noisy, 0.0)
-    return MechanismReport(reconstruct(basis, lam_noisy), pure(eps), "separate_pure")
-
-
-BASE_MECHANISMS = {
-    "gauss": _gauss,
-    "lap": _lap,
-    "separate": _separate,
-    "separate_pure": _separate_pure,
-}
+    return MechanismReport(reconstruct(basis, lam_noisy), budget, family.separate)
 
 
 def clip_mechanism(
     x: Dataset | CovSketch, budget: PrivacyBudget, tau: float, stream: RandomStream, base: str
 ) -> MechanismReport:
-    """Run a base mechanism on columns clipped to radius tau and rescaled to
-    the unit ball, then scale the estimate back by tau^2."""
+    """Run a base mechanism (a family's plain or separate name) on columns
+    clipped to radius tau and rescaled to the unit ball, then scale the
+    estimate back by tau^2."""
     if not 0.0 < tau <= 1.0:
         raise ValueError("clip threshold must lie in (0, 1]")
-    if base not in BASE_MECHANISMS:
+    family = next((f for f in FAMILIES.values() if base in (f.plain, f.separate)), None)
+    if family is None:
         raise ValueError(f"unknown base mechanism {base!r}")
-    expected = "pure" if base in ("lap", "separate_pure") else "zcdp"
-    if budget.kind != expected:
-        raise ValueError(f"base mechanism {base!r} needs a {expected} budget")
-    inner = BASE_MECHANISMS[base](CovSketch.of(x).gram(tau), budget.value, stream)
+    if budget.kind != family.kind:
+        raise ValueError(f"base mechanism {base!r} needs a {family.kind} budget")
+    body = _plain if base == family.plain else _separate
+    inner = body(family, CovSketch.of(x).gram(tau), budget.value, stream)
     return MechanismReport(tau * tau * inner.estimate, budget, base, clip_threshold=tau)
 
 
 def zero_cov(x: Dataset | CovSketch) -> MechanismReport:
     """The trivial trace-sensitive baseline: a zero matrix, zero budget."""
-    return MechanismReport(np.zeros((x.dim, x.dim)), None, "zero")
-
-
-def sensitivity_probe(x: Dataset, x_prime: Dataset) -> dict[str, float]:
-    """Distances between the covariances and sorted spectra of two datasets.
-
-    Test support for validating the sensitivity bounds on neighboring pairs:
-    returns Frobenius and entry-wise l1 distances for the covariance, and l2
-    and l1 distances for the descending eigenvalue vectors.
-    """
-    if x.dim != x_prime.dim or x.count != x_prime.count:
-        raise ValueError("datasets must share shape")
-    sig_a, sig_b = covariance(x), covariance(x_prime)
-    lam_a, lam_b = eig_sym(sig_a).values, eig_sym(sig_b).values
-    return {
-        "sigma_fro": float(np.linalg.norm(sig_a - sig_b)),
-        "lambda_fro": float(np.linalg.norm(lam_a - lam_b)),
-        "sigma_l1": float(np.sum(np.abs(sig_a - sig_b))),
-        "lambda_l1": float(np.sum(np.abs(lam_a - lam_b))),
-    }
+    return MechanismReport(np.zeros((x.dim, x.dim)), None, ZERO)

@@ -10,7 +10,8 @@ import math
 import numpy as np
 
 from dpcov.adaptive import noise_hat, priv_radius, private_trace_ub
-from dpcov.linalg import Dataset, clip_dataset
+from dpcov.linalg import Dataset, EigenDecomp, clip_dataset, covariance, eig_sym
+from dpcov.mechanisms import GAUSSIAN
 from dpcov.privacy import zcdp
 from dpcov.randomness import RandomStream
 
@@ -47,6 +48,7 @@ def zero_noise_tau_oracle(x: Dataset, rho: float, beta: float, tau_cap: int = -4
     clipped = clip_dataset(x, r)
     tr_hat = private_trace_ub(clipped, r, zcdp(rho / 8), beta, zero)
     norms = clipped.norms()
+    bounds = GAUSSIAN.noise_bounds(rho / 2, beta / 2, d, n)
 
     start = int(math.log2(r))
     end = max(-d * n, tau_cap)
@@ -56,7 +58,7 @@ def zero_noise_tau_oracle(x: Dataset, rho: float, beta: float, tau_cap: int = -4
     trigger = None
     for t in exponents:
         tau = math.ldexp(1.0, t)
-        if bias_direct(norms, tau, n) - noise_hat(tr_hat, tau, rho / 2, beta / 2, d, n) >= 0.0:
+        if bias_direct(norms, tau, n) - noise_hat(bounds, tr_hat, tau) >= 0.0:
             trigger = t
             break
     # one dyadic step above the trigger, capped at r; without a trigger the
@@ -76,3 +78,64 @@ def skewed_dataset(n: int, seed: int, heavy: int = 5) -> Dataset:
     norms = np.full(n, n**-0.25)
     norms[:heavy] = 1.0
     return Dataset(cols * norms, ball_constrained=True)
+
+
+def jacobi_eig_sym(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> EigenDecomp:
+    """Cyclic Jacobi eigendecomposition, kept as a self-contained reference
+    solver to cross-check :func:`eig_sym` (it is much slower at large d).
+
+    Sweeps over all (p, q) pairs, rotating each off-diagonal entry to zero,
+    until the off-diagonal Frobenius mass falls below ``tol * ||A||_F``.
+    """
+    a = np.array(a, dtype=float)
+    d = a.shape[0]
+    v = np.eye(d)
+    target = tol * max(np.linalg.norm(a), np.finfo(float).tiny)
+    for _ in range(max_sweeps):
+        # measured entry-wise; the ||A||^2 - sum(diag^2) form cancels badly
+        off = np.linalg.norm(a - np.diag(np.diag(a)))
+        if off <= target:
+            break
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                rot_p, rot_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rot_p - s * rot_q
+                a[q, :] = s * rot_p + c * rot_q
+                rot_p, rot_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * rot_p - s * rot_q
+                a[:, q] = s * rot_p + c * rot_q
+                rot_p, rot_q = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * rot_p - s * rot_q
+                v[:, q] = s * rot_p + c * rot_q
+    vals = np.diag(a).copy()
+    order = np.argsort(-vals, kind="stable")
+    vals = vals[order]
+    vecs = v[:, order]
+    pick = np.argmax(np.abs(vecs), axis=0)
+    signs = np.sign(vecs[pick, np.arange(d)])
+    signs[signs == 0] = 1.0
+    return EigenDecomp(basis=vecs * signs, values=vals)
+
+
+def sensitivity_probe(x: Dataset, x_prime: Dataset) -> dict[str, float]:
+    """Distances between the covariances and sorted spectra of two datasets,
+    for checking the sensitivity bounds on neighboring pairs: Frobenius and
+    entry-wise l1 distances for the covariance, and l2 and l1 distances for
+    the descending eigenvalue vectors."""
+    if x.dim != x_prime.dim or x.count != x_prime.count:
+        raise ValueError("datasets must share shape")
+    sig_a, sig_b = covariance(x), covariance(x_prime)
+    lam_a, lam_b = eig_sym(sig_a).values, eig_sym(sig_b).values
+    return {
+        "sigma_fro": float(np.linalg.norm(sig_a - sig_b)),
+        "lambda_fro": float(np.linalg.norm(lam_a - lam_b)),
+        "sigma_l1": float(np.sum(np.abs(sig_a - sig_b))),
+        "lambda_l1": float(np.sum(np.abs(lam_a - lam_b))),
+    }

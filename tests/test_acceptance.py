@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from oracle_utils import skewed_dataset, zero_noise_tau_oracle
+from oracle_utils import sensitivity_probe, skewed_dataset, zero_noise_tau_oracle
 
 from dpcov.adaptive import adaptive_cov, adaptive_cov_pure, noise_hat, svt
 from dpcov.bounds import (
@@ -37,10 +37,10 @@ from dpcov.linalg import (
     trace_stat,
 )
 from dpcov.mechanisms import (
+    GAUSSIAN,
     clip_mechanism,
     gauss_cov,
     lap_cov,
-    sensitivity_probe,
     separate_cov,
     separate_cov_pure,
 )
@@ -288,8 +288,9 @@ def test_criterion_07_adaptive_optimality(capsys):
     # oracle: best noise-plus-tail objective over the dyadic grid spanning
     # the data's norm scales, the comparator the adaptive guarantee targets
     grid = [math.ldexp(1.0, t) for t in range(0, -9, -1)]
+    bounds = GAUSSIAN.noise_bounds(rho, beta, d, n)
     objective = min(
-        noise_hat(trace_stat(clip_dataset(x, tau)), tau, rho, beta, d, n)
+        noise_hat(bounds, trace_stat(clip_dataset(x, tau)), tau)
         + tail_gamma(x, tau)
         for tau in grid
     )

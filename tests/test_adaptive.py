@@ -1,28 +1,32 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracle_utils import bias_direct, skewed_dataset, zero_noise_tau_oracle
 
+import dpcov
+import dpcov.adaptive as adaptive
+import dpcov.mechanisms as mechanisms
 from dpcov.adaptive import (
     NormHistogram,
-    ThresholdSearchConfig,
     adaptive_cov,
     adaptive_cov_pure,
     bias_hat,
     build_histogram,
-    diff_query,
-    gauss_noise_bound,
-    lap_noise_bound,
     noise_hat,
-    noise_hat_pure,
     priv_radius,
     private_trace_ub,
-    separate_noise_bound,
-    separate_noise_bound_pure,
     svt,
+    threshold_query,
 )
+from dpcov.bounds import eta
+from dpcov.datagen import SynthSpec, synth
 from dpcov.linalg import (
     Dataset,
     clip_dataset,
@@ -32,7 +36,7 @@ from dpcov.linalg import (
     tail_gamma,
     trace_stat,
 )
-from dpcov.mechanisms import separate_cov_pure
+from dpcov.mechanisms import FAMILIES, GAUSSIAN, LAPLACE, separate_cov_pure
 from dpcov.privacy import pure, zcdp
 from dpcov.randomness import RandomStream
 
@@ -206,64 +210,75 @@ class TestBiasHat:
 
 
 class TestNoiseBounds:
+    """The families' clipped-mechanism error bounds: GAUSSIAN.noise_bounds(
+    rho, beta, d, n)(tr_hat, tau) is (Gaussian bound, separate bound)."""
+
     def test_zero_threshold(self):
-        assert gauss_noise_bound(0.0, 0.1, 0.05, 16, 100) == 0.0
-        assert separate_noise_bound(0.5, 0.0, 0.1, 0.05, 16, 100) == 0.0
-        assert noise_hat(0.5, 0.0, 0.1, 0.05, 16, 100) == 0.0
+        bounds = GAUSSIAN.noise_bounds(0.1, 0.05, 16, 100)
+        assert bounds(0.5, 0.0) == (0.0, 0.0)
+        assert noise_hat(bounds, 0.5, 0.0) == 0.0
 
     def test_gauss_quadruples_when_tau_doubles(self):
-        small = gauss_noise_bound(0.25, 0.1, 0.05, 32, 500)
-        large = gauss_noise_bound(0.5, 0.1, 0.05, 32, 500)
+        bounds = GAUSSIAN.noise_bounds(0.1, 0.05, 32, 500)
+        small, large = bounds(0.0, 0.25)[0], bounds(0.0, 0.5)[0]
         assert abs(large - 4 * small) < 1e-15
 
     def test_gauss_spot_value(self):
-        assert abs(gauss_noise_bound(1.0, 0.1, 0.05, 64, 1000) - 0.21198610089264244) < 1e-12
+        got = GAUSSIAN.noise_bounds(0.1, 0.05, 64, 1000)(0.0, 1.0)[0]
+        assert abs(got - 0.21198610089264244) < 1e-12
 
     def test_separate_spot_value(self):
-        got = separate_noise_bound(1.0, 1.0, 0.1, 0.05, 64, 1000)
+        got = GAUSSIAN.noise_bounds(0.1, 0.05, 64, 1000)(1.0, 1.0)[1]
         assert abs(got - 1.0582935171798382) < 1e-12
 
     def test_separate_linear_plus_quadratic(self):
         tr_hat, rho, beta, d, n = 0.3, 0.2, 0.1, 32, 400
+        bounds = GAUSSIAN.noise_bounds(rho, beta, d, n)
         for tau in (0.125, 0.25, 0.5):
-            gap = separate_noise_bound(tr_hat, 2 * tau, rho, beta, d, n) - 2 * separate_noise_bound(
-                tr_hat, tau, rho, beta, d, n
-            )
-            from dpcov.bounds import eta
-
+            gap = bounds(tr_hat, 2 * tau)[1] - 2 * bounds(tr_hat, tau)[1]
             want = 2 * tau * tau * math.sqrt(2) / (math.sqrt(rho) * n) * eta(d, beta / 2)
             assert abs(gap - want) < 1e-14
 
     def test_noise_hat_takes_smaller_branch(self):
         rho, beta, d, n = 0.1, 0.05, 64, 1000
+        bounds = GAUSSIAN.noise_bounds(rho, beta, d, n)
         # small trace: the separate branch wins; large trace: gauss wins
         for tr_hat in (1e-6, 1.0):
             for tau in (0.125, 1.0):
-                got = noise_hat(tr_hat, tau, rho, beta, d, n)
-                assert got == min(
-                    gauss_noise_bound(tau, rho, beta, d, n),
-                    separate_noise_bound(tr_hat, tau, rho, beta, d, n),
-                )
-        assert noise_hat(1e-6, 0.5, rho, beta, d, n) == separate_noise_bound(
-            1e-6, 0.5, rho, beta, d, n
-        )
-        assert noise_hat(1.0, 0.5, rho, beta, d, n) == gauss_noise_bound(0.5, rho, beta, d, n)
+                assert noise_hat(bounds, tr_hat, tau) == min(bounds(tr_hat, tau))
+        assert noise_hat(bounds, 1e-6, 0.5) == bounds(1e-6, 0.5)[1]
+        assert noise_hat(bounds, 1.0, 0.5) == bounds(1.0, 0.5)[0]
 
     def test_noise_hat_nondecreasing_in_tau(self):
-        values = [
-            noise_hat(0.2, math.ldexp(1.0, t), 0.1, 0.05, 32, 500) for t in range(-20, 1)
-        ]
+        bounds = GAUSSIAN.noise_bounds(0.1, 0.05, 32, 500)
+        values = [noise_hat(bounds, 0.2, math.ldexp(1.0, t)) for t in range(-20, 1)]
         assert all(a <= b + 1e-18 for a, b in zip(values, values[1:]))
 
     def test_pure_variants(self):
         eps, beta, d, n = 1.0, 0.05, 32, 500
-        assert lap_noise_bound(0.0, eps, beta, d, n) == 0.0
-        assert separate_noise_bound_pure(0.4, 0.0, eps, beta, d, n) == 0.0
-        got = noise_hat_pure(0.4, 0.5, eps, beta, d, n)
-        assert got == min(
-            lap_noise_bound(0.5, eps, beta, d, n),
-            separate_noise_bound_pure(0.4, 0.5, eps, beta, d, n),
-        )
+        bounds = LAPLACE.noise_bounds(eps, beta, d, n)
+        assert bounds(0.4, 0.0) == (0.0, 0.0)
+        assert noise_hat(bounds, 0.4, 0.5) == min(bounds(0.4, 0.5))
+
+    def test_norm_bounds_evaluated_once_per_run(self, monkeypatch):
+        calls = []
+        for name in ("omega", "upsilon", "eta"):
+            real = getattr(mechanisms, name)
+            monkeypatch.setattr(
+                mechanisms, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a)
+            )
+        queries = []
+        real_query = adaptive.threshold_query
+
+        def counting(*args):
+            query = real_query(*args)
+            return lambda t: queries.append(t) or query(t)
+
+        monkeypatch.setattr(adaptive, "threshold_query", counting)
+        x = dataset_with_norms(np.concatenate([np.full(8, 0.9), np.full(400, 0.01)]), d=16)
+        adaptive_cov(x, 0.5, 0.05, RandomStream(3))
+        assert len(queries) > 1
+        assert sorted(calls) == ["eta", "omega", "upsilon"]
 
 
 class TestPrivateTrace:
@@ -305,11 +320,15 @@ class TestPrivateTrace:
 
 
 class TestDiffQuery:
+    """The threshold SVT's query, threshold_query(bounds, h, tr_hat, r, n)(t)
+    at tau = 2^t."""
+
     def test_negative_when_no_bias(self):
         x = dataset_with_norms(np.full(30, 0.4), seed=16)
         h = build_histogram(x)
-        got = diff_query(h, 0.16, 0.5, 0.1, 0.05, 0.5, x.dim, x.count)
-        assert got < 0.0
+        for family in FAMILIES.values():
+            bounds = family.noise_bounds(0.1, 0.05, x.dim, x.count)
+            assert threshold_query(bounds, h, 0.16, 0.5, x.count)(-1) < 0.0
 
     def test_nondecreasing_down_the_grid(self):
         rng = np.random.default_rng(17)
@@ -317,11 +336,11 @@ class TestDiffQuery:
             norms = rng.uniform(0.0, 1.0, size=60)
             x = dataset_with_norms(norms, seed=int(rng.integers(1 << 31)))
             h = build_histogram(x)
-            values = [
-                diff_query(h, 0.7, math.ldexp(1.0, t), 0.1, 0.05, 1.0, x.dim, x.count)
-                for t in range(0, -24, -1)
-            ]
-            assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+            for family in FAMILIES.values():
+                bounds = family.noise_bounds(0.1, 0.05, x.dim, x.count)
+                query = threshold_query(bounds, h, 0.7, 1.0, x.count)
+                values = [query(t) for t in range(0, -24, -1)]
+                assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_sensitivity_at_most_one(self):
         rng = np.random.default_rng(18)
@@ -336,11 +355,58 @@ class TestDiffQuery:
             ha = build_histogram(Dataset(norms.reshape(1, -1)))
             hb = build_histogram(Dataset(primed.reshape(1, -1)))
             tr_hat = r * r / 2
+            bounds = GAUSSIAN.noise_bounds(0.1, 0.05, 4, n)
+            qa = threshold_query(bounds, ha, tr_hat, r, n)
+            qb = threshold_query(bounds, hb, tr_hat, r, n)
             for t in range(int(math.log2(r)), int(math.log2(r)) - 8, -1):
-                tau = math.ldexp(1.0, t)
-                da = diff_query(ha, tr_hat, tau, 0.1, 0.05, r, 4, n)
-                db = diff_query(hb, tr_hat, tau, 0.1, 0.05, r, 4, n)
-                assert abs(da - db) <= 1.0 + slack
+                assert abs(qa(t) - qb(t)) <= 1.0 + slack
+
+    def test_tiny_radius_is_scale_invariant(self):
+        # scaling every norm by 2^-k, r by 2^-k and tr_hat by 4^-k leaves the
+        # normalized query unchanged; at r = 2^-531 the factor n/(4 r^2)
+        # overflows, and the query must still equal the one at r = 2^-1 bit
+        # for bit (tr_hat = 1/8 stays exact at both scales)
+        k, n = 530, 50
+        norms = np.linspace(0.01, 0.5, n)
+        h = build_histogram(Dataset(norms.reshape(1, -1)))
+        h_tiny = NormHistogram({s - k: c for s, c in h.counts.items()}, n)
+        for family in FAMILIES.values():
+            bounds = family.noise_bounds(0.1, 0.05, 4, n)
+            query = threshold_query(bounds, h, 0.125, 0.5, n)
+            tiny = threshold_query(bounds, h_tiny, math.ldexp(0.125, -2 * k), 2.0 ** (-1 - k), n)
+            for t in range(-1, -40, -1):
+                assert math.isfinite(tiny(t - k))
+                assert tiny(t - k) == query(t)
+
+    @pytest.mark.parametrize(
+        "run, budget, label, r_tilde",
+        [
+            (adaptive_cov, 0.1, "bench/adaptive/11", 2.0**-525),
+            (adaptive_cov_pure, 1.0, "bench/adaptive-pure/13", 2.0**-509),
+        ],
+        ids=["zcdp", "pure"],
+    )
+    def test_reported_tiny_radius_queries_are_finite(
+        self, run, budget, label, r_tilde, monkeypatch
+    ):
+        # these streams draw a radius at which n/(4 r^2) overflows; every
+        # query the threshold search evaluates must stay finite
+        seen = []
+        real_query = adaptive.threshold_query
+
+        def recording(*args):
+            query = real_query(*args)
+            values = []
+            seen.append(values)
+            return lambda t: values.append(query(t)) or values[-1]
+
+        monkeypatch.setattr(adaptive, "threshold_query", recording)
+        x = synth(SynthSpec(n=256, d=8, bins=4, seed=5))
+        rep = run(x, budget, 0.05, RandomStream(5).child(label))
+        assert rep.details["r_tilde"] == r_tilde
+        (values,) = seen
+        assert values and all(math.isfinite(v) for v in values)
+        assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 class TestAdaptiveCov:
@@ -401,6 +467,13 @@ class TestAdaptiveCov:
         assert rep.details["tau"] == 1.0
 
 
+    def test_nonnegative_tau_cap_rejected(self):
+        x = dataset_with_norms(np.linspace(0.1, 1.0, 16), seed=19)
+        for run in (adaptive_cov, adaptive_cov_pure):
+            with pytest.raises(ValueError, match="tau_cap_exponent"):
+                run(x, 0.5, 0.05, RandomStream(0), tau_cap_exponent=0)
+
+
 class TestAdaptiveCovPure:
     def test_all_zero_zero_noise_gives_zero_matrix(self):
         x = Dataset(np.zeros((3, 40)))
@@ -413,7 +486,7 @@ class TestAdaptiveCovPure:
             rep = adaptive_cov_pure(x, eps, 0.05, RandomStream(28))
             assert sum(rep.details["ledger"].values()) == eps
             assert rep.budget_spent == pure(eps)
-            assert rep.variant in ("lap", "separate_pure")
+            assert rep.variant in ("lap", "separate-pure")
 
     def test_beats_unclipped_separate_on_skewed_data(self):
         # paired runs on the heavy-tail construction
@@ -453,14 +526,10 @@ class TestEndToEndRegression:
                 )
                 for i in range(runs)
             ]
+            bounds = GAUSSIAN.noise_bounds(rho / 2, beta / 2, x.dim, x.count)
             objective = min(
                 noise_hat(
-                    trace_stat(clip_dataset(x, math.ldexp(1.0, t))),
-                    math.ldexp(1.0, t),
-                    rho / 2,
-                    beta / 2,
-                    x.dim,
-                    x.count,
+                    bounds, trace_stat(clip_dataset(x, math.ldexp(1.0, t))), math.ldexp(1.0, t)
                 )
                 + tail_gamma(x, math.ldexp(1.0, t))
                 for t in range(0, -16, -1)
@@ -468,9 +537,42 @@ class TestEndToEndRegression:
             assert np.mean(errors) <= 25.0 * objective + 2.0**-4096
 
 
-class TestThresholdSearchConfig:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            ThresholdSearchConfig(smallest_tau_exponent=0, svt_budget=zcdp(0.1), beta=0.05)
-        cfg = ThresholdSearchConfig(smallest_tau_exponent=-64, svt_budget=zcdp(0.1), beta=0.05)
-        assert cfg.smallest_tau_exponent == -64
+class TestBudgetLedger:
+    def test_ledger_is_the_family_split(self):
+        x = dataset_with_norms(np.linspace(0.1, 1.0, 64), seed=19)
+        rep = adaptive_cov(x, 0.8, 0.05, RandomStream(20))
+        assert rep.details["ledger"] == {"radius": 0.1, "trace": 0.1, "svt": 0.2, "mechanism": 0.4}
+        rep = adaptive_cov_pure(x, 2.0, 0.05, RandomStream(20))
+        assert rep.details["ledger"] == {"radius": 0.5, "trace": 0.5, "svt": 0.5, "mechanism": 0.5}
+
+    def test_wrong_split_rejected(self, monkeypatch):
+        short = (("radius", 1 / 8), ("trace", 1 / 8), ("svt", 1 / 4), ("mechanism", 1 / 4))
+        monkeypatch.setattr(adaptive, "GAUSSIAN", dataclasses.replace(GAUSSIAN, split=short))
+        x = dataset_with_norms(np.linspace(0.1, 1.0, 16), seed=19)
+        with pytest.raises(ValueError, match="composes to"):
+            adaptive_cov(x, 0.5, 0.05, RandomStream(0))
+
+    def test_wrong_split_rejected_under_python_O(self):
+        code = "\n".join(
+            [
+                "import dataclasses, sys",
+                "import numpy as np",
+                "import dpcov.adaptive as adaptive",
+                "from dpcov.linalg import Dataset",
+                "from dpcov.randomness import RandomStream",
+                "assert sys.flags.optimize, 'asserts are on'",
+                "split = (('radius', 0.25), ('trace', 0.25), ('svt', 0.25), ('mechanism', 0.5))",
+                "adaptive.GAUSSIAN = dataclasses.replace(adaptive.GAUSSIAN, split=split)",
+                "try:",
+                "    adaptive.adaptive_cov(Dataset(np.eye(3) / 2), 0.5, 0.05, RandomStream(0))",
+                "except ValueError as exc:",
+                "    print('ValueError:', exc)",
+            ]
+        )
+        src = str(Path(dpcov.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert "ValueError: adaptive budget split composes to" in out.stdout

@@ -1,10 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 
 from dpcov.cli import main
 from dpcov.datagen import SynthSpec, save_csv, synth
-from dpcov.harness import ExperimentPlan, ResultRow, run_plan, summarize, write_results
+from dpcov.harness import (
+    MECHANISMS,
+    ExperimentPlan,
+    ResultRow,
+    run_plan,
+    summarize,
+    write_results,
+)
 from dpcov.privacy import pure, zcdp
+
+BUDGETS = {"zcdp": zcdp(0.5), "pure": pure(1.0)}
 
 
 def small_plan(**overrides):
@@ -39,6 +50,37 @@ class TestPlanValidation:
             small_plan(sweep_axis="q", sweep_values=(1, 2))
         with pytest.raises(ValueError, match="requires a pure-DP"):
             small_plan(sweep_axis="eps", sweep_values=(0.5, 1.0))
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", sorted(MECHANISMS))
+    def test_runs_under_its_budget_kind(self, name):
+        kind = MECHANISMS[name][0]
+        for budget in [BUDGETS[kind]] if kind else BUDGETS.values():
+            rows, _ = run_plan(small_plan(mechanisms=(name,), budget=budget, repetitions=2))
+            assert [(r.mechanism, r.budget_kind) for r in rows] == [(name, budget.kind)] * 2
+            assert all(np.isfinite(r.frobenius_error) for r in rows)
+
+    @pytest.mark.parametrize("name", sorted(n for n, (k, _) in MECHANISMS.items() if k))
+    def test_rejected_under_the_other_kind(self, name):
+        kind = MECHANISMS[name][0]
+        other = "pure" if kind == "zcdp" else "zcdp"
+        flag = "--rho" if kind == "zcdp" else "--eps"
+        with pytest.raises(ValueError, match=f"mechanism '{name}' needs {flag}"):
+            small_plan(mechanisms=(name,), budget=BUDGETS[other])
+
+    def test_help_lists_the_registry(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        # argparse wraps the help line, also at hyphens
+        listed = re.search(r"list from\s*\{([^}]*)\}", capsys.readouterr().out).group(1)
+        assert re.sub(r"\s", "", listed).split(",") == list(MECHANISMS)
+
+    def test_adaptive_pure_branch_spelling(self):
+        rows, _ = run_plan(
+            small_plan(mechanisms=("adaptive-pure",), budget=pure(1.0), repetitions=3)
+        )
+        assert all(r.chosen_branch in ("lap", "separate-pure") for r in rows)
 
 
 class TestRunPlan:
