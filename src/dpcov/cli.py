@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
 
 from .adaptive import TAU_CAP_EXPONENT
 from .harness import (
@@ -54,14 +55,22 @@ def _parse_sweep(text: str) -> tuple[str, tuple]:
     return axis, tuple(parsed)
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Wraps help text at spaces only, so a hyphenated name such as
+    ``adaptive-pure`` is never split across two lines."""
+
+    def _split_lines(self, text, width):
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dpcov", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="run an experiment plan")
+    run = sub.add_parser("run", help="run an experiment plan", formatter_class=_HelpFormatter)
     run.add_argument(
         "--mechanism",
         required=True,
-        help=f"comma-separated list from {{{','.join(MECHANISMS)}}}",
+        help=f"comma-separated list from {{{', '.join(MECHANISMS)}}}",
     )
     source = run.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="CSV file, one row per individual")

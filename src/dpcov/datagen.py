@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import Dataset, radius
+from .linalg import _CHUNK_ROWS, Dataset, _blocks, column_norms, radius
 from .randomness import RandomStream
 
 __all__ = ["SynthSpec", "synth", "zipf_bin_counts", "rescale_radius", "load_csv", "save_csv"]
@@ -58,14 +58,21 @@ def zipf_bin_counts(n: int, bins: int, skew: float) -> list[int]:
 
 
 def synth(spec: SynthSpec) -> Dataset:
-    """Generate one synthetic dataset; byte-identical for a fixed spec."""
+    """Generate one synthetic dataset; byte-identical for a fixed spec.
+
+    The data is written once, into one n x d buffer whose transpose is the
+    dataset: Z is drawn and multiplied by U in blocks of rows, then the
+    buffer is centred and scaled in place.  Working memory beyond it is
+    O(d * _CHUNK_ROWS) floats plus a few length-n vectors.
+    """
     stream = RandomStream(spec.seed).child("synth")
     gen = stream.generator
     u = gen.random((spec.d, spec.d))
-    z = gen.standard_normal((spec.n, spec.d))
-    cols = (z @ u).T
-    cols = cols - cols.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(cols, axis=0)
+    rows = np.empty((spec.n, spec.d))
+    for start, stop in _blocks(spec.n, _CHUNK_ROWS):
+        np.matmul(gen.standard_normal((stop - start, spec.d)), u, out=rows[start:stop])
+    rows -= rows.mean(axis=0)
+    norms = column_norms(rows.T)
     if np.any(norms == 0):
         raise ValueError("degenerate column: cannot assign a target norm")
 
@@ -73,8 +80,8 @@ def synth(spec: SynthSpec) -> Dataset:
     assignment = np.repeat(np.arange(1, spec.bins + 1), counts)
     assignment = assignment[stream.permutation(spec.n)]
     targets = np.ldexp(1.0, assignment - spec.bins)
-    cols = cols * (targets / norms)
-    return Dataset(cols, ball_constrained=True)
+    rows *= (targets / norms)[:, np.newaxis]
+    return Dataset(rows.T, ball_constrained=True)
 
 
 def rescale_radius(x: Dataset) -> Dataset:

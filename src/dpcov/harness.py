@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -320,6 +321,9 @@ def write_results(
         "zero_noise": plan.zero_noise,
         "sweep_axis": plan.sweep_axis,
         "sweep_values": list(plan.sweep_values) if plan.sweep_values else None,
+        # seeds reproduce the same bytes only under the same numpy
+        "numpy": np.__version__,
+        "python": platform.python_version(),
     }
     if plan.budget.kind == "zcdp":
         meta["approx_dp_equivalent"] = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -32,14 +32,61 @@ __all__ = [
     "trace_stat",
     "tail_gamma",
     "radius",
+    "column_norms",
 ]
 
 # Relative slack for "norm <= bound" checks; clipping can overshoot by a few ulp.
 _NORM_RTOL = 1e-9
 
-# Columns per block when a sketch accumulates a bucket's Gram: the working
-# block is d * _CHUNK_COLUMNS floats whatever n is.
+# Columns per block of a norm scan or a bucket Gram: the working block is
+# d * _CHUNK_COLUMNS floats whatever n is.
 _CHUNK_COLUMNS = 1024
+
+# Rows per block when ``synth`` draws Z and writes Z U.  The BLAS product of
+# a block need not round like the same rows of the one-shot product; on
+# OpenBLAS (Haswell kernels) 4096-row blocks matched it for more shapes than
+# 1024-row blocks did (see the README, "Building a dataset").
+_CHUNK_ROWS = 4096
+
+# Column norms below this are recomputed from the column scaled by a power of
+# two: their squares may have lost bits to underflow.
+_TINY_NORM = 2.0**-500
+
+
+def _blocks(n: int, size: int):
+    """(start, stop) of consecutive blocks covering range(n).  The last block
+    takes the remainder, so none is thinner than ``size`` (unless n is): a
+    thin block can be reduced or multiplied in another order."""
+    starts = range(0, max(n - size, 0) + 1, size)
+    return zip(starts, [*starts[1:], n])
+
+
+def column_norms(cols: np.ndarray) -> np.ndarray:
+    """l2 norms of the columns of a (d, n) array, _CHUNK_COLUMNS at a time.
+
+    Each norm is exactly ``np.linalg.norm(cols, axis=0)``'s unless that one
+    lost bits: a column whose norm comes out below 2^-500 (squares
+    underflow) or infinite (squares overflow) is rescaled by an exact power
+    of two and its norm recomputed.  Only those columns are read twice, and
+    no d x n temporary is made.  Raises ``ValueError`` on a non-finite entry.
+    """
+    norms = np.empty(cols.shape[1])
+    for start, stop in _blocks(cols.shape[1], _CHUNK_COLUMNS):
+        block, out = cols[:, start:stop], norms[start:stop]
+        with np.errstate(over="ignore"):
+            out[:] = np.linalg.norm(block, axis=0)
+        # non-finite entries give an inf or nan norm, so they land here too
+        redo = np.flatnonzero(~((out >= _TINY_NORM) & (out < math.inf)))
+        if redo.size:
+            out[redo] = _rescaled_norms(block[:, redo])
+    return norms
+
+
+def _rescaled_norms(cols: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(cols)):
+        raise ValueError("dataset contains non-finite entries")
+    _, exponent = np.frexp(np.max(np.abs(cols), axis=0))
+    return np.ldexp(np.linalg.norm(np.ldexp(cols, -exponent), axis=0), exponent)
 
 
 @dataclass(frozen=True)
@@ -48,10 +95,17 @@ class Dataset:
 
     ``ball_constrained=True`` asserts that every column lies in the unit
     l2-ball; this is validated at construction time.
+
+    The column norms are computed once, at construction (the same scan
+    checks that every entry is finite), and :meth:`norms` returns them
+    after.  So ``columns`` must not be mutated once the dataset is built:
+    the ball check, the memoised norms and any :class:`CovSketch` of the
+    dataset all describe the columns as they were.
     """
 
     columns: np.ndarray
     ball_constrained: bool = False
+    _norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cols = np.asarray(self.columns, dtype=float)
@@ -61,11 +115,12 @@ class Dataset:
             raise ValueError("empty dataset")
         if cols.shape[0] == 0:
             raise ValueError("dataset dimension must be at least 1")
-        if not np.all(np.isfinite(cols)):
-            raise ValueError("dataset contains non-finite entries")
+        norms = column_norms(cols)
+        norms.flags.writeable = False
         object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "_norms", norms)
         if self.ball_constrained:
-            worst = float(np.max(np.linalg.norm(cols, axis=0)))
+            worst = float(np.max(norms))
             if worst > 1.0 + _NORM_RTOL:
                 raise ValueError(f"norms exceed 1 (max norm {worst})")
 
@@ -78,8 +133,8 @@ class Dataset:
         return self.columns.shape[1]
 
     def norms(self) -> np.ndarray:
-        """Column l2 norms, shape (n,)."""
-        return np.linalg.norm(self.columns, axis=0)
+        """Column l2 norms, shape (n,) (read-only; see :func:`column_norms`)."""
+        return self._norms
 
 
 class EigenDecomp(NamedTuple):
@@ -168,12 +223,11 @@ def clip_dataset(x: Dataset, tau: float) -> Dataset:
     """Column-wise :func:`clip_vector`."""
     if tau < 0:
         raise ValueError("clip threshold must be nonnegative")
-    cols = x.columns
-    norms = np.linalg.norm(cols, axis=0)
+    norms = x.norms()
     factors = np.ones_like(norms)
     over = norms > tau
     factors[over] = tau / norms[over]
-    return Dataset(cols * factors, ball_constrained=x.ball_constrained or tau <= 1.0)
+    return Dataset(x.columns * factors, ball_constrained=x.ball_constrained or tau <= 1.0)
 
 
 def trace_stat(x: Dataset) -> float:
@@ -245,8 +299,8 @@ class _Layout(NamedTuple):
 class CovSketch:
     """Sufficient statistics of a dataset for the covariance mechanisms.
 
-    Built from a :class:`Dataset` with one column-norm pass (exactly
-    ``Dataset.norms()``); the rest is derived on first need and kept:
+    Built from a :class:`Dataset` without reading its columns: it takes the
+    dataset's memoised norms; the rest is derived on first need and kept:
 
     * the norms sorted, with prefix sums of their squares;
     * ``G``, which is ``covariance(x)`` bit for bit;

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from dpcov.adaptive import noise_hat, priv_radius, private_trace_ub
+from dpcov.datagen import SynthSpec, zipf_bin_counts
 from dpcov.linalg import Dataset, EigenDecomp, clip_dataset, covariance, eig_sym
 from dpcov.mechanisms import GAUSSIAN
 from dpcov.privacy import zcdp
@@ -66,6 +67,23 @@ def zero_noise_tau_oracle(x: Dataset, rho: float, beta: float, tau_cap: int = -4
     tau = math.ldexp(1.0, trigger + 1) if trigger is not None else math.ldexp(1.0, end)
     tau = max(min(tau, r), math.ldexp(1.0, -1020))
     return r, float(tau)
+
+
+def synth_oneshot(spec: SynthSpec) -> np.ndarray:
+    """The columns ``synth`` builds, by the one-shot formula: all of Z drawn,
+    one product Z U, then centred and scaled as new arrays."""
+    stream = RandomStream(spec.seed).child("synth")
+    gen = stream.generator
+    u = gen.random((spec.d, spec.d))
+    z = gen.standard_normal((spec.n, spec.d))
+    cols = (z @ u).T
+    cols = cols - cols.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(cols, axis=0)
+    counts = zipf_bin_counts(spec.n, spec.bins, spec.skew)
+    assignment = np.repeat(np.arange(1, spec.bins + 1), counts)
+    assignment = assignment[stream.permutation(spec.n)]
+    targets = np.ldexp(1.0, assignment - spec.bins)
+    return cols * (targets / norms)
 
 
 def skewed_dataset(n: int, seed: int, heavy: int = 5) -> Dataset:

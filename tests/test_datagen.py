@@ -1,10 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracle_utils import synth_oneshot
+
+import dpcov.datagen
+import dpcov.linalg
 from dpcov.datagen import SynthSpec, load_csv, rescale_radius, save_csv, synth, zipf_bin_counts
-from dpcov.linalg import Dataset, radius, trace_stat
+from dpcov.linalg import _CHUNK_ROWS, CovSketch, Dataset, clip_dataset, radius, trace_stat
 
 
 def largest_remainder_oracle(n, bins, skew):
@@ -80,6 +85,70 @@ class TestSynth:
             SynthSpec(n=3, d=4, bins=5)
 
 
+class TestStreamedBuild:
+    """``synth`` writes one buffer in row blocks and scans its norms twice."""
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [
+            (2, 1),
+            (100, 1),
+            (_CHUNK_ROWS - 1, 3),
+            (_CHUNK_ROWS, 8),
+            (_CHUNK_ROWS + 1, 16),
+            (_CHUNK_ROWS + 2, 1),
+            (3 * _CHUNK_ROWS + 7, 5),
+            (2 * _CHUNK_ROWS + 1, 40),
+        ],
+    )
+    def test_bit_equal_to_oneshot_formula(self, n, d):
+        for bins in range(1, min(n, 8) + 1):
+            spec = SynthSpec(n=n, d=d, bins=bins, seed=100 * bins + d)
+            assert np.array_equal(synth(spec).columns, synth_oneshot(spec)), bins
+
+    @pytest.mark.parametrize("n, d, bins", [(50_000, 200, 4), (4096, 1024, 1), (2000, 16, 8)])
+    def test_benchmark_shapes_bit_equal(self, n, d, bins):
+        spec = SynthSpec(n=n, d=d, bins=bins, seed=101)
+        assert np.array_equal(synth(spec).columns, synth_oneshot(spec))
+
+    def test_other_shapes_agree_to_rounding(self):
+        # the BLAS product of a row block need not round like the same rows
+        # of the one-shot product; the difference is a last-bit one
+        spec = SynthSpec(n=2 * _CHUNK_ROWS + 1, d=226, bins=3, seed=2)
+        got, want = synth(spec).columns, synth_oneshot(spec)
+        assert np.max(np.abs(got - want) / np.linalg.norm(want, axis=0)) <= 8 * np.finfo(float).eps
+
+    def test_peak_memory_is_one_buffer(self):
+        d, n = 32, 100_000
+        tracemalloc.start()
+        try:
+            x = synth(SynthSpec(n=n, d=d, bins=4, seed=1))
+            CovSketch(x).G
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * (8 * d * n)
+
+    def test_norm_scans_per_build(self, monkeypatch):
+        scanned = []
+        real = dpcov.linalg.column_norms
+
+        def counting(cols):
+            scanned.append(cols.shape)
+            return real(cols)
+
+        monkeypatch.setattr(dpcov.linalg, "column_norms", counting)
+        monkeypatch.setattr(dpcov.datagen, "column_norms", counting)
+        x = synth(SynthSpec(n=3000, d=6, bins=4, seed=9))
+        CovSketch(x).G
+        radius(x)
+        # once before scaling, once on the final data
+        assert scanned == [(6, 3000), (6, 3000)]
+        scanned.clear()
+        clip_dataset(x, 0.25)
+        assert scanned == [(6, 3000)]
+
+
 class TestRescaleRadius:
     def test_small_radius_doubles_up(self):
         cols = np.zeros((2, 3))
@@ -101,6 +170,13 @@ class TestRescaleRadius:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="degenerate dataset"):
             rescale_radius(Dataset(np.zeros((2, 2))))
+
+    def test_huge_entries(self):
+        # squares of these entries overflow; the norm and the rescale do not
+        x = Dataset(np.array([[1e200, 1.0], [1e200, 0.0]]))
+        assert math.isfinite(radius(x))
+        r = radius(rescale_radius(x))
+        assert 0.5 < r <= 1.0
 
 
 class TestCsvRoundTrip:

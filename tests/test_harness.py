@@ -1,3 +1,5 @@
+import json
+import platform
 import re
 
 import numpy as np
@@ -69,12 +71,14 @@ class TestRegistry:
         with pytest.raises(ValueError, match=f"mechanism '{name}' needs {flag}"):
             small_plan(mechanisms=(name,), budget=BUDGETS[other])
 
-    def test_help_lists_the_registry(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", "--help"])
-        # argparse wraps the help line, also at hyphens
-        listed = re.search(r"list from\s*\{([^}]*)\}", capsys.readouterr().out).group(1)
-        assert re.sub(r"\s", "", listed).split(",") == list(MECHANISMS)
+    def test_help_lists_the_registry(self, capsys, monkeypatch):
+        # argparse wraps the help to the terminal width; no name may be split
+        for columns in (60, 72, 80, 86, 110):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit):
+                main(["run", "--help"])
+            listed = re.search(r"list from\s*\{([^}]*)\}", capsys.readouterr().out).group(1)
+            assert re.split(r",\s+", listed) == list(MECHANISMS), columns
 
     def test_adaptive_pure_branch_spelling(self):
         rows, _ = run_plan(
@@ -202,6 +206,14 @@ class TestOutputFiles:
         meta = write_results(rows, summaries, plan, tmp_path / "out.csv")
         assert meta["approx_dp_equivalent"]["delta"] == plan.delta
         assert meta["approx_dp_equivalent"]["eps"] > plan.budget.value
+
+    def test_metadata_records_versions(self, tmp_path):
+        plan = small_plan(repetitions=1)
+        rows, summaries = run_plan(plan)
+        write_results(rows, summaries, plan, tmp_path / "out.csv")
+        meta = json.loads((tmp_path / "out.meta.json").read_text())
+        assert meta["numpy"] == np.__version__
+        assert meta["python"] == platform.python_version()
 
     def test_float_cells_round_trip(self, tmp_path):
         plan = small_plan(repetitions=2)

@@ -6,8 +6,10 @@ import pytest
 from oracle_utils import jacobi_eig_sym
 
 from dpcov.linalg import (
+    _CHUNK_COLUMNS,
     Dataset,
     clip_dataset,
+    column_norms,
     clip_vector,
     covariance,
     eig_sym,
@@ -40,6 +42,73 @@ class TestDataset:
     def test_ball_flag_enforced(self):
         with pytest.raises(ValueError, match="norms exceed 1"):
             Dataset(2.0 * np.eye(2), ball_constrained=True)
+
+    def test_non_finite_found_in_a_later_block(self):
+        cols = np.ones((2, 3 * _CHUNK_COLUMNS + 5))
+        for bad in (np.inf, -np.inf, np.nan):
+            cols[1, -2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                Dataset(cols)
+
+    def test_norms_are_memoised_and_read_only(self):
+        x = random_ball_dataset(3, 40)
+        norms = x.norms()
+        assert x.norms() is norms
+        assert np.array_equal(norms, np.linalg.norm(x.columns, axis=0))
+        with pytest.raises(ValueError):
+            norms[0] = 0.0
+
+
+def within_ulps(got: float, want: float, ulps: int) -> bool:
+    return abs(got - want) <= ulps * math.ulp(want)
+
+
+class TestColumnNorms:
+    """The blocked norm scan: numpy's norms bit for bit, except columns whose
+    squares underflow or overflow."""
+
+    @pytest.mark.parametrize("n", [1, 7, _CHUNK_COLUMNS, _CHUNK_COLUMNS + 1, 3 * _CHUNK_COLUMNS - 1])
+    def test_bit_equal_to_numpy_in_every_layout(self, n):
+        rng = np.random.default_rng(n)
+        d = 9
+        base = rng.standard_normal((n, d)) * np.exp(rng.uniform(-30, 30, size=(n, 1)))
+        layouts = {
+            "columns contiguous": base.T,
+            "rows contiguous": np.ascontiguousarray(base.T),
+            "strided columns": np.asfortranarray(rng.standard_normal((d, 2 * n)))[:, ::2],
+            "strided rows": rng.standard_normal((2 * d, n))[::2],
+        }
+        for name, cols in layouts.items():
+            assert np.array_equal(column_norms(cols), np.linalg.norm(cols, axis=0)), name
+
+    def test_underflowing_squares(self):
+        cols = np.array([[1e-310, 5e-324, 3e-160, 0.0], [2e-309, 0.0, 1e-170, 0.0]])
+        norms = column_norms(cols)
+        assert np.linalg.norm(cols[:, 0]) == 0.0  # what a plain sum of squares gives
+        for j in range(cols.shape[1]):
+            assert within_ulps(norms[j], math.hypot(*cols[:, j]), 4), j
+        assert norms[3] == 0.0
+
+    def test_overflowing_squares(self):
+        cols = np.array([[1e200, -3e160, 1.0], [1e200, 4e160, 0.0]])
+        norms = column_norms(cols)
+        assert np.all(np.isfinite(norms))
+        for j in range(cols.shape[1]):
+            assert within_ulps(norms[j], math.hypot(*cols[:, j]), 4), j
+
+    def test_rescaled_columns_leave_the_others_exact(self):
+        rng = np.random.default_rng(5)
+        cols = rng.standard_normal((4, 2 * _CHUNK_COLUMNS + 3))
+        cols[:, 17] *= 1e-200
+        cols[:, -1] *= 1e200
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(cols, axis=0)
+        got = column_norms(cols)
+        keep = np.ones(cols.shape[1], dtype=bool)
+        keep[[17, -1]] = False
+        assert np.array_equal(got[keep], want[keep])
+        assert within_ulps(got[17], math.hypot(*cols[:, 17]), 4)
+        assert np.isinf(want[-1]) and np.isfinite(got[-1])
 
 
 class TestCovariance:

@@ -72,11 +72,12 @@ def bucket_counts(norms):
 
 
 def clip_exponents(x):
-    """Every t from one above the top occupied bucket to 4 below the lowest."""
+    """Every t from one above the top occupied bucket to 4 below the lowest,
+    stopping at 2^-1074, the smallest positive double."""
     buckets = occupied_buckets(x)
     if not buckets:
         return range(0, -5, -1)
-    return range(min(buckets[-1] + 1, 0), buckets[0] - 5, -1)
+    return range(min(buckets[-1] + 1, 0), max(buckets[0] - 5, -1075), -1)
 
 
 def check_against_dataset_path(x):
@@ -173,9 +174,10 @@ class TestDegenerate:
         assert build_histogram(view).counts == {-2: 3, -4: 1, -7: 2}
 
     def test_underflowing_norms(self):
-        # squares of these entries underflow, so the column norms come out 0
-        # (subnormal entries) or coarse; the sketch must agree with the
-        # Dataset path, not with exact arithmetic
+        # squares of these entries underflow, so a plain sum of squares gives
+        # norms of 0 (subnormal entries) or coarse ones; the norm scan
+        # rescales such columns, and the sketch must agree with the Dataset
+        # path
         cols = np.array([[5e-324, 1e-310, 3e-160, 0.5], [0.0, 2e-309, 0.0, 0.25]])
         x = Dataset(cols)
         check_against_dataset_path(x)
