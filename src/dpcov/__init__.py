@@ -21,7 +21,6 @@ from .adaptive import (
     threshold_query,
 )
 from .bounds import (
-    BoundConstants,
     eta,
     lap_vec_bound,
     omega,

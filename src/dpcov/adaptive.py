@@ -5,7 +5,7 @@ supplies its noise, its error bounds and its budget split.  With budget B
 and failure parameter beta:
 
 1. a private radius estimate r (sparse vector technique over dyadic radii),
-2. clip to r and compute a private upper bound on the trace,
+2. a private upper bound on the trace of the data clipped to r,
 3. sparse vector technique over the dyadic threshold grid r, r/2, ... with
    queries comparing an upper bound on the clipping bias against an upper
    bound on the mechanism noise,
@@ -18,21 +18,21 @@ eps^2/2 equal to their share), eps/4 each under pure DP.  Every run composes
 the ledger with :func:`~dpcov.privacy.compose` and raises ValueError unless
 it adds up to exactly B; the check also runs under ``python -O``.
 
-The bias/noise queries fed to the SVT are normalized by n/(4*r^2) so that
-each has sensitivity at most 1 on r-clipped data; the SVT noise in original
-units is then Lap(8 r^2/(n eps)) / Lap(16 r^2/(n eps)) for the SVT's eps.
+Every stage after the radius reads the unclipped data and clips it to r
+itself, so no stage can be handed data that was not clipped.  The bias/noise
+queries fed to the SVT are normalized by n/(4*r^2) so that each has
+sensitivity at most 1 on r-clipped data; the SVT noise in original units is
+then Lap(8 r^2/(n eps)) / Lap(16 r^2/(n eps)) for the SVT's eps.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable
 
-from .bounds import DEFAULT_CONSTANTS, BoundConstants
 from .linalg import CovSketch, Dataset
 from .mechanisms import (
     FAMILIES,
@@ -59,14 +59,11 @@ __all__ = [
     "adaptive_cov_pure",
 ]
 
-# Exponent floors keeping every threshold a positive normal float64.  The
+# Exponent floor keeping every threshold a positive normal float64.  The
 # nominal grids extend to 2^(-d*n) (thresholds) and 2^(-2*d*n) (radius
-# offset); anything below these floors is indistinguishable from zero at
+# offset); anything below this floor is indistinguishable from zero at
 # machine precision anyway.
-TAU_CAP_EXPONENT = -4096
 _MIN_FLOAT_EXPONENT = -1020
-
-_CLIP_RTOL = 1e-9
 
 
 def _pow2_exponent(value: float) -> int:
@@ -163,11 +160,11 @@ def priv_radius(
     return b
 
 
-def build_histogram(x: Dataset | CovSketch) -> NormHistogram:
-    """Dyadic norm histogram of a dataset (of its clipped norms, for a
-    clipped sketch)."""
+def build_histogram(x: Dataset | CovSketch, r: float = math.inf) -> NormHistogram:
+    """Dyadic histogram of the column norms of a dataset clipped to radius r,
+    min(||X_i||, r)."""
     sketch = CovSketch.of(x)
-    return NormHistogram(counts=sketch.histogram(), n=sketch.count)
+    return NormHistogram(counts=sketch.histogram(r), n=sketch.count)
 
 
 def bias_hat(h: NormHistogram, tau: float) -> float:
@@ -192,29 +189,27 @@ def noise_hat(bounds: NoiseBounds, tr_hat: float, tau: float) -> float:
 
 
 def private_trace_ub(
-    x_clipped: Dataset | CovSketch,
+    x: Dataset | CovSketch,
     r_tilde: float,
     budget_frag: PrivacyBudget,
     beta: float,
     stream: RandomStream,
 ) -> float:
-    """Privatized upper bound on the trace of r-clipped data.
+    """Privatized upper bound on the trace of the data clipped to radius r.
 
-    ``x_clipped`` is a dataset already clipped to radius r, or a sketch
-    clipped with ``CovSketch.clip(r)``; any column norm above r raises.
-    Adds calibrated noise (Gaussian for a zCDP fragment, Laplace for a pure
-    fragment) to the clipped trace plus an offset that keeps the result above
-    the true clipped trace with probability at least 1 - beta/8, then caps at
-    r^2, which always dominates the clipped trace.
+    Clips ``x`` to r itself, then adds calibrated noise (Gaussian for a zCDP
+    fragment, Laplace for a pure fragment) to the clipped trace plus an
+    offset that keeps the result above the true clipped trace with
+    probability at least 1 - beta/8, then caps at r^2, which always
+    dominates the clipped trace.
     """
-    sketch = CovSketch.of(x_clipped)
-    if sketch.max_norm > r_tilde * (1.0 + _CLIP_RTOL):
-        raise ValueError("unclipped input: column norms exceed the stated radius")
-    tr = sketch.trace()
+    sketch = CovSketch.of(x)
+    tr = sketch.trace(r_tilde)
     sensitivity = r_tilde * r_tilde / sketch.count
     if sensitivity == 0.0:
-        # r^2 underflowed; every column norm (hence the trace) flushed to
-        # zero with it, so the capped value is exact and data-independent
+        # r^2 underflowed; every clipped squared norm (hence the trace)
+        # flushed to zero with it, so the capped value is exact and
+        # data-independent
         return min(tr, r_tilde * r_tilde)
     family = FAMILIES[budget_frag.kind]
     draw, offset = family.scalar_noise(stream, sensitivity, budget_frag.value, beta / 8)
@@ -232,20 +227,18 @@ def threshold_query(
     n*bias_hat by at most 4*r^2, so the normalization caps the sensitivity at
     1.  Nondecreasing as tau walks down the dyadic grid.
 
-    n/(4 r^2) overflows once r is below about 2^-512.  There bias and noise
-    are evaluated in units of r instead, at tau/r and tr_hat/r^2: r is a power
-    of two, so this scales both exactly wherever nothing underflows.
+    Bias and noise are evaluated in units of r, at tau/r and tr_hat/r^2,
+    times n/4.  r is a power of two, so this equals the direct form wherever
+    no intermediate is subnormal, and it stays finite where n/(4 r^2)
+    overflows (r below about 2^-512).
     """
-    four_r_sq = 4.0 * r_tilde * r_tilde
-    scale, unit = (n / four_r_sq if four_r_sq else math.inf), 0
-    if scale == math.inf:
-        unit = _pow2_exponent(r_tilde)
-        h = NormHistogram({s - unit: c for s, c in h.counts.items()}, h.n)
-        scale, tr_hat = n / 4.0, math.ldexp(tr_hat, -2 * unit)
+    unit = _pow2_exponent(r_tilde)
+    h = NormHistogram({s - unit: c for s, c in h.counts.items()}, h.n)
+    tr_unit = math.ldexp(tr_hat, -2 * unit)
 
     def query(t: int) -> float:
         tau = math.ldexp(1.0, t - unit)
-        return scale * (h.bias_upper_bound_exp(t - unit) - noise_hat(bounds, tr_hat, tau))
+        return n / 4.0 * (h.bias_upper_bound_exp(t - unit) - noise_hat(bounds, tr_unit, tau))
 
     return query
 
@@ -255,8 +248,6 @@ def adaptive_cov(
     rho: float,
     beta: float,
     stream: RandomStream,
-    *,
-    tau_cap_exponent: int = TAU_CAP_EXPONENT,
 ) -> MechanismReport:
     """Tail-sensitive private covariance under rho-zCDP.
 
@@ -265,7 +256,7 @@ def adaptive_cov(
     that actually ran ('gauss' or 'separate'); the selected threshold,
     radius, trace bound, and ledger are in ``details``.
     """
-    return _adaptive(GAUSSIAN, x, rho, beta, stream, tau_cap_exponent)
+    return _adaptive(GAUSSIAN, x, rho, beta, stream)
 
 
 def adaptive_cov_pure(
@@ -273,38 +264,31 @@ def adaptive_cov_pure(
     eps: float,
     beta: float,
     stream: RandomStream,
-    *,
-    tau_cap_exponent: int = TAU_CAP_EXPONENT,
-    constants: BoundConstants = DEFAULT_CONSTANTS,
 ) -> MechanismReport:
     """Tail-sensitive private covariance under eps-DP.
 
     Same pipeline as :func:`adaptive_cov` with every stage at eps/4, Laplace
-    noise, and the Laplace-side bounds (with ``constants``) driving the
-    threshold search and dispatch ('lap' or 'separate-pure').
+    noise, and the Laplace-side bounds driving the threshold search and
+    dispatch ('lap' or 'separate-pure').
     """
-    family = dataclasses.replace(LAPLACE, constants=constants)
-    return _adaptive(family, x, eps, beta, stream, tau_cap_exponent)
+    return _adaptive(LAPLACE, x, eps, beta, stream)
 
 
 def _adaptive(
-    family: NoiseFamily, x, value: float, beta: float, stream: RandomStream, tau_cap_exponent: int
+    family: NoiseFamily, x, value: float, beta: float, stream: RandomStream
 ) -> MechanismReport:
     budget = family.budget(value)
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
-    if tau_cap_exponent >= 0:
-        raise ValueError("tau_cap_exponent must be negative")
     ledger = family.ledger(value)
     x = CovSketch.of(x)
     d, n = x.dim, x.count
 
     b = math.ldexp(1.0, max(-2 * d * n, _MIN_FLOAT_EXPONENT))
     r_tilde = priv_radius(x, family.svt_eps(ledger["radius"]), beta / 8, b, stream.child("radius"))
-    x_clip = x.clip(r_tilde)
     trace_budget = family.budget(ledger["trace"])
-    tr_hat = private_trace_ub(x_clip, r_tilde, trace_budget, beta, stream.child("trace"))
-    hist = build_histogram(x_clip)
+    tr_hat = private_trace_ub(x, r_tilde, trace_budget, beta, stream.child("trace"))
+    hist = build_histogram(x, r_tilde)
 
     bounds = family.noise_bounds(ledger["mechanism"], beta / 2, d, n)
     if r_tilde * r_tilde == 0.0:
@@ -314,16 +298,15 @@ def _adaptive(
     else:
         # SVT down the dyadic grid r, r/2, ..., 2^end, then one level back up
         query = threshold_query(bounds, hist, tr_hat, r_tilde, n)
-        start, end = _pow2_exponent(r_tilde), max(-d * n, tau_cap_exponent)
+        start, end = _pow2_exponent(r_tilde), max(-d * n, _MIN_FLOAT_EXPONENT)
         queries = (query(t) for t in range(start, end - 1, -1))
         k = svt(queries, 1.0, 0.0, family.svt_eps(ledger["svt"]), stream.child("svt"))
-        # the k-th query is at 2^(start+1-k); 0.0 if below the float64 range
-        tau = math.ldexp(1.0, start + 2 - k)
-        tau = min(max(tau, math.ldexp(1.0, _MIN_FLOAT_EXPONENT)), r_tilde)
+        # the k-th query is at 2^(start+1-k), so tau >= 2^end
+        tau = min(math.ldexp(1.0, start + 2 - k), r_tilde)
 
     plain, separate = bounds(tr_hat, tau)
     branch = family.plain if separate >= plain else family.separate
     mech_budget = family.budget(ledger["mechanism"])
-    inner = clip_mechanism(x_clip, mech_budget, tau, stream.child("mech"), branch)
+    inner = clip_mechanism(x, mech_budget, tau, stream.child("mech"), branch)
     details = dict(r_tilde=r_tilde, tr_hat=tr_hat, tau=tau, branch=branch, ledger=ledger)
     return MechanismReport(inner.estimate, budget, branch, clip_threshold=tau, details=details)

@@ -6,18 +6,17 @@ log of the dimension d is floored at 1 when d <= e, which keeps the
 d-dependent terms positive (and finite) at tiny d.  Logs of 1/beta are left
 untouched since beta < 1.
 
-The Laplace-side bounds carry an unspecified leading constant; ``lap_c``
-(default 4.0) was calibrated by Monte Carlo so that the empirical coverage
-holds at d in {16, 64, 256} and beta in {0.05, 0.2} with room to spare.
+The Laplace-side bounds carry an unspecified leading constant, ``LAP_C``;
+4.0 was calibrated by Monte Carlo so that the empirical coverage holds at d
+in {16, 64, 256} and beta in {0.05, 0.2} with room to spare.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "BoundConstants",
+    "LAP_C",
     "eta",
     "upsilon",
     "omega",
@@ -26,19 +25,7 @@ __all__ = [
     "slw_frob_bound",
 ]
 
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """Tunable constant for the Laplace-side concentration bounds."""
-
-    lap_c: float = 4.0
-
-    def __post_init__(self):
-        if self.lap_c <= 0:
-            raise ValueError("lap_c must be positive")
-
-
-DEFAULT_CONSTANTS = BoundConstants()
+LAP_C = 4.0
 
 
 def _check_args(d: int, beta: float):
@@ -82,19 +69,19 @@ def omega(d: int, beta: float) -> float:
     )
 
 
-def lap_vec_bound(d: int, beta: float, constants: BoundConstants = DEFAULT_CONSTANTS) -> float:
+def lap_vec_bound(d: int, beta: float) -> float:
     """l2-norm bound for a vector of d i.i.d. Lap(1) draws."""
     _check_args(d, beta)
-    return 1.5 * math.sqrt(d) + constants.lap_c * math.log(1.0 / beta) * _log_dim(d)
+    return 1.5 * math.sqrt(d) + LAP_C * math.log(1.0 / beta) * _log_dim(d)
 
 
-def slw_op_bound(d: int, beta: float, constants: BoundConstants = DEFAULT_CONSTANTS) -> float:
+def slw_op_bound(d: int, beta: float) -> float:
     """Operator-norm bound for a symmetric Laplace Wigner matrix."""
     _check_args(d, beta)
-    return 3.0 * math.sqrt(d) + constants.lap_c * math.log(1.0 / beta) * _log_dim(d)
+    return 3.0 * math.sqrt(d) + LAP_C * math.log(1.0 / beta) * _log_dim(d)
 
 
-def slw_frob_bound(d: int, beta: float, constants: BoundConstants = DEFAULT_CONSTANTS) -> float:
+def slw_frob_bound(d: int, beta: float) -> float:
     """Frobenius-norm bound for a symmetric Laplace Wigner matrix."""
     _check_args(d, beta)
-    return 1.5 * d + constants.lap_c * math.log(1.0 / beta) * _log_dim(d)
+    return 1.5 * d + LAP_C * math.log(1.0 / beta) * _log_dim(d)

@@ -12,7 +12,6 @@ import argparse
 import sys
 import textwrap
 
-from .adaptive import TAU_CAP_EXPONENT
 from .harness import (
     MECHANISMS,
     ExperimentPlan,
@@ -87,10 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="results CSV path (also writes .summary.csv / .meta.json)")
     run.add_argument("--zero-noise", action="store_true",
                      help="test mode: all noise draws return 0")
-    run.add_argument("--lap-constant", type=float, default=4.0,
-                     help="constant in the Laplace-side concentration bounds")
-    run.add_argument("--tau-cap-exponent", type=int, default=TAU_CAP_EXPONENT,
-                     help="smallest dyadic threshold exponent searched")
     run.add_argument("--workers", type=int, default=1, help="parallel workers")
     run.add_argument("--verbose", action="store_true", help="print per-run details")
     return parser
@@ -113,8 +108,6 @@ def _plan_from_args(args) -> ExperimentPlan:
         master_seed=args.seed,
         out_path=args.out,
         zero_noise=args.zero_noise,
-        lap_constant=args.lap_constant,
-        tau_cap_exponent=args.tau_cap_exponent,
         workers=args.workers,
     )
 

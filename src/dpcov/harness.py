@@ -24,8 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import TAU_CAP_EXPONENT, adaptive_cov, adaptive_cov_pure
-from .bounds import BoundConstants
+from .adaptive import adaptive_cov, adaptive_cov_pure
 from .datagen import SynthSpec, load_csv, rescale_radius, synth
 from .linalg import CovSketch, Dataset, frobenius_dist
 from .mechanisms import (
@@ -60,21 +59,8 @@ MECHANISMS = {
     LAPLACE.plain: (LAPLACE.kind, lambda x, v, p, s: lap_cov(x, v, s)),
     GAUSSIAN.separate: (GAUSSIAN.kind, lambda x, v, p, s: separate_cov(x, v, s)),
     LAPLACE.separate: (LAPLACE.kind, lambda x, v, p, s: separate_cov_pure(x, v, s)),
-    GAUSSIAN.adaptive: (
-        GAUSSIAN.kind,
-        lambda x, v, p, s: adaptive_cov(x, v, p.beta, s, tau_cap_exponent=p.tau_cap_exponent),
-    ),
-    LAPLACE.adaptive: (
-        LAPLACE.kind,
-        lambda x, v, p, s: adaptive_cov_pure(
-            x,
-            v,
-            p.beta,
-            s,
-            tau_cap_exponent=p.tau_cap_exponent,
-            constants=BoundConstants(p.lap_constant),
-        ),
-    ),
+    GAUSSIAN.adaptive: (GAUSSIAN.kind, lambda x, v, p, s: adaptive_cov(x, v, p.beta, s)),
+    LAPLACE.adaptive: (LAPLACE.kind, lambda x, v, p, s: adaptive_cov_pure(x, v, p.beta, s)),
     ZERO: (None, lambda x, v, p, s: zero_cov(x)),
 }
 _BUDGET_FLAGS = {"zcdp": "--rho (zCDP budget)", "pure": "--eps (pure-DP budget)"}
@@ -100,8 +86,6 @@ class ExperimentPlan:
     master_seed: int = 0
     out_path: str | None = None
     zero_noise: bool = False
-    lap_constant: float = 4.0
-    tau_cap_exponent: int = TAU_CAP_EXPONENT
     workers: int = 1
 
     def __post_init__(self):

@@ -10,7 +10,6 @@ one column per individual.
 
 from __future__ import annotations
 
-import copy
 import math
 import threading
 from dataclasses import dataclass, field
@@ -211,10 +210,8 @@ def clip_vector(x: np.ndarray, tau: float) -> np.ndarray:
     if tau < 0:
         raise ValueError("clip threshold must be nonnegative")
     x = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(x))
+    norm = float(column_norms(x[:, None])[0])
     if norm <= tau:
-        return x.copy()
-    if norm == 0.0:
         return x.copy()
     return x * (tau / norm)
 
@@ -308,12 +305,13 @@ class CovSketch:
       squared norms, read off the sorted norms; ``A_s``, the Gram of its
       columns; and ``B_s``, the Gram of its unit-normalised columns.
 
-    From these, the data clipped at a radius is summarised without touching
-    the columns again: counts above a level and the clipped trace by binary
-    search over the sorted norms, the dyadic histogram from the buckets, and
-    the unit-ball Gram of the columns clipped at tau = 2^t,
-    ``sum_{s<t} A_s / tau^2 + sum_{s>=t} B_s``.  ``A_s`` is stored divided by
-    4^(s+1) so that buckets of tiny norms stay in floating range.
+    From these, the data clipped at a radius r is summarised without
+    touching the columns again: counts above a level and the clipped trace
+    (``trace(r)``) by binary search over the sorted norms, the dyadic
+    histogram of the clipped norms min(||x||, r) (``histogram(r)``) from the
+    buckets, and the unit-ball Gram of the columns clipped at tau = 2^t,
+    ``sum_{s<t} A_s / tau^2 + sum_{s>=t} B_s``.  ``A_s`` is stored divided
+    by 4^(s+1) so that buckets of tiny norms stay in floating range.
 
     Each ``A_s`` and ``B_s`` is built the first time a clipped Gram needs
     it, in blocks of ``_CHUNK_COLUMNS`` columns, so mechanisms that never
@@ -322,17 +320,13 @@ class CovSketch:
     queried) floats, plus 4n for the norms, their order and the prefix sums.
     The source columns are referenced, not copied.  Lazy parts are filled
     under a lock, so threads may share a sketch.
-
-    :meth:`clip` gives a view of the same statistics for the columns clipped
-    to norm at most r; views share every cache.
     """
 
     def __init__(self, x: Dataset):
         self.dim, self.count = x.dim, x.count
-        self.clip_radius = math.inf
         self._dataset = x
         self._norms = x.norms()
-        self._top = float(np.max(self._norms))
+        self.max_norm = float(np.max(self._norms))
         self._cache: dict = {}
         self._lock = threading.RLock()
 
@@ -341,46 +335,32 @@ class CovSketch:
         """``x`` itself if it is a sketch, else the sketch of the dataset."""
         return x if isinstance(x, cls) else cls(x)
 
-    def clip(self, r: float) -> "CovSketch":
-        """The same statistics for the columns clipped to norm at most r."""
-        if not r > 0:
-            raise ValueError("clip radius must be positive")
-        view = copy.copy(self)
-        view.clip_radius = min(self.clip_radius, r)
-        return view
-
     @property
     def G(self) -> np.ndarray:
         """``covariance(x)`` of the source dataset (read-only)."""
         return self._exact().cov
 
-    @property
-    def max_norm(self) -> float:
-        """Largest clipped column norm."""
-        return min(self._top, self.clip_radius)
-
     def count_above(self, level: float) -> int:
-        """Number of clipped column norms strictly above ``level``."""
-        if level >= self.clip_radius:
-            return 0
+        """Number of column norms strictly above ``level``."""
         return self.count - int(np.searchsorted(self._layout().norms, level, side="right"))
 
-    def trace(self) -> float:
-        """(1/n) sum_i min(||X_i||, r)^2, the trace of the clipped covariance."""
-        kept = self._unclipped()
+    def trace(self, r: float = math.inf) -> float:
+        """(1/n) sum_i min(||X_i||, r)^2, the trace of the covariance of the
+        columns clipped to norm at most r."""
+        kept = self._kept(r)
         total = self._layout().sq_prefix[kept]
         if kept < self.count:
-            total += (self.count - kept) * self.clip_radius * self.clip_radius
+            total += (self.count - kept) * r * r
         return float(total / self.count)
 
-    def histogram(self) -> dict[int, int]:
-        """Dyadic counts of the clipped norms: bucket s holds the norms in
-        (2^s, 2^(s+1)]; zero norms are in no bucket."""
-        kept = self._unclipped()
+    def histogram(self, r: float = math.inf) -> dict[int, int]:
+        """Dyadic counts of the clipped norms min(||X_i||, r): bucket s holds
+        the norms in (2^s, 2^(s+1)]; zero norms are in no bucket."""
+        kept = self._kept(r)
         buckets = self._layout().buckets
         counts = {s: min(hi, kept) - lo for s, (lo, hi) in buckets.items() if lo < kept}
         if kept < self.count:
-            top = int(_norm_bucket(np.float64(self.clip_radius)))
+            top = int(_norm_bucket(np.float64(r)))
             counts[top] = counts.get(top, 0) + self.count - kept
         return counts
 
@@ -389,21 +369,14 @@ class CovSketch:
         return self._cached("G", lambda: Gram(covariance(self._dataset), self.count))
 
     def gram(self, tau: float | None = None) -> Gram:
-        """The covariance of the clipped columns; with ``tau``, that of the
-        columns clipped at tau and rescaled to the unit ball,
+        """The covariance of the columns; with ``tau``, that of the columns
+        clipped at tau and rescaled to the unit ball,
         (1/n) sum_i X_i X_i^T / max(||X_i||, tau)^2.
 
         Results for dyadic tau, and the unclipped covariance, are cached
         with their spectra.
         """
-        r = self.clip_radius
-        if r >= self._top:
-            return self._exact() if tau is None else self._unit(tau)
-        if tau is None:
-            return Gram(self._unit(r).cov * r * r, self.count)
-        if tau <= r:
-            return self._unit(tau)
-        return Gram((r / tau) ** 2 * self._unit(r).cov, self.count)
+        return self._exact() if tau is None else self._unit(tau)
 
     # -- internals --------------------------------------------------------
 
@@ -430,9 +403,11 @@ class CovSketch:
         }
         return _Layout(order, norms, sq_prefix, buckets)
 
-    def _unclipped(self) -> int:
-        """Number of columns with norm at most the clip radius."""
-        return int(np.searchsorted(self._layout().norms, self.clip_radius, side="right"))
+    def _kept(self, r: float) -> int:
+        """Number of columns that clipping at radius r leaves unchanged."""
+        if not r > 0:
+            raise ValueError("clip radius must be positive")
+        return int(np.searchsorted(self._layout().norms, r, side="right"))
 
     def _unit(self, tau: float) -> Gram:
         if not tau > 0:
@@ -443,7 +418,7 @@ class CovSketch:
         return self._cached(exponent - 1, lambda: Gram(self._unit_cov(tau), self.count))
 
     def _unit_cov(self, tau: float) -> np.ndarray:
-        if tau >= self._top:  # nothing is clipped
+        if tau >= self.max_norm:  # nothing is clipped
             return self.G / tau / tau
         # tau = m * 2^e with m in [0.5, 1): bucket s lies wholly at or below
         # tau when s <= e-2, wholly above it when 2^s >= tau

@@ -6,8 +6,8 @@ mechanism differ in.  ``GAUSSIAN`` (zCDP, budget rho) calibrates Gaussian
 noise to l2-sensitivities and bounds it with ``omega`` / ``upsilon`` /
 ``eta``; ``LAPLACE`` (pure DP, budget eps) calibrates Laplace noise to
 l1-sensitivities and bounds it with ``slw_frob_bound`` / ``slw_op_bound`` /
-``lap_vec_bound`` under its :class:`BoundConstants`.  A family also names
-its three mechanisms and holds the adaptive mechanism's budget split.
+``lap_vec_bound``.  A family also names its three mechanisms and holds the
+adaptive mechanism's budget split.
 
 Two bodies run on either family, over the covariance of data in the unit
 l2-ball.  Plain (``gauss_cov`` / ``lap_cov``): the covariance plus a
@@ -35,8 +35,6 @@ from typing import Callable
 import numpy as np
 
 from .bounds import (
-    DEFAULT_CONSTANTS,
-    BoundConstants,
     eta,
     lap_vec_bound,
     omega,
@@ -44,7 +42,7 @@ from .bounds import (
     slw_op_bound,
     upsilon,
 )
-from .linalg import CovSketch, Dataset, Gram, eig_sym, reconstruct
+from .linalg import _NORM_RTOL, CovSketch, Dataset, Gram, eig_sym, reconstruct
 from .privacy import PrivacyBudget, compose, gaussian_scale, laplace_scale
 from .randomness import (
     RandomStream,
@@ -69,8 +67,6 @@ __all__ = [
     "clip_mechanism",
     "zero_cov",
 ]
-
-_BALL_RTOL = 1e-9
 
 # (tr_hat, tau) -> (plain bound, separate bound); see NoiseFamily.noise_bounds
 NoiseBounds = Callable[[float, float], tuple[float, float]]
@@ -152,8 +148,6 @@ class _Gaussian(NoiseFamily):
 
 @dataclass(frozen=True)
 class _Laplace(NoiseFamily):
-    constants: BoundConstants = DEFAULT_CONSTANTS
-
     def matrix_noise(self, stream, d, n, value):
         return laplace_scale(math.sqrt(2.0) * d / n, self.budget(value)) * slw_matrix(stream, d)
 
@@ -168,10 +162,9 @@ class _Laplace(NoiseFamily):
         return value
 
     def noise_bounds(self, value, beta, d, n):
-        c = self.constants
-        frob = slw_frob_bound(d, beta, c)
-        op_noise = (2.0 * math.sqrt(2.0) * d / (value * n)) * slw_op_bound(d, beta / 2, c)
-        vec = lap_vec_bound(d, beta / 2, c)
+        frob = slw_frob_bound(d, beta)
+        op_noise = (2.0 * math.sqrt(2.0) * d / (value * n)) * slw_op_bound(d, beta / 2)
+        vec = lap_vec_bound(d, beta / 2)
 
         def bounds(tr_hat, tau):
             return (
@@ -227,7 +220,7 @@ class MechanismReport:
 
 def _ball_sketch(x: Dataset | CovSketch) -> CovSketch:
     sketch = CovSketch.of(x)
-    if sketch.max_norm > 1.0 + _BALL_RTOL:
+    if sketch.max_norm > 1.0 + _NORM_RTOL:
         raise ValueError(f"norms exceed 1 (max norm {sketch.max_norm})")
     return sketch
 

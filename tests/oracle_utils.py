@@ -8,6 +8,7 @@ a second, structurally different path.
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dpcov.adaptive import noise_hat, priv_radius, private_trace_ub
 from dpcov.datagen import SynthSpec, zipf_bin_counts
@@ -36,7 +37,7 @@ def bias_direct(norms, tau: float, n: int) -> float:
     return total / n
 
 
-def zero_noise_tau_oracle(x: Dataset, rho: float, beta: float, tau_cap: int = -4096):
+def zero_noise_tau_oracle(x: Dataset, rho: float, beta: float):
     """Exhaustive dyadic grid scan reproducing the zero-noise threshold
     selection: recompute the radius and trace stages with zero noise, then
     pick one dyadic step above the first grid point where the bias bound
@@ -52,7 +53,7 @@ def zero_noise_tau_oracle(x: Dataset, rho: float, beta: float, tau_cap: int = -4
     bounds = GAUSSIAN.noise_bounds(rho / 2, beta / 2, d, n)
 
     start = int(math.log2(r))
-    end = max(-d * n, tau_cap)
+    end = max(-d * n, -1020)
     if end > start:
         return r, float(r)
     exponents = list(range(start, end - 1, -1))
@@ -65,8 +66,37 @@ def zero_noise_tau_oracle(x: Dataset, rho: float, beta: float, tau_cap: int = -4
     # one dyadic step above the trigger, capped at r; without a trigger the
     # search bottoms out at the grid tail
     tau = math.ldexp(1.0, trigger + 1) if trigger is not None else math.ldexp(1.0, end)
-    tau = max(min(tau, r), math.ldexp(1.0, -1020))
-    return r, float(tau)
+    return r, float(min(tau, r))
+
+
+def dataset_from_norms(norms, d, seed):
+    """Random directions with exactly these target norms (0 gives a zero column)."""
+    rng = np.random.default_rng(seed)
+    cols = rng.standard_normal((d, len(norms)))
+    cols /= np.linalg.norm(cols, axis=0)
+    return Dataset(cols * np.asarray(norms, dtype=float))
+
+
+@st.composite
+def datasets(draw, subnormal=False):
+    """d x n data with norms spread over 2^-9..2^1, some zero, some exactly
+    2^k; with ``subnormal``, also some norms in 2^-1074..2^-1023."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 30))
+    kinds = ["spread", "spread", "dyadic", "zero"] + ["subnormal"] * subnormal
+    norms = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(kinds))
+        exponent = draw(st.integers(-9, 0))
+        if kind == "zero":
+            norms.append(0.0)
+        elif kind == "dyadic":
+            norms.append(math.ldexp(1.0, exponent))
+        elif kind == "subnormal":
+            norms.append(math.ldexp(1.0, draw(st.integers(-1074, -1023))))
+        else:
+            norms.append(math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), exponent + 1))
+    return dataset_from_norms(norms, d, draw(st.integers(0, 2**32 - 1)))
 
 
 def synth_oneshot(spec: SynthSpec) -> np.ndarray:

@@ -157,6 +157,21 @@ class TestNormHistogram:
         with pytest.raises(ValueError):
             NormHistogram(counts={-1: 5}, n=3)
 
+    def test_clips_unclipped_input(self):
+        # build_histogram(x, r) counts min(||x||, r); the Dataset path
+        # recomputes clipped norms, which may land an ulp either side of r,
+        # so the two agree outside the two buckets around r = 2^t
+        x = dataset_with_norms(np.linspace(0.003, 1.0, 300), d=6, seed=30)
+        for t in range(0, -10, -1):
+            r = math.ldexp(1.0, t)
+            got = build_histogram(x, r).counts
+            direct = build_histogram(clip_dataset(x, r)).counts
+            boundary = {t - 1, t}
+            assert {s: c for s, c in got.items() if s not in boundary} == {
+                s: c for s, c in direct.items() if s not in boundary
+            }
+            assert sum(got.values()) == sum(direct.values())
+
 
 class TestBiasHat:
     def test_no_mass_above_threshold(self):
@@ -313,10 +328,18 @@ class TestPrivateTrace:
         )
         assert misses <= (beta / 8) * 10_000
 
-    def test_unclipped_input_rejected(self):
-        x = dataset_with_norms([0.9], seed=15)
-        with pytest.raises(ValueError, match="unclipped"):
-            private_trace_ub(x, 0.5, zcdp(0.1), 0.05, RandomStream(0))
+    def test_clips_unclipped_input(self):
+        # the stage clips x to r itself: on unclipped data it gives what it
+        # gives on clip_dataset(x, r), below the r^2 cap
+        x = dataset_with_norms(np.linspace(0.01, 1.0, 200), seed=15)
+        zero = RandomStream(0, zero_noise=True)
+        for budget in (zcdp(50.0), pure(50.0)):
+            for t in range(0, -6, -1):
+                r = math.ldexp(1.0, t)
+                got = private_trace_ub(x, r, budget, 0.05, zero)
+                want = private_trace_ub(clip_dataset(x, r), r, budget, 0.05, zero)
+                assert got < r * r
+                assert abs(got - want) <= 1e-12 * want
 
 
 class TestDiffQuery:
@@ -467,11 +490,30 @@ class TestAdaptiveCov:
         assert rep.details["tau"] == 1.0
 
 
-    def test_nonnegative_tau_cap_rejected(self):
-        x = dataset_with_norms(np.linspace(0.1, 1.0, 16), seed=19)
-        for run in (adaptive_cov, adaptive_cov_pure):
-            with pytest.raises(ValueError, match="tau_cap_exponent"):
-                run(x, 0.5, 0.05, RandomStream(0), tau_cap_exponent=0)
+    def test_threshold_grid_stops_at_float_floor(self, monkeypatch):
+        # d*n = 1200 puts the nominal grid end at 2^-1200; with no query
+        # triggering, the search walks the whole grid, which must stop at
+        # 2^-1020, the smallest threshold it may return
+        evaluated = []
+        real_query = adaptive.threshold_query
+
+        def never_triggers(*args):
+            query = real_query(*args)
+
+            def recorded(t):
+                evaluated.append(t)
+                query(t)  # evaluated as in a real run, then hidden from the SVT
+                return -math.inf
+
+            return recorded
+
+        monkeypatch.setattr(adaptive, "threshold_query", never_triggers)
+        x = dataset_with_norms(np.full(600, 0.5), d=2, seed=27)
+        for run, budget in ((adaptive_cov, 0.5), (adaptive_cov_pure, 1.0)):
+            evaluated.clear()
+            rep = run(x, budget, 0.05, RandomStream(0, zero_noise=True))
+            assert min(evaluated) == -1020
+            assert rep.details["tau"] == 2.0**-1020
 
 
 class TestAdaptiveCovPure:

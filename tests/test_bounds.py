@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dpcov.bounds import (
-    BoundConstants,
     eta,
     lap_vec_bound,
     omega,
@@ -93,16 +92,6 @@ class TestLaplaceBounds:
     def test_monotone_in_d(self):
         values = [lap_vec_bound(d, 0.1) for d in (4, 16, 64, 256)]
         assert all(a < b for a, b in zip(values, values[1:]))
-
-    def test_constant_scales_log_term(self):
-        base = lap_vec_bound(64, 0.05, BoundConstants(1.0))
-        doubled = lap_vec_bound(64, 0.05, BoundConstants(2.0))
-        log_term = math.log(20) * math.log(64)
-        assert abs((doubled - base) - log_term) < 1e-12
-
-    def test_bad_constant_rejected(self):
-        with pytest.raises(ValueError):
-            BoundConstants(0.0)
 
     def test_vector_coverage(self):
         trials = 10_000

@@ -262,6 +262,15 @@ class TestClip:
         with pytest.raises(ValueError):
             clip_vector(np.ones(2), -0.1)
 
+    def test_underflowing_norm_is_clipped(self):
+        # the squares of these entries underflow, so a plain sum of squares
+        # gives a norm of 0 and would leave the vector unclipped
+        x = np.array([1e-310, 2e-309])
+        got = clip_vector(x, 1e-309)
+        assert abs(math.hypot(*got) - 1e-309) <= 1e-12 * 1e-309
+        want = clip_dataset(Dataset(x[:, None]), 1e-309).columns[:, 0]
+        assert np.array_equal(got, want)
+
     def test_dataset_clip_is_columnwise(self):
         x = random_ball_dataset(4, 9, scale=1.0)
         tau = 0.4

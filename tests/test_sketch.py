@@ -17,40 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import bucket_exponent
+from oracle_utils import bucket_exponent, dataset_from_norms, datasets
 
-from dpcov.adaptive import adaptive_cov, adaptive_cov_pure, build_histogram, private_trace_ub
+from dpcov.adaptive import adaptive_cov, adaptive_cov_pure, build_histogram
 from dpcov.datagen import SynthSpec, synth
 from dpcov.linalg import CovSketch, Dataset, clip_dataset, covariance, eig_sym, trace_stat
 from dpcov.mechanisms import clip_mechanism, gauss_cov, lap_cov, separate_cov, separate_cov_pure
 from dpcov.privacy import pure, zcdp
 from dpcov.randomness import RandomStream
-
-
-def dataset_from_norms(norms, d, seed):
-    """Random directions with exactly these target norms (0 gives a zero column)."""
-    rng = np.random.default_rng(seed)
-    cols = rng.standard_normal((d, len(norms)))
-    cols /= np.linalg.norm(cols, axis=0)
-    return Dataset(cols * np.asarray(norms, dtype=float))
-
-
-@st.composite
-def datasets(draw):
-    """d x n data with norms spread over 2^-9..2^1, some zero, some exactly 2^k."""
-    d = draw(st.integers(1, 5))
-    n = draw(st.integers(1, 30))
-    norms = []
-    for _ in range(n):
-        kind = draw(st.sampled_from(["spread", "spread", "dyadic", "zero"]))
-        exponent = draw(st.integers(-9, 0))
-        if kind == "zero":
-            norms.append(0.0)
-        elif kind == "dyadic":
-            norms.append(math.ldexp(1.0, exponent))
-        else:
-            norms.append(math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), exponent + 1))
-    return dataset_from_norms(norms, d, draw(st.integers(0, 2**32 - 1)))
 
 
 def occupied_buckets(x):
@@ -93,18 +67,18 @@ def check_against_dataset_path(x):
         tau = math.ldexp(1.0, t)
         clipped = clip_dataset(x, tau)
         want = covariance(clipped)
-        view = sketch.clip(tau)
-        assert rel_fro(view.gram().cov, want) <= 1e-12
         assert rel_fro(sketch.gram(tau).cov * tau * tau, want) <= 1e-12
-        assert np.array_equal(view.gram().cov, view.gram().cov.T)
-        assert abs(view.trace() - trace_stat(clipped)) <= 1e-12 * max(trace_stat(clipped), 1e-300)
+        assert np.array_equal(sketch.gram(tau).cov, sketch.gram(tau).cov.T)
+        tr = trace_stat(clipped)
+        assert abs(sketch.trace(tau) - tr) <= 1e-12 * max(tr, 1e-300)
         # clipped norms are min(||x||, tau) exactly
         exact = np.minimum(norms, tau)
-        assert view.max_norm == float(np.max(exact))
+        assert min(sketch.max_norm, tau) == float(np.max(exact))
         for j in range(0, 14):
             level = math.ldexp(1.0, -j)
-            assert view.count_above(level) == int(np.sum(exact > level))
-        hist = build_histogram(view).counts
+            above = sketch.count_above(level) if level < tau else 0
+            assert above == int(np.sum(exact > level))
+        hist = build_histogram(sketch, tau).counts
         assert hist == bucket_counts(exact)
         # the Dataset path recomputes clipped norms, which may land an ulp on
         # either side of tau; away from that boundary the counts agree
@@ -129,14 +103,6 @@ class TestEquivalence:
         want = covariance(clip_dataset(x, tau))
         got = CovSketch(x).gram(tau).cov * tau * tau
         assert rel_fro(got, want) <= 1e-12
-
-    @settings(max_examples=40, deadline=None)
-    @given(datasets(), st.integers(-9, 0), st.integers(-12, 0))
-    def test_clipped_view_at_any_threshold(self, x, r_exp, t_exp):
-        r, tau = math.ldexp(1.0, r_exp), math.ldexp(1.0, t_exp)
-        twice = clip_dataset(clip_dataset(x, r), tau)
-        want = covariance(twice) / (tau * tau)
-        assert rel_fro(CovSketch(x).clip(r).gram(tau).cov, want) <= 1e-12
 
     def test_synthetic_workload_shape(self):
         x = synth(SynthSpec(n=3000, d=12, bins=4, seed=3))
@@ -169,9 +135,8 @@ class TestDegenerate:
         assert set(x.norms()) == {1.0, 0.5, 0.125, 2.0**-6}
         check_against_dataset_path(x)
         # a norm equal to the threshold is not clipped and sits in the bucket below it
-        view = CovSketch(x).clip(0.5)
-        assert view.count_above(0.25) == 3
-        assert build_histogram(view).counts == {-2: 3, -4: 1, -7: 2}
+        assert CovSketch(x).count_above(0.25) == 3
+        assert build_histogram(x, 0.5).counts == {-2: 3, -4: 1, -7: 2}
 
     def test_underflowing_norms(self):
         # squares of these entries underflow, so a plain sum of squares gives
@@ -217,22 +182,12 @@ class TestMechanismsOnSketch:
         assert sketch.gram().spectrum() is first
         assert np.max(np.abs(first - eig_sym(covariance(x)).values)) <= 1e-14
         clipped = sketch.gram(0.25)
-        assert sketch.clip(0.5).gram(0.25) is clipped  # shared across views
+        assert sketch.gram(0.25) is clipped
 
     def test_ball_check_reads_clipped_norms(self):
         x = Dataset(2.0 * np.eye(3))
         with pytest.raises(ValueError, match="norms exceed 1"):
             gauss_cov(CovSketch(x), 1.0, RandomStream(0))
-        clipped = CovSketch(x).clip(1.0)
-        got = gauss_cov(clipped, 1.0, RandomStream(0, zero_noise=True)).estimate
-        assert np.array_equal(got, covariance(clip_dataset(x, 1.0)))
-
-    def test_trace_rejects_unclipped_sketch(self):
-        x = dataset_from_norms([0.9, 0.1], d=2, seed=5)
-        with pytest.raises(ValueError, match="unclipped"):
-            private_trace_ub(CovSketch(x), 0.5, zcdp(0.1), 0.05, RandomStream(0))
-        # the clipped view passes the same check
-        private_trace_ub(CovSketch(x).clip(0.5), 0.5, zcdp(0.1), 0.05, RandomStream(0))
 
     def test_bucket_grams_never_copy_the_data(self):
         d, n = 32, 40_000
@@ -279,8 +234,8 @@ class TestSharedAcrossThreads:
 
 class TestTinyRadiusRegression:
     """The private radius can land far below every norm (2^-525 here); the
-    clipped norms are then min(||x||, r) = r exactly, not recomputed norms
-    that overshoot r and trip the unclipped-input check."""
+    stages clip to it themselves, so the clipped norms are min(||x||, r) = r
+    exactly, not recomputed norms that overshoot r."""
 
     def test_reported_stream(self):
         x = synth(SynthSpec(n=256, d=8, bins=4, seed=5))
