@@ -9,10 +9,8 @@ and pure-DP flavours, with a reproducible benchmark harness and CLI on top.
 """
 
 from .adaptive import (
-    NormHistogram,
     adaptive_cov,
     adaptive_cov_pure,
-    bias_hat,
     build_histogram,
     noise_hat,
     priv_radius,
@@ -28,14 +26,13 @@ from .bounds import (
     slw_op_bound,
     upsilon,
 )
-from .datagen import SynthSpec, load_csv, rescale_radius, save_csv, synth
+from .datagen import SynthSpec, load_csv, rescale_radius, synth
 from .harness import ExperimentPlan, ResultRow, SummaryRow, run_plan, summarize, write_results
 from .linalg import (
     CovSketch,
     Dataset,
     EigenDecomp,
     clip_dataset,
-    clip_vector,
     covariance,
     eig_sym,
     frobenius_dist,
@@ -61,7 +58,6 @@ from .privacy import (
     gaussian_scale,
     laplace_scale,
     pure,
-    pure_to_zcdp,
     zcdp,
     zcdp_to_approx,
 )

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable
 
@@ -47,11 +46,9 @@ from .privacy import PrivacyBudget
 from .randomness import RandomStream, laplace_scalar
 
 __all__ = [
-    "NormHistogram",
     "svt",
     "priv_radius",
     "build_histogram",
-    "bias_hat",
     "noise_hat",
     "private_trace_ub",
     "threshold_query",
@@ -74,39 +71,6 @@ def _pow2_exponent(value: float) -> int:
     if mantissa != 0.5:
         raise ValueError(f"{value} is not a power of two")
     return exp - 1
-
-
-@dataclass(frozen=True)
-class NormHistogram:
-    """Dyadic counts of column norms: bucket s holds norms in (2^s, 2^(s+1)].
-
-    Zero-norm columns belong to no bucket.  Suffix sums over the sub-unit
-    buckets (s < 0) are precomputed so each bias query costs O(log #buckets).
-    """
-
-    counts: dict[int, int]
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("histogram needs a positive dataset size")
-        total = sum(self.counts.values())
-        if total > self.n or any(c < 0 for c in self.counts.values()):
-            raise ValueError("bucket counts must be nonnegative and sum to at most n")
-        neg = sorted(s for s in self.counts if s < 0)
-        weights = (self.counts[s] * math.ldexp(1.0, 2 * s + 2) for s in reversed(neg))
-        tallies = (self.counts[s] for s in reversed(neg))
-        object.__setattr__(self, "_neg_buckets", neg)
-        object.__setattr__(self, "_suffix_weight", list(accumulate(weights, initial=0.0))[::-1])
-        object.__setattr__(self, "_suffix_count", list(accumulate(tallies, initial=0))[::-1])
-
-    def bias_upper_bound_exp(self, t: int) -> float:
-        """Bias bound at threshold 2**t, computed in exponent space so the
-        grid may extend below the float64 underflow point."""
-        idx = bisect_left(self._neg_buckets, t)
-        tau_sq = math.ldexp(1.0, 2 * t)  # 0.0 on underflow; bound only loosens
-        raw = self._suffix_weight[idx] - tau_sq * self._suffix_count[idx]
-        return max(0.0, raw / self.n)
 
 
 def svt(
@@ -160,24 +124,11 @@ def priv_radius(
     return b
 
 
-def build_histogram(x: Dataset | CovSketch, r: float = math.inf) -> NormHistogram:
-    """Dyadic histogram of the column norms of a dataset clipped to radius r,
-    min(||X_i||, r)."""
-    sketch = CovSketch.of(x)
-    return NormHistogram(counts=sketch.histogram(r), n=sketch.count)
-
-
-def bias_hat(h: NormHistogram, tau: float) -> float:
-    """Upper bound on the clipping bias at a dyadic threshold tau = 2^t:
-
-        (1/n) * sum_{t <= s < 0} Count_s * (2^(2s+2) - tau^2)
-
-    Nonnegative, nonincreasing in tau, and at most twice the tau-tail.
-    """
-    t = _pow2_exponent(tau)
-    if t > 0:
-        raise ValueError("tau must lie in (0, 1]")
-    return h.bias_upper_bound_exp(t)
+def build_histogram(x: Dataset | CovSketch, r: float = math.inf) -> dict[int, int]:
+    """Dyadic counts of the column norms of a dataset clipped to radius r,
+    min(||X_i||, r): bucket s holds the norms in (2^s, 2^(s+1)]; zero norms
+    are in no bucket."""
+    return CovSketch.of(x).histogram(r)
 
 
 def noise_hat(bounds: NoiseBounds, tr_hat: float, tau: float) -> float:
@@ -217,15 +168,18 @@ def private_trace_ub(
 
 
 def threshold_query(
-    bounds: NoiseBounds, h: NormHistogram, tr_hat: float, r_tilde: float, n: int
+    bounds: NoiseBounds, counts: dict[int, int], tr_hat: float, r_tilde: float, n: int
 ) -> Callable[[int], float]:
     """The threshold SVT's query at tau = 2^t, as a function of t:
 
-        (n / (4 r^2)) * (bias_hat(h, tau) - noise_hat(bounds, tr_hat, tau))
+        (n / (4 r^2)) * (bias - noise_hat(bounds, tr_hat, tau)),
+        bias = (1/n) * sum_{t <= s < log2 r} Count_s * (2^(2s+2) - tau^2),
 
-    for a private radius r > 0.  On r-clipped data one column change moves
-    n*bias_hat by at most 4*r^2, so the normalization caps the sensitivity at
-    1.  Nondecreasing as tau walks down the dyadic grid.
+    for a private radius r > 0 and the dyadic counts of the r-clipped norms
+    (:func:`build_histogram`).  bias bounds the clipping bias at tau from
+    above.  A column adds at most 2^(2s+2) <= 4 r^2 to n*bias, so one column
+    change moves it by at most 4 r^2 and the normalization caps the
+    sensitivity at 1.  Nondecreasing as tau walks down the dyadic grid.
 
     Bias and noise are evaluated in units of r, at tau/r and tr_hat/r^2,
     times n/4.  r is a power of two, so this equals the direct form wherever
@@ -233,12 +187,20 @@ def threshold_query(
     overflows (r below about 2^-512).
     """
     unit = _pow2_exponent(r_tilde)
-    h = NormHistogram({s - unit: c for s, c in h.counts.items()}, h.n)
+    # sub-unit buckets in units of r, with suffix sums of their bias weights
+    neg = sorted(s - unit for s in counts if s < unit)
+    weights = (counts[s + unit] * math.ldexp(1.0, 2 * s + 2) for s in reversed(neg))
+    tallies = (counts[s + unit] for s in reversed(neg))
+    suffix_weight = list(accumulate(weights, initial=0.0))[::-1]
+    suffix_count = list(accumulate(tallies, initial=0))[::-1]
     tr_unit = math.ldexp(tr_hat, -2 * unit)
 
     def query(t: int) -> float:
-        tau = math.ldexp(1.0, t - unit)
-        return n / 4.0 * (h.bias_upper_bound_exp(t - unit) - noise_hat(bounds, tr_unit, tau))
+        s = t - unit
+        idx = bisect_left(neg, s)
+        tau_sq = math.ldexp(1.0, 2 * s)  # 0.0 on underflow; the bound only loosens
+        bias = max(0.0, (suffix_weight[idx] - tau_sq * suffix_count[idx]) / n)
+        return n / 4.0 * (bias - noise_hat(bounds, tr_unit, math.ldexp(1.0, s)))
 
     return query
 

@@ -21,7 +21,7 @@ import numpy as np
 from .linalg import _CHUNK_ROWS, Dataset, _blocks, column_norms, radius
 from .randomness import RandomStream
 
-__all__ = ["SynthSpec", "synth", "zipf_bin_counts", "rescale_radius", "load_csv", "save_csv"]
+__all__ = ["SynthSpec", "synth", "zipf_bin_counts", "rescale_radius", "load_csv"]
 
 
 @dataclass(frozen=True)
@@ -147,13 +147,3 @@ def load_csv(path: str | Path) -> Dataset:
             )
         rows.append(parse_row(raw[i], i + 1))
     return Dataset(np.asarray(rows, dtype=float).T)
-
-
-def save_csv(x: Dataset, path: str | Path):
-    """Write a dataset as rows of 17-significant-digit floats; a round trip
-    through :func:`load_csv` is exact."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in x.columns.T:
-            writer.writerow([format(v, ".17g") for v in row])

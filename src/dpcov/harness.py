@@ -31,7 +31,6 @@ from .mechanisms import (
     GAUSSIAN,
     LAPLACE,
     ZERO,
-    MechanismReport,
     gauss_cov,
     lap_cov,
     separate_cov,
@@ -193,12 +192,6 @@ def _materialize(plan: ExperimentPlan, config: _Config) -> Dataset:
     return rescale_radius(load_csv(plan.csv_path))
 
 
-def _run_mechanism(
-    name: str, x: CovSketch, budget: PrivacyBudget, plan: ExperimentPlan, stream: RandomStream
-) -> MechanismReport:
-    return MECHANISMS[name][1](x, budget.value, plan, stream)
-
-
 def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
     """Execute the plan and return per-repetition rows plus a summary."""
     configs = _expand_configs(plan)
@@ -211,7 +204,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
             f"run/{config.index}/{mech}/{rep}"
         )
         started = time.perf_counter()
-        report = _run_mechanism(mech, x, config.budget, plan, stream)
+        report = MECHANISMS[mech][1](x, config.budget.value, plan, stream)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         if not np.all(np.isfinite(report.estimate)):
             raise NumericalFailure(f"non-finite estimate from {mech!r}")
@@ -289,6 +282,7 @@ def write_results(
     sidecar; returns the metadata.  All three are deterministic functions of
     the plan and master seed."""
     out_path = Path(out_path)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     # wall-clock times stay out of the file, which must be rerun-stable
     result_fields = [f.name for f in dataclasses.fields(ResultRow) if f.name != "elapsed_ms"]
     _write_csv(out_path, rows, result_fields)
@@ -305,8 +299,10 @@ def write_results(
         "zero_noise": plan.zero_noise,
         "sweep_axis": plan.sweep_axis,
         "sweep_values": list(plan.sweep_values) if plan.sweep_values else None,
-        # seeds reproduce the same bytes only under the same numpy
+        # seeds reproduce the same bytes only under the same numpy and BLAS
+        # (synthetic data depends on the BLAS's rounding of Z U)
         "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
         "python": platform.python_version(),
     }
     if plan.budget.kind == "zcdp":

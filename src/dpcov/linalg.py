@@ -26,7 +26,6 @@ __all__ = [
     "eig_sym",
     "reconstruct",
     "frobenius_dist",
-    "clip_vector",
     "clip_dataset",
     "trace_stat",
     "tail_gamma",
@@ -165,22 +164,18 @@ def _check_square_symmetric(a: np.ndarray) -> np.ndarray:
 
 
 def eig_sym(a: np.ndarray) -> EigenDecomp:
-    """Eigendecomposition of a symmetric matrix with deterministic output.
+    """Eigendecomposition of a symmetric matrix, eigenvalues in descending
+    order: ``np.linalg.eigh``'s output reversed.
 
-    Eigenvalues are returned in descending order.  Each eigenvector's sign is
-    fixed so that its largest-magnitude component is positive, which makes the
-    decomposition a deterministic function of the input (up to eigenvalue
-    degeneracy, where any orthonormal basis of the eigenspace is valid).
+    The basis is a deterministic function of the input (LAPACK's), but no
+    sign convention is imposed on its columns.  :func:`reconstruct` does not
+    need one: flipping a column's sign flips both factors of its term.
     """
     a = _check_square_symmetric(a)
     vals, vecs = np.linalg.eigh(a)
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    pick = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[pick, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    return EigenDecomp(basis=vecs * signs, values=vals)
+    # column-major: the BLAS rounds reconstruct's product by memory layout,
+    # and this layout keeps the separate mechanisms' results bit-stable
+    return EigenDecomp(basis=np.asfortranarray(vecs[:, ::-1]), values=vals[::-1])
 
 
 def reconstruct(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -202,22 +197,11 @@ def frobenius_dist(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def clip_vector(x: np.ndarray, tau: float) -> np.ndarray:
-    """Rescale x onto the radius-tau ball: min(1, tau/||x||) * x.
-
-    tau = 0 sends every vector to the origin; the zero vector maps to itself.
-    """
-    if tau < 0:
-        raise ValueError("clip threshold must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    norm = float(column_norms(x[:, None])[0])
-    if norm <= tau:
-        return x.copy()
-    return x * (tau / norm)
-
-
 def clip_dataset(x: Dataset, tau: float) -> Dataset:
-    """Column-wise :func:`clip_vector`."""
+    """Rescale each column onto the radius-tau ball: min(1, tau/||x||) * x.
+
+    tau = 0 sends every column to the origin; zero columns map to themselves.
+    """
     if tau < 0:
         raise ValueError("clip threshold must be nonnegative")
     norms = x.norms()

@@ -15,7 +15,6 @@ __all__ = [
     "PrivacyBudget",
     "zcdp",
     "pure",
-    "pure_to_zcdp",
     "zcdp_to_approx",
     "compose",
     "gaussian_scale",
@@ -37,12 +36,6 @@ class PrivacyBudget:
         if not (self.value > 0 and math.isfinite(self.value)):
             raise ValueError("budget value must be positive and finite")
 
-    def split(self, fraction: float) -> "PrivacyBudget":
-        """A sub-budget holding the given fraction of this one."""
-        if not 0 < fraction < 1:
-            raise ValueError("fraction must lie in (0, 1)")
-        return PrivacyBudget(self.kind, self.value * fraction)
-
 
 def zcdp(rho: float) -> PrivacyBudget:
     return PrivacyBudget("zcdp", rho)
@@ -50,13 +43,6 @@ def zcdp(rho: float) -> PrivacyBudget:
 
 def pure(eps: float) -> PrivacyBudget:
     return PrivacyBudget("pure", eps)
-
-
-def pure_to_zcdp(eps: float) -> float:
-    """rho implied by eps-DP: eps^2 / 2."""
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    return eps * eps / 2.0
 
 
 def zcdp_to_approx(rho: float, delta: float) -> float:

@@ -5,17 +5,51 @@ loops, direct formula transcriptions) so the package code is checked against
 a second, structurally different path.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
 from dpcov.adaptive import noise_hat, priv_radius, private_trace_ub
 from dpcov.datagen import SynthSpec, zipf_bin_counts
-from dpcov.linalg import Dataset, EigenDecomp, clip_dataset, covariance, eig_sym
+from dpcov.linalg import Dataset, EigenDecomp, clip_dataset, column_norms, covariance, eig_sym
 from dpcov.mechanisms import GAUSSIAN
 from dpcov.privacy import zcdp
 from dpcov.randomness import RandomStream
+
+
+def clip_vector(x: np.ndarray, tau: float) -> np.ndarray:
+    """Rescale one vector onto the radius-tau ball, min(1, tau/||x||) * x:
+    the per-vector oracle of ``clip_dataset``.
+
+    tau = 0 sends every vector to the origin; the zero vector maps to itself.
+    """
+    if tau < 0:
+        raise ValueError("clip threshold must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    norm = float(column_norms(x[:, None])[0])
+    if norm <= tau:
+        return x.copy()
+    return x * (tau / norm)
+
+
+def pure_to_zcdp(eps: float) -> float:
+    """rho implied by eps-DP: eps^2 / 2."""
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
+    return eps * eps / 2.0
+
+
+def save_csv(x: Dataset, path: str | Path):
+    """Write a dataset as rows of 17-significant-digit floats; a round trip
+    through ``load_csv`` is exact."""
+    path = Path(path)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in x.columns.T:
+            writer.writerow([format(v, ".17g") for v in row])
 
 
 def bucket_exponent(norm: float) -> int:

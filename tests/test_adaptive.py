@@ -8,16 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracle_utils import bias_direct, skewed_dataset, zero_noise_tau_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracle_utils import bias_direct, datasets, skewed_dataset, zero_noise_tau_oracle
 
 import dpcov
 import dpcov.adaptive as adaptive
 import dpcov.mechanisms as mechanisms
 from dpcov.adaptive import (
-    NormHistogram,
     adaptive_cov,
     adaptive_cov_pure,
-    bias_hat,
     build_histogram,
     noise_hat,
     priv_radius,
@@ -132,16 +133,14 @@ class TestPrivRadius:
 
 class TestNormHistogram:
     def test_all_zero_data(self):
-        assert build_histogram(Dataset(np.zeros((2, 7)))).counts == {}
+        assert build_histogram(Dataset(np.zeros((2, 7)))) == {}
 
     def test_interval_membership(self):
-        h = build_histogram(dataset_with_norms([0.3, 0.6]))
-        assert h.counts == {-2: 1, -1: 1}
+        assert build_histogram(dataset_with_norms([0.3, 0.6])) == {-2: 1, -1: 1}
 
     def test_boundary_goes_to_lower_bucket(self):
         # 0.5 sits in (1/4, 1/2], i.e. bucket -2
-        h = build_histogram(dataset_with_norms([0.5, 1.0]))
-        assert h.counts == {-2: 1, -1: 1}
+        assert build_histogram(dataset_with_norms([0.5, 1.0])) == {-2: 1, -1: 1}
 
     def test_neighbor_mass_moves_by_one(self):
         norms = np.linspace(0.05, 1.0, 30)
@@ -150,12 +149,14 @@ class TestNormHistogram:
         primed_cols[:, 4] *= 0.01
         h = build_histogram(x)
         h2 = build_histogram(Dataset(primed_cols))
-        diff = sum(abs(h.counts.get(s, 0) - h2.counts.get(s, 0)) for s in set(h.counts) | set(h2.counts))
+        diff = sum(abs(h.get(s, 0) - h2.get(s, 0)) for s in set(h) | set(h2))
         assert diff <= 2  # one column leaves a bucket, at most one enters
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            NormHistogram(counts={-1: 5}, n=3)
+        x = dataset_with_norms([0.5])
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                build_histogram(x, bad)
 
     def test_clips_unclipped_input(self):
         # build_histogram(x, r) counts min(||x||, r); the Dataset path
@@ -164,8 +165,8 @@ class TestNormHistogram:
         x = dataset_with_norms(np.linspace(0.003, 1.0, 300), d=6, seed=30)
         for t in range(0, -10, -1):
             r = math.ldexp(1.0, t)
-            got = build_histogram(x, r).counts
-            direct = build_histogram(clip_dataset(x, r)).counts
+            got = build_histogram(x, r)
+            direct = build_histogram(clip_dataset(x, r))
             boundary = {t - 1, t}
             assert {s: c for s, c in got.items() if s not in boundary} == {
                 s: c for s, c in direct.items() if s not in boundary
@@ -173,55 +174,79 @@ class TestNormHistogram:
             assert sum(got.values()) == sum(direct.values())
 
 
+def zero_noise_bounds(tr_hat, tau):
+    return (0.0, 0.0)
+
+
+def bias_bound(x, tau):
+    """The bias term of the threshold query at a dyadic tau <= 1: the query
+    at r = 1 with zero noise bounds, over n/4."""
+    query = threshold_query(zero_noise_bounds, build_histogram(x), 0.0, 1.0, x.count)
+    return query(int(math.log2(tau))) * 4.0 / x.count
+
+
 class TestBiasHat:
+    """The clipping-bias bound inside threshold_query,
+
+        (1/n) * sum_{t <= s < 0} Count_s * (2^(2s+2) - tau^2)  at tau = 2^t,
+
+    read through bias_bound."""
+
     def test_no_mass_above_threshold(self):
-        h = build_histogram(dataset_with_norms([0.1, 0.2]))
-        assert bias_hat(h, 0.25) == 0.0
+        assert bias_bound(dataset_with_norms([0.1, 0.2]), 0.25) == 0.0
 
     def test_single_vector_formula(self):
-        h = build_histogram(dataset_with_norms([0.6]))
-        assert abs(bias_hat(h, 0.5) - 0.75) < 1e-15
+        assert abs(bias_bound(dataset_with_norms([0.6]), 0.5) - 0.75) < 1e-15
 
     def test_tau_one_always_zero(self):
-        h = build_histogram(dataset_with_norms(np.linspace(0.1, 1.0, 9)))
-        assert bias_hat(h, 1.0) == 0.0
+        assert bias_bound(dataset_with_norms(np.linspace(0.1, 1.0, 9)), 1.0) == 0.0
 
     def test_matches_per_vector_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             norms = rng.uniform(0.0, 1.0, size=rng.integers(1, 40))
             x = dataset_with_norms(norms, seed=int(rng.integers(1 << 31)))
-            h = build_histogram(x)
             t = int(rng.integers(-12, 1))
             tau = math.ldexp(1.0, t)
-            assert abs(bias_hat(h, tau) - bias_direct(x.norms(), tau, x.count)) < 1e-12
+            assert abs(bias_bound(x, tau) - bias_direct(x.norms(), tau, x.count)) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(datasets(subnormal=True), st.integers(0, 600))
+    def test_matches_oracle_in_units_of_tiny_radius(self, x, k):
+        # at r = 2^-k, on norms down to 2^-1074, the zero-noise query is n/4
+        # times the bias bound of the r-clipped norms measured in units of r
+        r, n = math.ldexp(1.0, -k), x.count
+        query = threshold_query(zero_noise_bounds, build_histogram(x, r), 0.0, r, n)
+        in_units = np.minimum(x.norms(), r) / r
+        for t in range(-k, -k - 40, -1):
+            want = n / 4.0 * bias_direct(in_units, math.ldexp(1.0, t + k), n)
+            assert abs(query(t) - want) <= 1e-12 * n
 
     def test_sandwiched_between_true_bias_and_tail(self):
-        # bias_hat must dominate the actual covariance shift from clipping
-        # and stay within 4x the tau-tail (a vector just above a bucket edge
-        # 2^s contributes 2^(2s+2), i.e. up to 4x its squared norm)
+        # the bias bound must dominate the actual covariance shift from
+        # clipping and stay within 4x the tau-tail (a vector just above a
+        # bucket edge 2^s contributes 2^(2s+2), i.e. up to 4x its squared norm)
         rng = np.random.default_rng(8)
         for _ in range(100):
             norms = rng.uniform(0.0, 1.0, size=30)
             x = dataset_with_norms(norms, seed=int(rng.integers(1 << 31)))
-            h = build_histogram(x)
             for t in range(-8, 1):
                 tau = math.ldexp(1.0, t)
                 actual = frobenius_dist(covariance(x), covariance(clip_dataset(x, tau)))
-                assert actual <= bias_hat(h, tau) + 1e-12
-                assert bias_hat(h, tau) <= 4.0 * tail_gamma(x, tau) + 1e-12
+                assert actual <= bias_bound(x, tau) + 1e-12
+                assert bias_bound(x, tau) <= 4.0 * tail_gamma(x, tau) + 1e-12
 
     def test_nonincreasing_in_tau(self):
-        h = build_histogram(dataset_with_norms(np.linspace(0.02, 1.0, 50), seed=9))
-        values = [bias_hat(h, math.ldexp(1.0, t)) for t in range(-16, 1)]
+        x = dataset_with_norms(np.linspace(0.02, 1.0, 50), seed=9)
+        values = [bias_bound(x, math.ldexp(1.0, t)) for t in range(-16, 1)]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_non_dyadic_tau_rejected(self):
-        h = build_histogram(dataset_with_norms([0.5]))
-        with pytest.raises(ValueError):
-            bias_hat(h, 0.3)
-        with pytest.raises(ValueError):
-            bias_hat(h, 2.0)
+        # the grid is dyadic in units of r, so r must be a power of two
+        counts = build_histogram(dataset_with_norms([0.5]))
+        for bad in (0.3, 0.0, -0.5, math.inf):
+            with pytest.raises(ValueError):
+                threshold_query(zero_noise_bounds, counts, 0.0, bad, 1)
 
 
 class TestNoiseBounds:
@@ -343,7 +368,7 @@ class TestPrivateTrace:
 
 
 class TestDiffQuery:
-    """The threshold SVT's query, threshold_query(bounds, h, tr_hat, r, n)(t)
+    """The threshold SVT's query, threshold_query(bounds, counts, tr_hat, r, n)(t)
     at tau = 2^t."""
 
     def test_negative_when_no_bias(self):
@@ -392,7 +417,7 @@ class TestDiffQuery:
         k, n = 530, 50
         norms = np.linspace(0.01, 0.5, n)
         h = build_histogram(Dataset(norms.reshape(1, -1)))
-        h_tiny = NormHistogram({s - k: c for s, c in h.counts.items()}, n)
+        h_tiny = {s - k: c for s, c in h.items()}
         for family in FAMILIES.values():
             bounds = family.noise_bounds(0.1, 0.05, 4, n)
             query = threshold_query(bounds, h, 0.125, 0.5, n)

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle_utils import synth_oneshot
+from oracle_utils import save_csv, synth_oneshot
 
 import dpcov.datagen
 import dpcov.linalg
-from dpcov.datagen import SynthSpec, load_csv, rescale_radius, save_csv, synth, zipf_bin_counts
+from dpcov.datagen import SynthSpec, load_csv, rescale_radius, synth, zipf_bin_counts
 from dpcov.linalg import _CHUNK_ROWS, CovSketch, Dataset, clip_dataset, radius, trace_stat
 
 

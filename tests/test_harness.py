@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from oracle_utils import save_csv
+
 from dpcov.cli import main
-from dpcov.datagen import SynthSpec, save_csv, synth
+from dpcov.datagen import SynthSpec, synth
 from dpcov.harness import (
     MECHANISMS,
     ExperimentPlan,
@@ -155,16 +157,16 @@ class TestNumericalFailure:
         import dpcov.harness as harness
         from dpcov.mechanisms import MechanismReport
 
-        def poisoned(name, x, budget, plan, stream):
+        def poisoned(x, value, plan, stream):
             rep = object.__new__(MechanismReport)
             object.__setattr__(rep, "estimate", np.full((x.dim, x.dim), np.nan))
-            object.__setattr__(rep, "budget_spent", budget)
+            object.__setattr__(rep, "budget_spent", plan.budget)
             object.__setattr__(rep, "variant", "gauss")
             object.__setattr__(rep, "clip_threshold", None)
             object.__setattr__(rep, "details", None)
             return rep
 
-        monkeypatch.setattr(harness, "_run_mechanism", poisoned)
+        monkeypatch.setitem(harness.MECHANISMS, "gauss", ("zcdp", poisoned))
         code = main(["run", "--mechanism", "gauss", "--synthetic", "n=10,d=2", "--rho", "1"])
         assert code == 3
 
@@ -211,9 +213,15 @@ class TestOutputFiles:
         plan = small_plan(repetitions=1)
         rows, summaries = run_plan(plan)
         write_results(rows, summaries, plan, tmp_path / "out.csv")
-        meta = json.loads((tmp_path / "out.meta.json").read_text())
+        meta_path = tmp_path / "out.meta.json"
+        meta = json.loads(meta_path.read_text())
         assert meta["numpy"] == np.__version__
         assert meta["python"] == platform.python_version()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert meta["blas"] == {"name": blas["name"], "version": blas["version"]}
+        first = meta_path.read_bytes()
+        write_results(*run_plan(plan), plan, tmp_path / "out.csv")
+        assert meta_path.read_bytes() == first
 
     def test_float_cells_round_trip(self, tmp_path):
         plan = small_plan(repetitions=2)

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracle_utils import jacobi_eig_sym
+from oracle_utils import clip_vector, jacobi_eig_sym
 
 from dpcov.linalg import (
     _CHUNK_COLUMNS,
     Dataset,
     clip_dataset,
     column_norms,
-    clip_vector,
     covariance,
     eig_sym,
     frobenius_dist,
@@ -146,9 +145,10 @@ class TestEigSym:
     def test_exchange_matrix(self):
         dec = eig_sym(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(dec.values, [1.0, -1.0])
+        # no sign convention: each column is its eigenvector up to sign
         r = 1.0 / math.sqrt(2.0)
-        assert np.allclose(dec.basis[:, 0], [r, r])
-        assert np.allclose(dec.basis[:, 1], [r, -r])
+        assert np.allclose(abs(dec.basis[:, 0] @ [r, r]), 1.0)
+        assert np.allclose(abs(dec.basis[:, 1] @ [r, -r]), 1.0)
 
     def test_reconstruction_and_orthonormality(self):
         a = RNG.standard_normal((8, 8))
@@ -163,14 +163,24 @@ class TestEigSym:
         vals = eig_sym(a).values
         assert np.all(np.diff(vals) <= 0)
 
-    def test_sign_convention_is_deterministic(self):
+    def test_deterministic(self):
         a = RNG.standard_normal((6, 6))
         a = (a + a.T) / 2
         dec = eig_sym(a)
-        peaks = np.abs(dec.basis).argmax(axis=0)
-        assert np.all(dec.basis[peaks, np.arange(6)] > 0)
         again = eig_sym(a.copy())
         assert np.array_equal(dec.basis, again.basis)
+        assert np.array_equal(dec.values, again.values)
+
+    def test_reconstruction_ignores_column_signs(self):
+        # reconstruct is exactly sign-invariant, so eig_sym needs no sign
+        # convention for the separate mechanisms to be deterministic
+        a = RNG.standard_normal((40, 40))
+        a = (a + a.T) / 2
+        dec = eig_sym(a)
+        values = RNG.standard_normal(40)
+        signs = np.where(RNG.random(40) < 0.5, -1.0, 1.0)
+        flipped = np.asfortranarray(dec.basis * signs)
+        assert np.array_equal(reconstruct(flipped, values), reconstruct(dec.basis, values))
 
     def test_non_finite_rejected(self):
         bad = np.array([[1.0, np.inf], [np.inf, 1.0]])

@@ -287,6 +287,42 @@ class TestSensitivityProbe:
             assert probe["lambda_l1"] <= 2.0 / n + slack
 
 
+class TestPureCalibrationMargin:
+    """lap_cov adds Laplace noise to the upper triangle of the covariance,
+    calibrated to an l1 sensitivity of sqrt(2)*d/n.  For d = 1..4 these are
+    the neighbouring columns x, y that maximise the upper-triangle l1 norm
+    of x x^T - y y^T, found by Nelder-Mead from random starts in the unit
+    ball: sqrt(1), sqrt(5), sqrt(33)/2 and sqrt(13), against calibrations
+    of 1.41, 2.83, 4.24 and 5.66."""
+
+    WORST = {
+        1: ([1.0], [0.0], 1.0),
+        2: ([0.229752921, -0.973248989], [0.973248989, 0.229752921], math.sqrt(5)),
+        3: (
+            [-0.18000814, -0.18000814, -0.967054362],
+            [-0.683810698, -0.683810698, 0.254569946],
+            math.sqrt(33) / 2,
+        ),
+        4: (
+            [0.676766262, -0.204908335, 0.676766262, -0.204908335],
+            [0.204908335, 0.676766262, 0.204908335, 0.676766262],
+            math.sqrt(13),
+        ),
+    }
+
+    @pytest.mark.parametrize("d", sorted(WORST))
+    def test_worst_pair_within_calibration(self, d):
+        *pair, found = self.WORST[d]
+        x, y = (np.asarray(v) / max(np.linalg.norm(v), 1.0) for v in pair)
+        n = 5
+        rest = ball_dataset(d, n - 1, seed=40 + d).columns
+        ds = [Dataset(np.column_stack([v, rest]), ball_constrained=True) for v in (x, y)]
+        diff = covariance(ds[0]) - covariance(ds[1])
+        upper_l1 = float(np.sum(np.abs(diff[np.triu_indices(d)])))
+        assert abs(upper_l1 * n - found) <= 1e-6
+        assert upper_l1 <= math.sqrt(2) * d / n
+
+
 class TestReportValidation:
     def test_asymmetric_estimate_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
