@@ -87,10 +87,10 @@ def svt(
     Queries are consumed lazily; nothing beyond the returned index is
     evaluated.
     """
-    if sensitivity <= 0:
-        raise ValueError("sensitivity must be positive")
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (sensitivity > 0 and math.isfinite(sensitivity)):
+        raise ValueError("sensitivity must be positive and finite")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError("epsilon must be positive and finite")
     noisy_threshold = threshold + laplace_scalar(stream, 2.0 * sensitivity / eps)
     k = 0
     for k, q in enumerate(queries, start=1):

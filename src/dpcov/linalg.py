@@ -3,9 +3,10 @@ norm clipping, the trace/tail statistics the private mechanisms are built on,
 and :class:`CovSketch`, the one-pass summary of a dataset they all read.
 
 Matrices are plain float64 ndarrays.  Symmetric matrices are kept *exactly*
-symmetric (entry-wise equal to their transpose); every function returning one
-symmetrizes its result.  Datasets are column-vector collections: shape (d, n),
-one column per individual.
+symmetric (entry-wise equal to their transpose): the Grams are by
+construction, and the one general product, :func:`reconstruct`'s, is
+averaged with its transpose.  Datasets are column-vector collections: shape
+(d, n), one column per individual.
 """
 
 from __future__ import annotations
@@ -40,6 +41,15 @@ _NORM_RTOL = 1e-9
 # d * _CHUNK_COLUMNS floats whatever n is.
 _CHUNK_COLUMNS = 1024
 
+# Edge of the square tiles in which a d x d matrix is read against its
+# transpose.  A one-shot pass over ``m.T`` strides d floats per read across
+# the whole matrix; a tile and its mirror are 2 * 128^2 floats (256 KiB) and
+# stay in L2 while the mirror is read down its columns.  A matrix below
+# 2 * _TILE is one tile, read as one-shot numpy would: at d = 200 both
+# operands fit in L2 anyway, and smaller tiles only added per-tile
+# overhead.  See the README, "Symmetric matrices", for the sizes timed.
+_TILE = 128
+
 # Rows per block when ``synth`` draws Z and writes Z U.  The BLAS product of
 # a block need not round like the same rows of the one-shot product; on
 # OpenBLAS (Haswell kernels) 4096-row blocks matched it for more shapes than
@@ -57,6 +67,45 @@ def _blocks(n: int, size: int):
     thin block can be reduced or multiplied in another order."""
     starts = range(0, max(n - size, 0) + 1, size)
     return zip(starts, [*starts[1:], n])
+
+
+def _tile_spans(d: int) -> list[slice]:
+    """Row (or column) ranges of the _TILE x _TILE tiles of a d x d matrix;
+    the last tile takes the remainder, as in :func:`_blocks`."""
+    if d < 2 * _TILE:  # skip _blocks: small matrices are bound by per-call cost
+        return [slice(0, d)]
+    return [slice(start, stop) for start, stop in _blocks(d, _TILE)]
+
+
+def _is_symmetric(a: np.ndarray) -> bool:
+    """``np.array_equal(a, a.T)`` for a square 2-D array, a tile and its
+    mirror at a time: False on any NaN, and +0.0 equals -0.0.  Pass an
+    integer view of a float array to compare bits instead."""
+    spans = _tile_spans(a.shape[0])
+    for i, rows in enumerate(spans):
+        for cols in spans[i:]:
+            if not (a[rows, cols] == a[cols, rows].T).all():
+                return False
+    return True
+
+
+def _transpose_into(out: np.ndarray, a: np.ndarray) -> None:
+    """out[...] = a.T for square a, a tile at a time."""
+    spans = _tile_spans(a.shape[0])
+    for rows in spans:
+        for cols in spans:
+            out[cols, rows] = a[rows, cols].T
+
+
+def _mirror_upper(w: np.ndarray) -> None:
+    """Copy the upper triangle of a square array onto its lower triangle,
+    in place and a tile at a time; the lower triangle is only written."""
+    spans = _tile_spans(w.shape[0])
+    for i, rows in enumerate(spans):
+        diag = w[rows, rows]
+        np.copyto(diag, diag.T, where=np.tri(len(diag), k=-1, dtype=bool))
+        for cols in spans[i + 1 :]:
+            w[cols, rows] = w[rows, cols].T
 
 
 def column_norms(cols: np.ndarray) -> np.ndarray:
@@ -143,7 +192,20 @@ class EigenDecomp(NamedTuple):
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+    """``(m + m.T) / 2`` bit for bit, a tile and its mirror at a time, or
+    ``m`` itself when it is already symmetric bit for bit.  numpy computes
+    ``a @ a.T`` with syrk and mirrors the triangle, so the Grams pass through
+    unchanged and cannot overflow in ``m + m.T``."""
+    if _is_symmetric(m.view(np.uint64)):
+        return m
+    out = np.empty_like(m)
+    spans = _tile_spans(m.shape[0])
+    for rows in spans:
+        for cols in spans:
+            tile = out[rows, cols]
+            np.add(m[rows, cols], m[cols, rows].T, out=tile)
+            tile /= 2.0
+    return out
 
 
 def covariance(x: Dataset) -> np.ndarray:
@@ -158,7 +220,7 @@ def _check_square_symmetric(a: np.ndarray) -> np.ndarray:
         raise ValueError("expected a square matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite matrix")
-    if not np.array_equal(a, a.T):
+    if not _is_symmetric(a):
         raise ValueError("matrix is not symmetric")
     return a
 
@@ -175,7 +237,9 @@ def eig_sym(a: np.ndarray) -> EigenDecomp:
     vals, vecs = np.linalg.eigh(a)
     # column-major: the BLAS rounds reconstruct's product by memory layout,
     # and this layout keeps the separate mechanisms' results bit-stable
-    return EigenDecomp(basis=np.asfortranarray(vecs[:, ::-1]), values=vals[::-1])
+    basis = np.empty(vecs.shape, order="F")
+    _transpose_into(basis.T, vecs[:, ::-1])
+    return EigenDecomp(basis=basis, values=vals[::-1])
 
 
 def reconstruct(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -202,7 +266,7 @@ def clip_dataset(x: Dataset, tau: float) -> Dataset:
 
     tau = 0 sends every column to the origin; zero columns map to themselves.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("clip threshold must be nonnegative")
     norms = x.norms()
     factors = np.ones_like(norms)
@@ -220,7 +284,7 @@ def trace_stat(x: Dataset) -> float:
 def tail_gamma(x: Dataset, tau: float) -> float:
     """Squared-norm mass above the threshold: (1/n) sum ||X_i||^2 over
     columns with ||X_i|| strictly greater than tau."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be nonnegative")
     sq = np.sum(x.columns**2, axis=0)
     return float(np.sum(sq[np.sqrt(sq) > tau]) / x.count)

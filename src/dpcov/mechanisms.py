@@ -42,7 +42,7 @@ from .bounds import (
     slw_op_bound,
     upsilon,
 )
-from .linalg import _NORM_RTOL, CovSketch, Dataset, Gram, eig_sym, reconstruct
+from .linalg import _NORM_RTOL, CovSketch, Dataset, Gram, _is_symmetric, eig_sym, reconstruct
 from .privacy import PrivacyBudget, compose, gaussian_scale, laplace_scale
 from .randomness import (
     RandomStream,
@@ -214,7 +214,10 @@ class MechanismReport:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not np.array_equal(self.estimate, self.estimate.T):
+        shape = np.shape(self.estimate)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError("mechanism estimate must be a square matrix")
+        if not _is_symmetric(self.estimate):
             raise ValueError("mechanism estimate must be exactly symmetric")
 
 

@@ -48,8 +48,8 @@ def pure(eps: float) -> PrivacyBudget:
 def zcdp_to_approx(rho: float, delta: float) -> float:
     """The epsilon for which rho-zCDP implies (epsilon, delta)-DP:
     rho + 2*sqrt(rho * log(1/delta))."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (rho > 0 and math.isfinite(rho)):
+        raise ValueError("rho must be positive and finite")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
@@ -71,8 +71,8 @@ def gaussian_scale(sensitivity: float, budget: PrivacyBudget) -> float:
     l2-sensitivity Delta."""
     if budget.kind != "zcdp":
         raise ValueError("gaussian mechanism is calibrated against a zCDP budget")
-    if sensitivity < 0:
-        raise ValueError("sensitivity must be nonnegative")
+    if not (sensitivity >= 0 and math.isfinite(sensitivity)):
+        raise ValueError("sensitivity must be nonnegative and finite")
     return sensitivity / math.sqrt(2.0 * budget.value)
 
 
@@ -81,6 +81,6 @@ def laplace_scale(sensitivity: float, budget: PrivacyBudget) -> float:
     Delta."""
     if budget.kind != "pure":
         raise ValueError("laplace mechanism is calibrated against a pure-DP budget")
-    if sensitivity < 0:
-        raise ValueError("sensitivity must be nonnegative")
+    if not (sensitivity >= 0 and math.isfinite(sensitivity)):
+        raise ValueError("sensitivity must be nonnegative and finite")
     return sensitivity / budget.value

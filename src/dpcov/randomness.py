@@ -17,8 +17,11 @@ floating-point side channels on DP noise are out of scope.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
+
+from .linalg import _mirror_upper
 
 __all__ = [
     "RandomStream",
@@ -79,8 +82,8 @@ def gaussian_vector(stream: RandomStream, d: int) -> np.ndarray:
 
 def laplace_scalar(stream: RandomStream, scale: float) -> float:
     """One draw from Lap(scale), density (1/2b) exp(-|x|/b)."""
-    if scale <= 0:
-        raise ValueError("laplace scale must be positive")
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError("laplace scale must be positive and finite")
     if stream.zero_noise:
         return 0.0
     return float(stream.generator.laplace(0.0, scale))
@@ -90,18 +93,22 @@ def laplace_vector(stream: RandomStream, d: int, scale: float = 1.0) -> np.ndarr
     """d i.i.d. Lap(scale) draws."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    if scale <= 0:
-        raise ValueError("laplace scale must be positive")
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError("laplace scale must be positive and finite")
     if stream.zero_noise:
         return np.zeros(d)
     return stream.generator.laplace(0.0, scale, size=d)
 
 
 def _symmetric_wigner(draws: np.ndarray, d: int) -> np.ndarray:
-    w = np.zeros((d, d))
-    iu = np.triu_indices(d)
-    w[iu] = draws
-    w[(iu[1], iu[0])] = draws  # mirror below the diagonal, exactly
+    """The draws laid on and above the diagonal row by row (the order of
+    ``np.triu_indices(d)``), mirrored below."""
+    w = np.empty((d, d))
+    start = 0
+    for i in range(d):
+        w[i, i:] = draws[start : start + d - i]
+        start += d - i
+    _mirror_upper(w)
     return w
 
 

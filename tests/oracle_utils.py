@@ -35,6 +35,17 @@ def clip_vector(x: np.ndarray, tau: float) -> np.ndarray:
     return x * (tau / norm)
 
 
+def symmetric_wigner_reference(draws: np.ndarray, d: int) -> np.ndarray:
+    """The draws scattered on and above the diagonal in ``np.triu_indices``
+    order and mirrored below: the two fancy-index writes that
+    ``sgw_matrix`` / ``slw_matrix`` must reproduce bit for bit."""
+    w = np.zeros((d, d))
+    iu = np.triu_indices(d)
+    w[iu] = draws
+    w[(iu[1], iu[0])] = draws
+    return w
+
+
 def pure_to_zcdp(eps: float) -> float:
     """rho implied by eps-DP: eps^2 / 2."""
     if eps <= 0:

@@ -60,6 +60,13 @@ class TestSVT:
     def test_empty_sequence(self):
         assert svt(iter([]), 1.0, 0.0, 1.0, RandomStream(0)) == 1
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_bad_sensitivity_and_epsilon_rejected(self, bad):
+        with pytest.raises(ValueError, match="sensitivity"):
+            svt(iter([1.0]), bad, 0.0, 1.0, RandomStream(0))
+        with pytest.raises(ValueError, match="epsilon"):
+            svt(iter([1.0]), 1.0, 0.0, bad, RandomStream(0))
+
     def test_lazy_consumption(self):
         seen = []
 

@@ -272,6 +272,15 @@ class TestClip:
         with pytest.raises(ValueError):
             clip_vector(np.ones(2), -0.1)
 
+    @pytest.mark.parametrize("tau", [-0.1, float("nan")])
+    def test_bad_tau_rejected_by_the_dataset_functions(self, tau):
+        # a NaN tau compares False with every norm, and would clip nothing
+        x = Dataset(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="clip threshold"):
+            clip_dataset(x, tau)
+        with pytest.raises(ValueError, match="tau"):
+            tail_gamma(x, tau)
+
     def test_underflowing_norm_is_clipped(self):
         # the squares of these entries underflow, so a plain sum of squares
         # gives a norm of 0 and would leave the vector unclipped

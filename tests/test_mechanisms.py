@@ -331,3 +331,16 @@ class TestReportValidation:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             MechanismReport(np.zeros((2, 2)), zcdp(1.0), "fancy")
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2), ()])
+    def test_non_square_estimate_rejected(self, shape):
+        # a 1-D array is its own transpose, so the symmetry check alone
+        # would pass it
+        with pytest.raises(ValueError, match="square"):
+            MechanismReport(np.zeros(shape), None, "zero")
+
+    def test_asymmetry_in_the_last_tile_rejected(self):
+        estimate = np.zeros((130, 130))
+        estimate[129, 128] = 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            MechanismReport(estimate, None, "zero")

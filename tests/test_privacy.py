@@ -42,6 +42,11 @@ class TestConversions:
         assert abs(zcdp_to_approx(0.3, 1 - 1e-12) - 0.3) < 1e-5
         assert zcdp_to_approx(0.3, 1e-6) > zcdp_to_approx(0.3, 1e-3)
 
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf"), 0.0])
+    def test_zcdp_to_approx_rejects_bad_rho(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            zcdp_to_approx(rho, 1e-6)
+
     def test_round_trip_only_weakens(self):
         # for delta <= 1/e the chained conversion never tightens epsilon
         # (very large delta can: e.g. eps=1, delta=0.9 gives 0.959)
@@ -92,6 +97,13 @@ class TestNoiseScales:
         got = laplace_scale(math.sqrt(2) * d / n, pure(eps))
         assert abs(got - math.sqrt(2) * d / (eps * n)) < 1e-15
         assert laplace_scale(2.0 / n, pure(eps / 2)) == 4.0 / (eps * n)
+
+    @pytest.mark.parametrize("sensitivity", [float("nan"), float("inf"), -1.0])
+    def test_bad_sensitivity_rejected(self, sensitivity):
+        with pytest.raises(ValueError, match="sensitivity"):
+            gaussian_scale(sensitivity, zcdp(1.0))
+        with pytest.raises(ValueError, match="sensitivity"):
+            laplace_scale(sensitivity, pure(1.0))
 
     def test_laplace_requires_pure(self):
         with pytest.raises(ValueError):

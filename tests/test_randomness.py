@@ -76,6 +76,13 @@ class TestLaplace:
         with pytest.raises(ValueError):
             laplace_vector(RandomStream(0), 3, -1.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            laplace_scalar(RandomStream(0), scale)
+        with pytest.raises(ValueError, match="finite"):
+            laplace_vector(RandomStream(0), 2, scale)
+
 
 class TestWignerMatrices:
     def test_sgw_exact_symmetry(self):
