@@ -18,7 +18,6 @@ import hashlib
 import json
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,6 +118,8 @@ class ExperimentPlan:
                 raise ValueError("sweeping eps requires a pure-DP budget")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError("master seed must fit in an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -197,12 +198,11 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
     configs = _expand_configs(plan)
     # one pass over each dataset; every mechanism and repetition reads the sketch
     sketches = {c.index: CovSketch(_materialize(plan, c)) for c in configs}
+    root = RandomStream(plan.master_seed, zero_noise=plan.zero_noise)
 
     def one_run(config: _Config, mech: str, rep: int) -> ResultRow:
         x = sketches[config.index]
-        stream = RandomStream(plan.master_seed, zero_noise=plan.zero_noise).child(
-            f"run/{config.index}/{mech}/{rep}"
-        )
+        stream = root.child(f"run/{config.index}/{mech}/{rep}")
         started = time.perf_counter()
         report = MECHANISMS[mech][1](x, config.budget.value, plan, stream)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -233,6 +233,9 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
     if plan.workers == 1:
         rows = [one_run(*t) for t in tasks]
     else:
+        # imported here: concurrent.futures adds about 6 ms to ``import dpcov``
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=plan.workers) as pool:
             rows = list(pool.map(lambda t: one_run(*t), tasks))
     return rows, summarize(rows)

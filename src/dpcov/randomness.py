@@ -3,7 +3,9 @@
 Built on numpy's Philox counter-based bit generator, so a stream is fully
 determined by a 128-bit key derived from (seed, label path).  Sub-streams are
 derived by hashing the parent key with a text label, which makes parallel
-repetitions reproducible regardless of scheduling order.
+repetitions reproducible regardless of scheduling order.  A stream builds its
+generator on its first draw: a stream that only derives children (a root, or
+the run-level stream of an adaptive run) never builds one.
 
 Every sampler honours a ``zero_noise`` flag on the stream: when set, the
 noise distributions collapse to their location parameter (0), turning each
@@ -16,12 +18,13 @@ floating-point side channels on DP noise are out of scope.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
 import numpy as np
 
-from .linalg import _mirror_upper
+from .linalg import _TILE, _mirror_upper
 
 __all__ = [
     "RandomStream",
@@ -40,6 +43,30 @@ def _derive_key(parent_key: int, label: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+class _PhiloxKey:
+    """A 128-bit Philox key in the guise of a seed sequence.  Its state is the
+    key's two 64-bit words, low first, which is what ``Philox(key=k)`` stores;
+    without it numpy builds a ``SeedSequence`` from OS entropy, only to
+    overwrite it with the key."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, key: int):
+        self.words = (key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64)
+
+    def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
+        # Philox asks for exactly its two key words as uint64
+        return np.array(self.words, dtype=np.uint64)
+
+
+def _philox_generator(key: int) -> np.random.Generator:
+    """``Generator(Philox(key=key))``, with no entropy read."""
+    # registering is deferred to here because importing numpy.random adds
+    # about 20 ms to ``import dpcov``; after the first call it is a no-op
+    np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+
+
 class RandomStream:
     """A single-owner random stream with labelled, independent sub-streams."""
 
@@ -49,7 +76,9 @@ class RandomStream:
         self.seed = int(seed)
         self.zero_noise = zero_noise
         self._key = _key if _key is not None else _derive_key(self.seed, "root")
-        self._gen = np.random.Generator(np.random.Philox(key=self._key))
+        if not 0 <= self._key < 2**128:
+            raise ValueError("stream key must fit in an unsigned 128-bit integer")
+        self._gen: np.random.Generator | None = None
 
     def child(self, label: str) -> "RandomStream":
         """Derive an independent stream; the same (seed, label path) always
@@ -60,12 +89,15 @@ class RandomStream:
 
     @property
     def generator(self) -> np.random.Generator:
+        """The stream's generator, built on first use."""
+        if self._gen is None:
+            self._gen = _philox_generator(self._key)
         return self._gen
 
     def permutation(self, n: int) -> np.ndarray:
         """A random permutation of range(n); unaffected by zero-noise mode
         (it is not a noise draw)."""
-        return self._gen.permutation(n)
+        return self.generator.permutation(n)
 
     def __repr__(self):  # pragma: no cover
         return f"RandomStream(seed={self.seed}, zero_noise={self.zero_noise})"
@@ -100,9 +132,22 @@ def laplace_vector(stream: RandomStream, d: int, scale: float = 1.0) -> np.ndarr
     return stream.generator.laplace(0.0, scale, size=d)
 
 
+@functools.lru_cache(maxsize=16)
+def _wigner_gather(d: int) -> np.ndarray:
+    """For each entry of a d x d matrix, row-major, the position of its upper
+    triangle entry in ``np.triu_indices(d)`` order."""
+    i, j = np.indices((d, d))
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    index = (lo * d - lo * (lo - 1) // 2 + hi - lo).ravel()
+    index.flags.writeable = False
+    return index
+
+
 def _symmetric_wigner(draws: np.ndarray, d: int) -> np.ndarray:
     """The draws laid on and above the diagonal row by row (the order of
     ``np.triu_indices(d)``), mirrored below."""
+    if d < 2 * _TILE:  # one tile: a single gather, no per-row loop
+        return draws.take(_wigner_gather(d)).reshape(d, d)
     w = np.empty((d, d))
     start = 0
     for i in range(d):

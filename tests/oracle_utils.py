@@ -46,6 +46,23 @@ def symmetric_wigner_reference(draws: np.ndarray, d: int) -> np.ndarray:
     return w
 
 
+def svt_scalar_draws(queries, sensitivity: float, threshold: float, eps: float, stream):
+    """The sparse vector technique as defined, one scalar Laplace draw per
+    query: (1-based index of the first noisy query at or above the noisy
+    threshold, or one past the end; number of queries pulled)."""
+
+    def draw(scale: float) -> float:
+        return 0.0 if stream.zero_noise else float(stream.generator.laplace(0.0, scale))
+
+    noisy_threshold = threshold + draw(2.0 * sensitivity / eps)
+    pulled = 0
+    for q in queries:
+        pulled += 1
+        if q + draw(4.0 * sensitivity / eps) >= noisy_threshold:
+            return pulled, pulled
+    return pulled + 1, pulled
+
+
 def pure_to_zcdp(eps: float) -> float:
     """rho implied by eps-DP: eps^2 / 2."""
     if eps <= 0:

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import bias_direct, datasets, skewed_dataset, zero_noise_tau_oracle
+from oracle_utils import (
+    bias_direct,
+    datasets,
+    skewed_dataset,
+    svt_scalar_draws,
+    zero_noise_tau_oracle,
+)
 
 import dpcov
 import dpcov.adaptive as adaptive
@@ -54,6 +60,9 @@ class TestSVT:
     def test_zero_noise_first_crossing(self):
         assert svt(iter([-5.0, -3.0, 2.0]), 1.0, 0.0, 1.0, RandomStream(0, zero_noise=True)) == 3
 
+    def test_zero_noise_tie_triggers(self):
+        assert svt(iter([-1.0, 0.5, 7.0]), 1.0, 0.5, 1.0, RandomStream(0, zero_noise=True)) == 2
+
     def test_zero_noise_no_crossing(self):
         assert svt(iter([-5.0, -3.0, -2.0]), 1.0, 0.0, 1.0, RandomStream(0, zero_noise=True)) == 4
 
@@ -94,6 +103,47 @@ class TestSVT:
                 good = good and values[k - 1] >= -slack
             ok += good
         assert ok >= (1 - beta) * trials
+
+    @pytest.mark.parametrize("shape", ["first", "middle", "never", "empty", "uniform"])
+    def test_matches_the_scalar_draw_oracle(self, shape):
+        # 70 queries reach past the first three noise chunks (16, 16, 32)
+        t, eps = 70, 1.0
+        rng = np.random.default_rng(len(shape))
+        values = {
+            "first": lambda: np.concatenate([[1e9], rng.uniform(-60.0, 60.0, t - 1)]),
+            "middle": lambda: np.linspace(-80.0, 80.0, t) + rng.uniform(-5.0, 5.0, t),
+            "never": lambda: np.full(t, -1e9),
+            "empty": lambda: np.empty(0),
+            "uniform": lambda: rng.uniform(-60.0, 60.0, t),
+        }[shape]
+        indices = set()
+        for seed in range(1000):
+            queries = values()
+            for zero_noise in (False, True) if seed < 100 else (False,):
+                pulled = []
+
+                def pull():
+                    for q in queries:
+                        pulled.append(q)
+                        yield q
+
+                stream = RandomStream(seed, zero_noise=zero_noise)
+                k = svt(pull(), 1.0, 0.0, eps, stream)
+                oracle_stream = RandomStream(seed, zero_noise=zero_noise)
+                want, want_pulled = svt_scalar_draws(queries, 1.0, 0.0, eps, oracle_stream)
+                assert (k, len(pulled)) == (want, want_pulled), (seed, zero_noise)
+                indices.add(k)
+        if shape in ("first", "never", "empty"):
+            assert indices == {"first": {1}, "never": {t + 1}, "empty": {1}}[shape]
+        else:
+            assert len(indices) > 5 and max(indices) <= t
+        if shape == "middle":
+            assert min(indices) > 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, bad):
+        with pytest.raises(ValueError, match="threshold"):
+            svt(iter([1e9, 1e9]), 1.0, bad, 1.0, RandomStream(0))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,17 @@
 import json
+import os
 import platform
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracle_utils import save_csv
 
+import dpcov
 from dpcov.cli import main
 from dpcov.datagen import SynthSpec, synth
 from dpcov.harness import (
@@ -273,6 +278,12 @@ class TestCli:
     def test_bad_synthetic_spec_is_input_error(self):
         assert main(["run", "--mechanism", "gauss", "--synthetic", "n=10", "--rho", "1"]) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_uint64_is_input_error(self, seed, capsys):
+        argv = ["run", "--mechanism", "gauss", "--synthetic", "n=10,d=2", "--rho", "0.1"]
+        assert main(argv + ["--seed", seed]) == 2
+        assert "input error: master seed" in capsys.readouterr().err
+
     def test_zero_noise_flag(self, capsys):
         code = main(
             [
@@ -301,3 +312,18 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "d=4" in out and "d=8" in out
+
+
+def test_import_loads_neither_numpy_random_nor_concurrent_futures():
+    # both cost import time that every CLI run and benchmark setup pays
+    code = (
+        "import sys, numpy, dpcov; "
+        "print([m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules])"
+    )
+    src = str(Path(dpcov.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

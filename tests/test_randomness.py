@@ -48,6 +48,49 @@ class TestStreamDeterminism:
             RandomStream(2**64)
 
 
+KEYS = [0, 1, 2**64 - 1, 2**64, 2**128 - 1]
+
+
+def philox_generator(key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+class TestPhiloxKey:
+    @pytest.mark.parametrize("key", KEYS)
+    def test_draws_equal_philox_of_the_key(self, key):
+        ours, want = RandomStream(0, _key=key), philox_generator(key)
+        assert np.array_equal(ours.generator.random(64), want.random(64))
+        assert ours.permutation(40).tolist() == want.permutation(40).tolist()
+        assert np.array_equal(
+            ours.generator.bit_generator.state["state"]["key"],
+            want.bit_generator.state["state"]["key"],
+        )
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_derived_keys(self, seed):
+        root = RandomStream(seed)
+        for stream in (root, root.child("a"), root.child("a").child("run/0/gauss/3")):
+            want = philox_generator(stream._key)
+            assert np.array_equal(gaussian_vector(stream, 9), want.standard_normal(9))
+            assert laplace_scalar(stream, 2.0) == want.laplace(0.0, 2.0)
+
+    def test_stream_and_child_build_no_bit_generator(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(a) or philox(*a, **k))
+        child = RandomStream(3).child("x").child("y")
+        laplace_scalar(RandomStream(3, zero_noise=True).child("z"), 1.0)
+        assert built == []
+        gaussian_vector(child, 2)
+        gaussian_vector(child, 2)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("key", [-1, 2**128])
+    def test_out_of_range_key_rejected(self, key):
+        with pytest.raises(ValueError, match="128-bit"):
+            RandomStream(0, _key=key)
+
+
 class TestGaussian:
     def test_moments(self):
         draws = gaussian_vector(RandomStream(1), 1_000_000)

@@ -92,7 +92,8 @@ def test_covariance_does_not_overflow_a_representable_gram():
     assert np.all(np.isfinite(cov))
 
 
-@pytest.mark.parametrize("d", SIZES)
+# every size that takes the one-tile gather, and the tiled sizes above
+@pytest.mark.parametrize("d", sorted(set(SIZES) | set(range(1, 301))))
 @pytest.mark.parametrize(
     "sampler, draw",
     [
