@@ -233,7 +233,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
     if plan.workers == 1:
         rows = [one_run(*t) for t in tasks]
     else:
-        # imported here: concurrent.futures adds about 6 ms to ``import dpcov``
+        # imported here: concurrent.futures adds about 8 ms to ``import dpcov``
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=plan.workers) as pool:
