@@ -43,7 +43,7 @@ from .mechanisms import (
     clip_mechanism,
 )
 from .privacy import PrivacyBudget
-from .randomness import RandomStream, laplace_scalar, laplace_vector
+from .randomness import RandomStream, laplace_scalar
 
 __all__ = [
     "svt",
@@ -61,11 +61,6 @@ __all__ = [
 # offset); anything below this floor is indistinguishable from zero at
 # machine precision anyway.
 _MIN_FLOAT_EXPONENT = -1020
-
-# Query noise values the SVT draws in its first chunk; each later chunk
-# doubles the values drawn.  Drawing 16 Laplace values costs about as much as
-# drawing one, and the radius SVT often runs 8 or 9 queries.
-_SVT_FIRST_CHUNK = 16
 
 
 def _pow2_exponent(value: float) -> int:
@@ -90,9 +85,7 @@ def svt(
     noised threshold, or one past the end if none does.
 
     Queries are consumed lazily; nothing beyond the returned index is
-    evaluated.  The query noise is drawn ahead in chunks, so the stream ends
-    past the draws the returned index used; the k-th query still gets the
-    k-th Lap(4*sensitivity/eps) value after the threshold's draw.
+    evaluated.
     """
     if not (sensitivity > 0 and math.isfinite(sensitivity)):
         raise ValueError("sensitivity must be positive and finite")
@@ -101,13 +94,9 @@ def svt(
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("epsilon must be positive and finite")
     noisy_threshold = threshold + laplace_scalar(stream, 2.0 * sensitivity / eps)
-    noise: list[float] = []
     k = 0
     for k, q in enumerate(queries, start=1):
-        if k > len(noise):  # chunks of 16, 16, 32, 64, ...
-            chunk = max(len(noise), _SVT_FIRST_CHUNK)
-            noise += laplace_vector(stream, chunk, 4.0 * sensitivity / eps).tolist()
-        if q + noise[k - 1] >= noisy_threshold:
+        if q + laplace_scalar(stream, 4.0 * sensitivity / eps) >= noisy_threshold:
             return k
     return k + 1
 

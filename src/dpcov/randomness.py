@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .linalg import _TILE, _mirror_upper
+from .linalg import _mirror_upper
 
 __all__ = [
     "RandomStream",
@@ -55,14 +55,15 @@ class _PhiloxKey:
         self.words = (key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64)
 
     def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
-        # Philox asks for exactly its two key words as uint64
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two uint64 words")
         return np.array(self.words, dtype=np.uint64)
 
 
 def _philox_generator(key: int) -> np.random.Generator:
     """``Generator(Philox(key=key))``, with no entropy read."""
-    # registering is deferred to here because importing numpy.random adds
-    # about 20 ms to ``import dpcov``; after the first call it is a no-op
+    # registering is deferred to here because numpy 2 loads numpy.random on
+    # first use, which adds about 20 ms; after the first call it is a no-op
     np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
     return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
@@ -132,7 +133,15 @@ def laplace_vector(stream: RandomStream, d: int, scale: float = 1.0) -> np.ndarr
     return stream.generator.laplace(0.0, scale, size=d)
 
 
-@functools.lru_cache(maxsize=16)
+# Wigner matrices up to this size are filled by one gather through a cached
+# index (2 MiB at 512); larger ones row by row and mirrored by tiles.  The
+# gather reads the lower triangle d floats apart: the two fills cost the same
+# between d = 768 and 896, and at 1024 the gather is slower and its index
+# takes 8 MiB (README, "Symmetric matrices").
+_WIGNER_GATHER_MAX_D = 512
+
+
+@functools.lru_cache(maxsize=8)
 def _wigner_gather(d: int) -> np.ndarray:
     """For each entry of a d x d matrix, row-major, the position of its upper
     triangle entry in ``np.triu_indices(d)`` order."""
@@ -146,7 +155,7 @@ def _wigner_gather(d: int) -> np.ndarray:
 def _symmetric_wigner(draws: np.ndarray, d: int) -> np.ndarray:
     """The draws laid on and above the diagonal row by row (the order of
     ``np.triu_indices(d)``), mirrored below."""
-    if d < 2 * _TILE:  # one tile: a single gather, no per-row loop
+    if d <= _WIGNER_GATHER_MAX_D:
         return draws.take(_wigner_gather(d)).reshape(d, d)
     w = np.empty((d, d))
     start = 0

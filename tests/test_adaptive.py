@@ -106,7 +106,6 @@ class TestSVT:
 
     @pytest.mark.parametrize("shape", ["first", "middle", "never", "empty", "uniform"])
     def test_matches_the_scalar_draw_oracle(self, shape):
-        # 70 queries reach past the first three noise chunks (16, 16, 32)
         t, eps = 70, 1.0
         rng = np.random.default_rng(len(shape))
         values = {
@@ -132,6 +131,8 @@ class TestSVT:
                 oracle_stream = RandomStream(seed, zero_noise=zero_noise)
                 want, want_pulled = svt_scalar_draws(queries, 1.0, 0.0, eps, oracle_stream)
                 assert (k, len(pulled)) == (want, want_pulled), (seed, zero_noise)
+                # one draw per pulled query, so the stream goes on alike
+                assert stream.generator.random() == oracle_stream.generator.random()
                 indices.add(k)
         if shape in ("first", "never", "empty"):
             assert indices == {"first": {1}, "never": {t + 1}, "empty": {1}}[shape]

@@ -4,6 +4,7 @@ import pytest
 from dpcov.bounds import upsilon
 from dpcov.randomness import (
     RandomStream,
+    _PhiloxKey,
     gaussian_vector,
     laplace_scalar,
     laplace_vector,
@@ -89,6 +90,11 @@ class TestPhiloxKey:
     def test_out_of_range_key_rejected(self, key):
         with pytest.raises(ValueError, match="128-bit"):
             RandomStream(0, _key=key)
+
+    @pytest.mark.parametrize("n_words, dtype", [(1, np.uint64), (4, np.uint64), (2, np.uint32)])
+    def test_key_state_of_another_shape_rejected(self, n_words, dtype):
+        with pytest.raises(ValueError, match="two uint64 words"):
+            _PhiloxKey(5).generate_state(n_words, dtype)
 
 
 class TestGaussian:

@@ -20,7 +20,7 @@ from dpcov.linalg import (
     eig_sym,
     reconstruct,
 )
-from dpcov.randomness import RandomStream, sgw_matrix, slw_matrix
+from dpcov.randomness import _WIGNER_GATHER_MAX_D, RandomStream, sgw_matrix, slw_matrix
 
 # tiny matrices, one under, at and over a multiple of the tile edge, and a
 # large matrix
@@ -92,8 +92,15 @@ def test_covariance_does_not_overflow_a_representable_gram():
     assert np.all(np.isfinite(cov))
 
 
-# every size that takes the one-tile gather, and the tiled sizes above
-@pytest.mark.parametrize("d", sorted(set(SIZES) | set(range(1, 301))))
+# small sizes one by one, both sides of the gather's limit, and tiled sizes
+@pytest.mark.parametrize(
+    "d",
+    sorted(
+        set(SIZES)
+        | set(range(1, 301))
+        | {_WIGNER_GATHER_MAX_D, _WIGNER_GATHER_MAX_D + 1}
+    ),
+)
 @pytest.mark.parametrize(
     "sampler, draw",
     [
