@@ -92,9 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _plan_from_args(args) -> ExperimentPlan:
-    sweep_axis, sweep_values = (None, None)
-    if args.sweep:
-        sweep_axis, sweep_values = _parse_sweep(args.sweep)
+    sweep_axis, sweep_values = _parse_sweep(args.sweep) if args.sweep else (None, None)
     return ExperimentPlan(
         mechanisms=tuple(m.strip() for m in args.mechanism.split(",") if m.strip()),
         budget=zcdp(args.rho) if args.rho is not None else pure(args.eps),
@@ -106,7 +104,6 @@ def _plan_from_args(args) -> ExperimentPlan:
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
         master_seed=args.seed,
-        out_path=args.out,
         zero_noise=args.zero_noise,
         workers=args.workers,
     )
@@ -148,9 +145,9 @@ def main(argv=None) -> int:
             f"{s.mechanism} d={s.d} n={s.n} N={s.bins} {s.budget_kind}={s.budget_value:.6g}: "
             f"mean={s.mean_error:.6g} std={s.std_error:.6g} ({s.runs} runs)"
         )
-    if plan.out_path:
+    if args.out:
         try:
-            write_results(rows, summaries, plan, plan.out_path)
+            write_results(rows, summaries, plan, args.out)
         except OSError as exc:
             print(f"dpcov: input error: {exc}", file=sys.stderr)
             return EXIT_INPUT

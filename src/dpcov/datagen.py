@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -100,50 +102,56 @@ def load_csv(path: str | Path) -> Dataset:
     """Read an n-rows-by-d-columns CSV of finite floats into a Dataset
     (row i becomes column vector X_i).
 
-    A header row is auto-detected: if any cell of the first row fails to
-    parse as a number, the row is skipped.  Ragged rows and non-numeric or
-    non-finite cells are rejected with their location.
+    Blank lines are skipped, and so is a first row in which no cell parses
+    as a number (a header).  numpy's text parser reads the cells, so digit
+    group underscores and non-ASCII digits do not parse.  Ragged rows and
+    non-numeric or non-finite cells are rejected with their location.
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        raw = [row for row in reader if row]
-    if not raw:
-        raise ValueError(f"{path}: empty file")
-
-    def parse_row(row: list[str], number: int) -> list[float]:
-        out = []
-        for j, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: non-numeric cell at row {number}, column {j + 1}: {cell!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"{path}: non-finite value at row {number}, column {j + 1}: {cell!r}"
-                )
-            out.append(value)
-        return out
-
-    def is_header(row: list[str]) -> bool:
-        for cell in row:
-            try:
-                float(cell)
-            except ValueError:
-                return True
-        return False
-
-    start = 1 if is_header(raw[0]) else 0
-    if start == len(raw):
+        first = next((row for row in csv.reader(fh) if row), None)
+        if first is None:
+            raise ValueError(f"{path}: empty file")
+        header = all(_cell_value(cell) is None for cell in first)
+        if not header:
+            fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # header only: no data
+                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except ValueError as exc:
+            _raise_located(path, header, exc)
+    if not np.all(np.isfinite(data)):
+        _raise_located(path, header, None)
+    if data.size == 0:
         raise ValueError(f"{path}: empty file (header only)")
-    width = len(raw[start])
-    rows = []
-    for i in range(start, len(raw)):
-        if len(raw[i]) != width:
-            raise ValueError(
-                f"{path}: ragged row {i + 1}: expected {width} cells, got {len(raw[i])}"
-            )
-        rows.append(parse_row(raw[i], i + 1))
-    return Dataset(np.asarray(rows, dtype=float).T)
+    return Dataset(data.T)
+
+
+def _cell_value(cell: str) -> float | None:
+    """A cell's value as numpy's text parser reads it (Python's, less the
+    underscores and non-ASCII digits ``float`` takes), or None."""
+    text = cell.strip()
+    try:
+        return float(text) if text.isascii() and "_" not in text else None
+    except ValueError:
+        return None
+
+
+def _raise_located(path: Path, header: bool, exc: ValueError | None):
+    """Raise the error of the first ragged row or bad cell of a CSV file
+    that numpy rejected (``exc``) or read with a non-finite value.  Rows
+    are counted without blank lines, header included."""
+    with path.open(newline="") as fh:
+        rows = enumerate((row for row in csv.reader(fh) if row), start=1)
+        width = None
+        for i, row in islice(rows, int(header), None):
+            width = width or len(row)
+            if len(row) != width:
+                raise ValueError(f"{path}: ragged row {i}: expected {width} cells, got {len(row)}")
+            for j, cell in enumerate(row, start=1):
+                value = _cell_value(cell)
+                if value is None or not math.isfinite(value):
+                    problem = "non-numeric cell" if value is None else "non-finite value"
+                    raise ValueError(f"{path}: {problem} at row {i}, column {j}: {cell!r}")
+    raise ValueError(f"{path}: {exc}") from exc

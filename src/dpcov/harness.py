@@ -62,7 +62,8 @@ MECHANISMS = {
     ZERO: (None, lambda x, v, p, s: zero_cov(x)),
 }
 _BUDGET_FLAGS = {"zcdp": "--rho (zCDP budget)", "pure": "--eps (pure-DP budget)"}
-SWEEP_AXES = ("d", "n", "N", "rho", "eps")
+# sweep axis -> the SynthSpec field it sets; the budget axes set none
+SWEEP_AXES = {"d": "d", "n": "n", "N": "bins", "rho": None, "eps": None}
 
 class NumericalFailure(RuntimeError):
     """A mechanism produced a non-finite estimate."""
@@ -82,7 +83,6 @@ class ExperimentPlan:
     sweep_axis: str | None = None
     sweep_values: tuple | None = None
     master_seed: int = 0
-    out_path: str | None = None
     zero_noise: bool = False
     workers: int = 1
 
@@ -110,7 +110,7 @@ class ExperimentPlan:
                 raise ValueError(f"unknown sweep axis {self.sweep_axis!r}")
             if not self.sweep_values:
                 raise ValueError("empty sweep value list")
-            if self.sweep_axis in ("d", "n", "N") and self.synth_spec is None:
+            if SWEEP_AXES[self.sweep_axis] and self.synth_spec is None:
                 raise ValueError(f"sweeping {self.sweep_axis} requires synthetic data")
             if self.sweep_axis == "rho" and self.budget.kind != "zcdp":
                 raise ValueError("sweeping rho requires a zCDP budget")
@@ -173,14 +173,10 @@ def _expand_configs(plan: ExperimentPlan) -> list[_Config]:
         return [_Config(0, plan.synth_spec, plan.budget)]
     configs = []
     for i, value in enumerate(plan.sweep_values):
-        spec, budget = plan.synth_spec, plan.budget
-        if plan.sweep_axis == "d":
-            spec = dataclasses.replace(spec, d=int(value))
-        elif plan.sweep_axis == "n":
-            spec = dataclasses.replace(spec, n=int(value))
-        elif plan.sweep_axis == "N":
-            spec = dataclasses.replace(spec, bins=int(value))
-        else:  # rho / eps
+        spec, budget, field = plan.synth_spec, plan.budget, SWEEP_AXES[plan.sweep_axis]
+        if field:
+            spec = dataclasses.replace(spec, **{field: int(value)})
+        else:
             budget = PrivacyBudget(budget.kind, float(value))
         configs.append(_Config(i, spec, budget))
     return configs
@@ -302,8 +298,9 @@ def write_results(
         "zero_noise": plan.zero_noise,
         "sweep_axis": plan.sweep_axis,
         "sweep_values": list(plan.sweep_values) if plan.sweep_values else None,
-        # seeds reproduce the same bytes only under the same numpy and BLAS
-        # (synthetic data depends on the BLAS's rounding of Z U)
+        # seeds reproduce the same bytes only under the same numpy, BLAS and
+        # BLAS thread count, which is not recorded (the BLAS's rounding of
+        # Z U and of the mechanisms' products depends on all three)
         "numpy": np.__version__,
         "blas": {"name": blas["name"], "version": blas["version"]},
         "python": platform.python_version(),

@@ -214,17 +214,6 @@ def covariance(x: Dataset) -> np.ndarray:
     return _symmetrize(cols @ cols.T / x.count)
 
 
-def _check_square_symmetric(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite matrix")
-    if not _is_symmetric(a):
-        raise ValueError("matrix is not symmetric")
-    return a
-
-
 def eig_sym(a: np.ndarray) -> EigenDecomp:
     """Eigendecomposition of a symmetric matrix, eigenvalues in descending
     order: ``np.linalg.eigh``'s output reversed.
@@ -233,7 +222,13 @@ def eig_sym(a: np.ndarray) -> EigenDecomp:
     sign convention is imposed on its columns.  :func:`reconstruct` does not
     need one: flipping a column's sign flips both factors of its term.
     """
-    a = _check_square_symmetric(a)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("non-finite matrix")
+    if not _is_symmetric(a):
+        raise ValueError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(a)
     # column-major: the BLAS rounds reconstruct's product by memory layout,
     # and this layout keeps the separate mechanisms' results bit-stable
@@ -388,9 +383,10 @@ class CovSketch:
         """``covariance(x)`` of the source dataset (read-only)."""
         return self._exact().cov
 
-    def count_above(self, level: float) -> int:
-        """Number of column norms strictly above ``level``."""
-        return self.count - int(np.searchsorted(self._layout().norms, level, side="right"))
+    def count_above(self, level):
+        """Number of column norms strictly above ``level``, or above each of
+        an array of levels (one search for all)."""
+        return self.count - np.searchsorted(self._layout().norms, level, side="right")
 
     def trace(self, r: float = math.inf) -> float:
         """(1/n) sum_i min(||X_i||, r)^2, the trace of the covariance of the

@@ -221,23 +221,16 @@ class MechanismReport:
             raise ValueError("mechanism estimate must be exactly symmetric")
 
 
-def _ball_sketch(x: Dataset | CovSketch) -> CovSketch:
-    sketch = CovSketch.of(x)
-    if sketch.max_norm > 1.0 + _NORM_RTOL:
-        raise ValueError(f"norms exceed 1 (max norm {sketch.max_norm})")
-    return sketch
-
-
 def gauss_cov(x: Dataset | CovSketch, rho: float, stream: RandomStream) -> MechanismReport:
     """Covariance plus a symmetric Gaussian Wigner matrix scaled by
     1/(sqrt(rho) * n)."""
-    return _plain(GAUSSIAN, _ball_sketch(x).gram(), rho, stream)
+    return _release(GAUSSIAN, GAUSSIAN.plain, x, rho, stream)
 
 
 def lap_cov(x: Dataset | CovSketch, eps: float, stream: RandomStream) -> MechanismReport:
     """Covariance plus a symmetric Laplace Wigner matrix scaled by
     sqrt(2)*d/(eps*n)."""
-    return _plain(LAPLACE, _ball_sketch(x).gram(), eps, stream)
+    return _release(LAPLACE, LAPLACE.plain, x, eps, stream)
 
 
 def separate_cov(
@@ -253,7 +246,7 @@ def separate_cov(
     sqrt(2)/n l2-sensitivity of the sorted spectrum.  The basis comes from
     eigendecomposing the Gaussian-noised covariance.
     """
-    return _separate(GAUSSIAN, _ball_sketch(x).gram(), rho, stream, project_nonnegative)
+    return _release(GAUSSIAN, GAUSSIAN.separate, x, rho, stream, project_nonnegative)
 
 
 def separate_cov_pure(
@@ -268,26 +261,35 @@ def separate_cov_pure(
     Eigenvalues get Laplace noise calibrated to their 2/n l1-sensitivity;
     the basis comes from the Laplace-noised covariance.
     """
-    return _separate(LAPLACE, _ball_sketch(x).gram(), eps, stream, project_nonnegative)
+    return _release(LAPLACE, LAPLACE.separate, x, eps, stream, project_nonnegative)
 
 
-# The two mechanism bodies, on the covariance of data in the unit ball.
-
-
-def _plain(family: NoiseFamily, g: Gram, value: float, stream: RandomStream) -> MechanismReport:
-    noise = family.matrix_noise(stream, g.dim, g.count, value)
-    return MechanismReport(g.cov + noise, family.budget(value), family.plain)
-
-
-def _separate(
-    family: NoiseFamily, g: Gram, value: float, stream: RandomStream, project_nonnegative=False
-) -> MechanismReport:
+def _release(family, base, x, value, stream, project_nonnegative=False) -> MechanismReport:
+    """The public form of ``base``: on a unit-ball dataset, one report."""
+    sketch = CovSketch.of(x)
+    if sketch.max_norm > 1.0 + _NORM_RTOL:
+        raise ValueError(f"norms exceed 1 (max norm {sketch.max_norm})")
     budget = family.budget(value)  # validate before drawing
+    estimate = _body(family, base, sketch.gram(), value, stream, project_nonnegative)
+    return MechanismReport(estimate, budget, base)
+
+
+def _body(family, base, g: Gram, value, stream, project_nonnegative=False) -> np.ndarray:
+    """The estimate of the family's plain or separate mechanism (``base``)
+    on the covariance of data in the unit ball."""
+    if base == family.plain:
+        return g.cov + family.matrix_noise(stream, g.dim, g.count, value)
     lam_noisy = g.spectrum() + family.vector_noise(stream, g.dim, g.count, value / 2)
     basis = eig_sym(g.cov + family.matrix_noise(stream, g.dim, g.count, value / 2)).basis
     if project_nonnegative:
         lam_noisy = np.maximum(lam_noisy, 0.0)
-    return MechanismReport(reconstruct(basis, lam_noisy), budget, family.separate)
+    return reconstruct(basis, lam_noisy)
+
+
+def _clipped(family, base, sketch: CovSketch, value, tau, stream) -> np.ndarray:
+    """``base`` on the columns clipped to tau and rescaled to the unit ball,
+    scaled back by tau^2.  The caller checks tau, base and budget."""
+    return tau * tau * _body(family, base, sketch.gram(tau), value, stream)
 
 
 def clip_mechanism(
@@ -303,9 +305,8 @@ def clip_mechanism(
         raise ValueError(f"unknown base mechanism {base!r}")
     if budget.kind != family.kind:
         raise ValueError(f"base mechanism {base!r} needs a {family.kind} budget")
-    body = _plain if base == family.plain else _separate
-    inner = body(family, CovSketch.of(x).gram(tau), budget.value, stream)
-    return MechanismReport(tau * tau * inner.estimate, budget, base, clip_threshold=tau)
+    estimate = _clipped(family, base, CovSketch.of(x), budget.value, tau, stream)
+    return MechanismReport(estimate, budget, base, clip_threshold=tau)
 
 
 def zero_cov(x: Dataset | CovSketch) -> MechanismReport:

@@ -152,9 +152,15 @@ def _wigner_gather(d: int) -> np.ndarray:
     return index
 
 
-def _symmetric_wigner(draws: np.ndarray, d: int) -> np.ndarray:
-    """The draws laid on and above the diagonal row by row (the order of
-    ``np.triu_indices(d)``), mirrored below."""
+def _symmetric_wigner(stream: RandomStream, d: int, draw) -> np.ndarray:
+    """``draw(generator, m)``'s m = d(d+1)/2 draws laid on and above the
+    diagonal row by row (the order of ``np.triu_indices(d)``), mirrored
+    below; the zero matrix in zero-noise mode."""
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
+    if stream.zero_noise:
+        return np.zeros((d, d))
+    draws = draw(stream.generator, d * (d + 1) // 2)
     if d <= _WIGNER_GATHER_MAX_D:
         return draws.take(_wigner_gather(d)).reshape(d, d)
     w = np.empty((d, d))
@@ -169,20 +175,10 @@ def _symmetric_wigner(draws: np.ndarray, d: int) -> np.ndarray:
 def sgw_matrix(stream: RandomStream, d: int) -> np.ndarray:
     """Symmetric Gaussian Wigner matrix: N(0,1) i.i.d. on and above the
     diagonal, mirrored below."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    m = d * (d + 1) // 2
-    if stream.zero_noise:
-        return np.zeros((d, d))
-    return _symmetric_wigner(stream.generator.standard_normal(m), d)
+    return _symmetric_wigner(stream, d, lambda gen, m: gen.standard_normal(m))
 
 
 def slw_matrix(stream: RandomStream, d: int) -> np.ndarray:
     """Symmetric Laplace Wigner matrix: Lap(1) entries (variance 2) on and
     above the diagonal, mirrored below."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    m = d * (d + 1) // 2
-    if stream.zero_noise:
-        return np.zeros((d, d))
-    return _symmetric_wigner(stream.generator.laplace(0.0, 1.0, size=m), d)
+    return _symmetric_wigner(stream, d, lambda gen, m: gen.laplace(0.0, 1.0, size=m))

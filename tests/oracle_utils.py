@@ -63,6 +63,54 @@ def svt_scalar_draws(queries, sensitivity: float, threshold: float, eps: float, 
     return pulled + 1, pulled
 
 
+def laplace_sf(x, scale: float) -> np.ndarray:
+    """P(Lap(scale) >= x), elementwise, without cancellation in either tail."""
+    x = np.asarray(x, dtype=float)
+    upper = 0.5 * np.exp(-np.maximum(x, 0.0) / scale)
+    return np.where(x > 0, upper, 1.0 - 0.5 * np.exp(np.minimum(x, 0.0) / scale))
+
+
+def svt_index_distribution(
+    queries, threshold: float, threshold_scale: float, query_scale: float, points: int = 40_000
+) -> np.ndarray:
+    """The exact distribution of the index the sparse vector technique
+    (AboveThreshold, Dwork and Roth 2014, section 3.6) returns for fixed
+    queries: entry k-1 is P(index = k), k = 1..m+1, where m+1 means that no
+    query fired.  With threshold noise z ~ Lap(threshold_scale) and query
+    noise ~ Lap(query_scale), CDF F,
+
+        P(k) = int p(z) prod_{i<k} F(T+z-q_i) (1 - F(T+z-q_k)) dz,
+
+    integrated by the trapezoid rule on ``points`` grid points that reach 60
+    scales past the queries' offsets from T on both sides."""
+    q = np.asarray(queries, dtype=float)
+    margin = 60.0 * max(threshold_scale, query_scale)
+    lo = min(0.0, float(q.min()) - threshold) - margin
+    hi = max(0.0, float(q.max()) - threshold) + margin
+    z, dz = np.linspace(lo, hi, points, retstep=True)
+    weight = np.exp(-np.abs(z) / threshold_scale) / (2.0 * threshold_scale) * dz
+    weight[[0, -1]] /= 2.0
+    silent = np.ones(points)  # P(no query so far fired | z)
+    out = []
+    for qi in q:
+        out.append(weight @ (silent * laplace_sf(threshold + z - qi, query_scale)))
+        silent *= laplace_sf(qi - threshold - z, query_scale)  # F(T+z-q_i), by symmetry
+    out.append(weight @ silent)
+    return np.array(out)
+
+
+def svt_privacy_loss(
+    queries, neighbour, sensitivity: float, threshold: float, eps: float, threshold_shrink=1.0
+) -> float:
+    """max_k |log P(k) / P'(k)| of ``svt``'s index on two query vectors, at
+    its noise: threshold Lap(2*sensitivity/eps) (divided by
+    ``threshold_shrink``) and queries Lap(4*sensitivity/eps)."""
+    scales = (2.0 * sensitivity / eps / threshold_shrink, 4.0 * sensitivity / eps)
+    p = svt_index_distribution(queries, threshold, *scales)
+    p_prime = svt_index_distribution(neighbour, threshold, *scales)
+    return float(np.max(np.abs(np.log(p) - np.log(p_prime))))
+
+
 def pure_to_zcdp(eps: float) -> float:
     """rho implied by eps-DP: eps^2 / 2."""
     if eps <= 0:

@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 
 from oracle_utils import (
     bias_direct,
+    dataset_from_norms,
     datasets,
     skewed_dataset,
+    svt_index_distribution,
+    svt_privacy_loss,
     svt_scalar_draws,
     zero_noise_tau_oracle,
 )
@@ -35,6 +38,7 @@ from dpcov.adaptive import (
 from dpcov.bounds import eta
 from dpcov.datagen import SynthSpec, synth
 from dpcov.linalg import (
+    CovSketch,
     Dataset,
     clip_dataset,
     covariance,
@@ -43,7 +47,7 @@ from dpcov.linalg import (
     tail_gamma,
     trace_stat,
 )
-from dpcov.mechanisms import FAMILIES, GAUSSIAN, LAPLACE, separate_cov_pure
+from dpcov.mechanisms import FAMILIES, GAUSSIAN, LAPLACE, clip_mechanism, separate_cov_pure
 from dpcov.privacy import pure, zcdp
 from dpcov.randomness import RandomStream
 
@@ -187,6 +191,127 @@ class TestPrivRadius:
             ok_count += np.sum(x.norms() > r) <= clip_cap
         assert ok_radius >= (1 - beta) * trials
         assert ok_count >= (1 - beta) * trials
+
+
+def radius_svt_call(x, eps, beta, b):
+    """(queries, sensitivity, threshold, eps) as priv_radius hands them to
+    the SVT, the queries listed."""
+    seen = []
+
+    def recording_svt(queries, sensitivity, threshold, eps, stream):
+        seen.append((list(queries), sensitivity, threshold, eps))
+        return 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adaptive, "svt", recording_svt)
+        priv_radius(x, eps, beta, b, RandomStream(0))
+    return seen[0]
+
+
+class TestRadiusCounts:
+    """priv_radius reads every level's count from one search over the sorted
+    norms, and hands the SVT exactly the counts |{i : ||X_i|| > 2^-j}|."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(datasets(subnormal=True), st.integers(1, 1074))
+    def test_counts_at_every_level(self, x, offset_exponent):
+        b = math.ldexp(1.0, -offset_exponent)
+        levels = [math.ldexp(1.0, -j) for j in range(offset_exponent + 1)]
+        want = [int(np.sum(x.norms() > level)) for level in levels]
+        assert CovSketch(x).count_above(levels).tolist() == want
+        assert radius_svt_call(x, 1.0, 0.1, b)[0] == want
+
+    def test_one_count_search_per_call(self, monkeypatch):
+        searches = []
+        original = CovSketch.count_above
+
+        def counted(sketch, level):
+            searches.append(np.size(level))
+            return original(sketch, level)
+
+        monkeypatch.setattr(CovSketch, "count_above", counted)
+        x = CovSketch(dataset_with_norms(np.linspace(0.0, 1.0, 50)))
+        priv_radius(x, 1.0, 0.1, 2.0**-30, RandomStream(0))
+        assert searches == [31]
+
+
+class TestRadiusSvtPrivacyLoss:
+    """The exact privacy loss of priv_radius's SVT (AboveThreshold, Dwork and
+    Roth 2014, section 3.6) on the count vectors of neighbouring sketches,
+    which differ in one column: the index distributions are integrated, not
+    sampled.
+
+    Replacing one column moves the counts of a run of levels by one, all the
+    same way.  Shifting the threshold noise by one then maps the outcomes of
+    one neighbour onto the other's, plus a shift of the firing query's noise
+    when that query is not in the run: a loss of at most 1/2 + 1/4 of eps.
+    Counts shifted at every level, near the threshold, read eps/2.
+    Quartering the threshold noise must show up as about 2 eps."""
+
+    BETA, B = 0.05, 2.0**-40
+
+    def loss(self, norms, neighbour, eps, d=3, threshold_shrink=1.0):
+        # one seed: every column but the replaced one is the same vector
+        queries, sensitivity, threshold, eps = radius_svt_call(
+            dataset_from_norms(norms, d, seed=0), eps, self.BETA, self.B
+        )
+        other = radius_svt_call(dataset_from_norms(neighbour, d, seed=0), eps, self.BETA, self.B)
+        assert other[1:] == (sensitivity, threshold, eps)
+        return svt_privacy_loss(queries, other[0], sensitivity, threshold, eps, threshold_shrink)
+
+    def flat_pair(self, eps, offset):
+        """m unit columns and zero columns, m = T + offset, against one more
+        unit column: the count at every level below 1 rises by one."""
+        threshold = radius_svt_call(dataset_from_norms([1.0], 3, 0), eps, self.BETA, self.B)[2]
+        m = max(0, round(threshold) + offset)
+        norms = [1.0] * m + [0.0] * 60
+        return norms, norms[:m] + [1.0] + norms[m + 1 :]
+
+    @pytest.mark.parametrize("eps", [1.0, 0.25, GAUSSIAN.svt_eps(0.1 / 8)])
+    @pytest.mark.parametrize("offset", [-30, -5, 0, 5, 30])
+    def test_flat_counts_within_eps(self, eps, offset):
+        loss = self.loss(*self.flat_pair(eps, offset), eps)
+        assert loss <= 0.75 * eps * (1 + 1e-4)  # so within eps, with room
+        if abs(offset) <= 5:
+            assert loss == pytest.approx(eps / 2, rel=0.05)
+
+    def test_random_neighbours_within_eps(self):
+        rng = np.random.default_rng(12)
+        for eps in (1.0, 0.3):
+            for _ in range(6):
+                n = int(rng.integers(20, 400))
+                norms = list(np.ldexp(rng.uniform(0.5, 1.0, n), -rng.integers(0, 45, n)))
+                norms[: n // 10] = [0.0] * (n // 10)
+                i = int(rng.integers(n))
+                dyadic = 2.0 ** -int(rng.integers(0, 45))
+                replacement = rng.choice([0.0, 1.0, dyadic, rng.uniform()])
+                neighbour = norms[:i] + [float(replacement)] + norms[i + 1 :]
+                assert self.loss(norms, neighbour, eps) <= 0.75 * eps * (1 + 1e-4)
+
+    def test_dyadic_boundary_neighbours_within_eps(self):
+        # a norm exactly on a level is not above it; one ulp more is
+        base = [math.ldexp(1.0, -j) for j in range(0, 40, 3)] * 4
+        for j in (0, 3, 39):
+            level = math.ldexp(1.0, -j)
+            for a, b in ((level, math.nextafter(level, 2.0)), (level, 0.0)):
+                assert self.loss(base + [a], base + [b], 1.0) <= 0.75 * (1 + 1e-4)
+
+    def test_quartered_threshold_noise_exceeds_eps(self):
+        eps = 1.0
+        loss = self.loss(*self.flat_pair(eps, 0), eps, threshold_shrink=4.0)
+        assert loss > eps
+        assert loss == pytest.approx(2 * eps, rel=0.05)
+
+    def test_integrator_matches_closed_form(self):
+        # one query fires when Lap(4) - Lap(2) >= T - q; that difference has
+        # density (a^2 f_a - b^2 f_b) / (a^2 - b^2), f_s the Lap(s) density
+        a, b = 4.0, 2.0
+        for threshold, q in ((5.0, 0.0), (30.0, 0.0), (10.0, 10.0)):
+            c = threshold - q
+            fires = (a * a * math.exp(-c / a) - b * b * math.exp(-c / b)) / (2 * (a * a - b * b))
+            p = svt_index_distribution([q], threshold, b, a)
+            assert p.sum() == pytest.approx(1.0, abs=1e-5)
+            assert p[0] == pytest.approx(fires, rel=1e-5)
 
 
 class TestNormHistogram:
@@ -597,6 +722,31 @@ class TestAdaptiveCov:
             rep = run(x, budget, 0.05, RandomStream(0, zero_noise=True))
             assert min(evaluated) == -1020
             assert rep.details["tau"] == 2.0**-1020
+
+
+class TestFinalStage:
+    """The adaptive estimate is the clipped mechanism at the chosen threshold
+    and branch, on the run's "mech" stream, bit for bit."""
+
+    CASES = [
+        (adaptive_cov, GAUSSIAN, lambda: synth(SynthSpec(n=2000, d=4, bins=4, seed=3)), 1.0),
+        (adaptive_cov_pure, LAPLACE, lambda: synth(SynthSpec(n=500, d=8, seed=3)), 1.0),
+        (adaptive_cov, GAUSSIAN, lambda: skewed_dataset(2000, 1), 0.01),
+        (adaptive_cov_pure, LAPLACE, lambda: skewed_dataset(2000, 1), 5.0),
+    ]
+
+    def test_matches_clip_mechanism(self):
+        branches = set()
+        for run, family, data, value in self.CASES:
+            sketch = CovSketch(data())
+            rep = run(sketch, value, 0.05, RandomStream(0))
+            budget = family.budget(family.ledger(value)["mechanism"])
+            mech = RandomStream(0).child("mech")
+            want = clip_mechanism(sketch, budget, rep.details["tau"], mech, rep.details["branch"])
+            assert np.array_equal(rep.estimate, want.estimate)
+            assert rep.clip_threshold == want.clip_threshold and rep.variant == want.variant
+            branches.add(rep.variant)
+        assert branches == {"gauss", "lap", "separate", "separate-pure"}
 
 
 class TestAdaptiveCovPure:

@@ -229,3 +229,53 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n")
         with pytest.raises(ValueError, match="empty file"):
             load_csv(path)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_bits_round_trip(self, tmp_path, seed):
+        # every finite float64 bit pattern is as likely as any other: all
+        # exponents, subnormals and both zeros
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 2**64, size=3000, dtype=np.uint64).view(np.float64)
+        extremes = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+        values = np.concatenate([values[np.isfinite(values)], extremes])
+        rows = values[: values.size // 6 * 6].reshape(-1, 6)
+        path = tmp_path / "bits.csv"
+        np.savetxt(path, rows, fmt="%.17g", delimiter=",")
+        got = load_csv(path).columns.T
+        assert np.array_equal(got.view(np.uint64), rows.view(np.uint64))
+
+    def test_blank_lines_crlf_and_quotes(self, tmp_path):
+        path = tmp_path / "loose.csv"
+        path.write_bytes(b'\r\nx,y\r\n\r\n"1.5", 2\r\n\r\n3,4e-1\r\n')
+        assert np.array_equal(load_csv(path).columns, [[1.5, 3.0], [2.0, 0.4]])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a first row that is part numeric is data, not a header
+            ("1,\n2,3\n", "non-numeric cell at row 1, column 2: ''"),
+            ("a,1\n2,3\n", "non-numeric cell at row 1, column 1: 'a'"),
+            # float() reads these; numpy's parser does not
+            ("x,y\n1,2\n1_000,3\n", "non-numeric cell at row 3, column 1: '1_000'"),
+            ("1,٣\n", "non-numeric cell at row 1, column 2: '٣'"),
+            # rows are counted without blank lines
+            ("1,2\n\n\n3,x\n", "non-numeric cell at row 2, column 2: 'x'"),
+            ("h\n\n1\n2,3\n", "ragged row 3: expected 1 cells, got 2"),
+            ("1,2\n-inf,3\n", "non-finite value at row 2, column 1: '-inf'"),
+            ("1,2\n3,1e999\n", "non-finite value at row 2, column 2: '1e999'"),
+            ("\n\n", "empty file"),
+            ("a,b\n\n", r"empty file \(header only\)"),
+        ],
+    )
+    def test_located_errors(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_csv(path)
+
+    def test_error_comes_from_the_first_bad_row(self, tmp_path):
+        # numpy stops at the ragged row; the scan names the earlier bad cell
+        path = tmp_path / "two.csv"
+        path.write_text("1,2\n3,inf\n4\n")
+        with pytest.raises(ValueError, match="non-finite value at row 2, column 2"):
+            load_csv(path)

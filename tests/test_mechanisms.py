@@ -5,9 +5,10 @@ import pytest
 
 from oracle_utils import sensitivity_probe
 
-from dpcov.adaptive import noise_hat
+from dpcov.adaptive import adaptive_cov, adaptive_cov_pure, noise_hat
 from dpcov.bounds import eta, lap_vec_bound, omega, slw_frob_bound, slw_op_bound, upsilon
 from dpcov.linalg import (
+    CovSketch,
     Dataset,
     clip_dataset,
     covariance,
@@ -344,3 +345,34 @@ class TestReportValidation:
         estimate[129, 128] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
             MechanismReport(estimate, None, "zero")
+
+
+class TestOneReportPerCall:
+    """Each public mechanism call builds, and so symmetry-checks, exactly one
+    report: the bodies return bare estimates."""
+
+    CALLS = {
+        "gauss": lambda x, s: gauss_cov(x, 0.5, s),
+        "lap": lambda x, s: lap_cov(x, 0.5, s),
+        "separate": lambda x, s: separate_cov(x, 0.5, s),
+        "separate-pure": lambda x, s: separate_cov_pure(x, 0.5, s, project_nonnegative=True),
+        "clip-gauss": lambda x, s: clip_mechanism(x, zcdp(0.5), 0.25, s, "gauss"),
+        "clip-separate-pure": lambda x, s: clip_mechanism(x, pure(0.5), 0.5, s, "separate-pure"),
+        "adaptive": lambda x, s: adaptive_cov(x, 0.5, 0.05, s),
+        "adaptive-pure": lambda x, s: adaptive_cov_pure(x, 0.5, 0.05, s),
+        "zero": lambda x, s: zero_cov(x),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_post_init_runs_once(self, name, monkeypatch):
+        checks = []
+        original = MechanismReport.__post_init__
+
+        def counted(report):
+            checks.append(report.variant)
+            original(report)
+
+        monkeypatch.setattr(MechanismReport, "__post_init__", counted)
+        x = CovSketch(ball_dataset(5, 40, seed=31))
+        report = self.CALLS[name](x, RandomStream(32))
+        assert checks == [report.variant]
