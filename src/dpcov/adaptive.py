@@ -34,7 +34,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .linalg import CovSketch, Dataset
+from .linalg import CovSketch, Dataset, _pow2_exponent
 from .mechanisms import (
     FAMILIES,
     GAUSSIAN,
@@ -63,16 +63,6 @@ __all__ = [
 # offset); anything below this floor is indistinguishable from zero at
 # machine precision anyway.
 _MIN_FLOAT_EXPONENT = -1020
-
-
-def _pow2_exponent(value: float) -> int:
-    """The integer t with value == 2**t; rejects non powers of two."""
-    if value <= 0 or not math.isfinite(value):
-        raise ValueError("expected a positive power of two")
-    mantissa, exp = math.frexp(value)
-    if mantissa != 0.5:
-        raise ValueError(f"{value} is not a power of two")
-    return exp - 1
 
 
 def svt(
@@ -183,9 +173,10 @@ def threshold_query(
 
     for a private radius r > 0 and the dyadic counts of the r-clipped norms
     (:func:`build_histogram`).  bias bounds the clipping bias at tau from
-    above.  A column adds at most 2^(2s+2) <= 4 r^2 to n*bias, so one column
-    change moves it by at most 4 r^2 and the normalization caps the
-    sensitivity at 1.  Nondecreasing as tau walks down the dyadic grid.
+    above.  A column adds 2^(2s+2) - tau^2 < r^2 to n*bias (s < log2 r), so
+    one column change moves the query by at most 1/4, all queries the same
+    way; the SVT runs at sensitivity 1, as calibrated in the paper.
+    Nondecreasing as tau walks down the dyadic grid.
 
     Bias and noise are evaluated in units of r, at tau/r and tr_hat/r^2,
     times n/4.  r is a power of two, so this equals the direct form wherever

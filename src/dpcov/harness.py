@@ -13,7 +13,9 @@ written to the results file, which must be byte-identical across reruns.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import platform
@@ -271,6 +273,36 @@ def _write_csv(path: Path, rows, fields: list[str]) -> None:
             fh.write(",".join(_fmt(getattr(row, f)) for f in fields) + "\n")
 
 
+def _blas_threads() -> int | str:
+    """The thread count of the OpenBLAS that numpy loaded, or "unknown"
+    where it cannot be read (another BLAS, or no /proc/self/maps)."""
+    get = _openblas_get_num_threads()
+    return "unknown" if get is None else int(get())
+
+
+@functools.cache
+def _openblas_get_num_threads():
+    """OpenBLAS's thread-count getter, looked up once: the maps scan costs
+    about a millisecond, as much as 2% of a small plan."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        for path in libs:
+            lib = ctypes.CDLL(path)
+            for symbol in (
+                "scipy_openblas_get_num_threads64_",
+                "openblas_get_num_threads64_",
+                "openblas_get_num_threads",
+            ):
+                fn = getattr(lib, symbol, None)
+                if fn is not None:
+                    fn.restype = ctypes.c_int
+                    return fn
+    except OSError:
+        pass
+    return None
+
+
 def write_results(
     rows: list[ResultRow],
     summaries: list[SummaryRow],
@@ -299,10 +331,10 @@ def write_results(
         "sweep_axis": plan.sweep_axis,
         "sweep_values": list(plan.sweep_values) if plan.sweep_values else None,
         # seeds reproduce the same bytes only under the same numpy, BLAS and
-        # BLAS thread count, which is not recorded (the BLAS's rounding of
-        # Z U and of the mechanisms' products depends on all three)
+        # BLAS thread count (the BLAS's rounding of Z U and of the
+        # mechanisms' products depends on all three)
         "numpy": np.__version__,
-        "blas": {"name": blas["name"], "version": blas["version"]},
+        "blas": {"name": blas["name"], "version": blas["version"], "threads": _blas_threads()},
         "python": platform.python_version(),
     }
     if plan.budget.kind == "zcdp":

@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "Dataset",
     "CovSketch",
-    "Gram",
     "EigenDecomp",
     "covariance",
     "eig_sym",
@@ -108,6 +107,12 @@ def _mirror_upper(w: np.ndarray) -> None:
             w[cols, rows] = w[rows, cols].T
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only."""
+    a.flags.writeable = False
+    return a
+
+
 def column_norms(cols: np.ndarray) -> np.ndarray:
     """l2 norms of the columns of a (d, n) array, _CHUNK_COLUMNS at a time.
 
@@ -162,8 +167,7 @@ class Dataset:
             raise ValueError("empty dataset")
         if cols.shape[0] == 0:
             raise ValueError("dataset dimension must be at least 1")
-        norms = column_norms(cols)
-        norms.flags.writeable = False
+        norms = _frozen(column_norms(cols))
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "_norms", norms)
         if self.ball_constrained:
@@ -290,6 +294,17 @@ def radius(x: Dataset) -> float:
     return float(np.max(x.norms()))
 
 
+def _pow2_exponent(value: float) -> int:
+    """The integer t with value == 2**t; rejects anything else.  Clip
+    thresholds and private radii are powers of two, checked here."""
+    if value <= 0 or not math.isfinite(value):
+        raise ValueError("expected a positive power of two")
+    mantissa, exp = math.frexp(value)
+    if mantissa != 0.5:
+        raise ValueError(f"{value} is not a power of two")
+    return exp - 1
+
+
 def _norm_bucket(norms: np.ndarray) -> np.ndarray:
     """The dyadic bucket s with norm in (2^s, 2^(s+1)] of each positive norm.
 
@@ -298,33 +313,6 @@ def _norm_bucket(norms: np.ndarray) -> np.ndarray:
     """
     mantissa, exponent = np.frexp(norms)
     return np.where(mantissa == 0.5, exponent - 2, exponent - 1)
-
-
-class Gram:
-    """A covariance matrix of ``count`` columns and its exact spectrum.
-
-    ``cov`` is exactly symmetric and read-only.  :meth:`spectrum` runs
-    ``np.linalg.eigvalsh`` on first request and returns the same array after.
-    """
-
-    __slots__ = ("cov", "dim", "count", "_spectrum", "_lock")
-
-    def __init__(self, cov: np.ndarray, count: int):
-        cov.flags.writeable = False
-        self.cov = cov
-        self.dim = cov.shape[0]
-        self.count = count
-        self._spectrum = None
-        self._lock = threading.Lock()
-
-    def spectrum(self) -> np.ndarray:
-        """Eigenvalues in descending order (read-only)."""
-        with self._lock:
-            if self._spectrum is None:
-                values = np.linalg.eigvalsh(self.cov)[::-1]
-                values.flags.writeable = False
-                self._spectrum = values
-            return self._spectrum
 
 
 class _Layout(NamedTuple):
@@ -352,17 +340,20 @@ class CovSketch:
     touching the columns again: counts above a level and the clipped trace
     (``trace(r)``) by binary search over the sorted norms, the dyadic
     histogram of the clipped norms min(||x||, r) (``histogram(r)``) from the
-    buckets, and the unit-ball Gram of the columns clipped at tau = 2^t,
-    ``sum_{s<t} A_s / tau^2 + sum_{s>=t} B_s``.  ``A_s`` is stored divided
-    by 4^(s+1) so that buckets of tiny norms stay in floating range.
+    buckets, and the unit-ball Gram of the columns clipped at tau = 2^t
+    (``gram(tau)``), ``sum_{s<t} A_s / tau^2 + sum_{s>=t} B_s``, with its
+    spectrum (``spectrum(tau)``).  Clip thresholds are powers of two, the
+    bucket edges, so no bucket straddles one.  ``A_s`` is stored divided by
+    4^(s+1) so that buckets of tiny norms stay in floating range.
 
     Each ``A_s`` and ``B_s`` is built the first time a clipped Gram needs
     it, in blocks of ``_CHUNK_COLUMNS`` columns, so mechanisms that never
     clip pay only for the norms and ``G``, and no second d x n array is
     ever held.  Memory: d^2 * (1 + 2 * occupied buckets + clip exponents
-    queried) floats, plus 4n for the norms, their order and the prefix sums.
-    The source columns are referenced, not copied.  Lazy parts are filled
-    under a lock, so threads may share a sketch.
+    queried) floats, d per spectrum, plus 4n for the norms, their order and
+    the prefix sums.  The source columns are referenced, not copied.  Every
+    lazy part is built once, under the sketch's one lock, so threads may
+    share a sketch.
     """
 
     def __init__(self, x: Dataset):
@@ -381,7 +372,7 @@ class CovSketch:
     @property
     def G(self) -> np.ndarray:
         """``covariance(x)`` of the source dataset (read-only)."""
-        return self._exact().cov
+        return self.gram()
 
     def count_above(self, level):
         """Number of column norms strictly above ``level``, or above each of
@@ -408,19 +399,21 @@ class CovSketch:
             counts[top] = counts.get(top, 0) + self.count - kept
         return counts
 
-    def _exact(self) -> Gram:
-        """The unclipped covariance ``covariance(x)``, with its spectrum."""
-        return self._cached("G", lambda: Gram(covariance(self._dataset), self.count))
+    def gram(self, tau: float | None = None) -> np.ndarray:
+        """The covariance of the columns (``G``); with tau = 2^t, that of the
+        columns clipped at tau and rescaled to the unit ball,
+        (1/n) sum_i X_i X_i^T / max(||X_i||, tau)^2.  Read-only, built once
+        per key; raises ``ValueError`` unless tau is a power of two."""
+        if tau is None:
+            return self._cached("G", lambda: _frozen(covariance(self._dataset)))
+        t = _pow2_exponent(tau)
+        return self._cached(t, lambda: _frozen(self._unit_cov(t)))
 
-    def gram(self, tau: float | None = None) -> Gram:
-        """The covariance of the columns; with ``tau``, that of the columns
-        clipped at tau and rescaled to the unit ball,
-        (1/n) sum_i X_i X_i^T / max(||X_i||, tau)^2.
-
-        Results for dyadic tau, and the unclipped covariance, are cached
-        with their spectra.
-        """
-        return self._exact() if tau is None else self._unit(tau)
+    def spectrum(self, tau: float | None = None) -> np.ndarray:
+        """Eigenvalues of ``gram(tau)`` in descending order (read-only),
+        built once per key."""
+        key = ("spectrum", "G" if tau is None else _pow2_exponent(tau))
+        return self._cached(key, lambda: _frozen(np.linalg.eigvalsh(self.gram(tau))[::-1]))
 
     # -- internals --------------------------------------------------------
 
@@ -453,49 +446,34 @@ class CovSketch:
             raise ValueError("clip radius must be positive")
         return int(np.searchsorted(self._layout().norms, r, side="right"))
 
-    def _unit(self, tau: float) -> Gram:
-        if not tau > 0:
-            raise ValueError("clip threshold must be positive")
-        mantissa, exponent = math.frexp(tau)
-        if mantissa != 0.5:
-            return Gram(self._unit_cov(tau), self.count)
-        return self._cached(exponent - 1, lambda: Gram(self._unit_cov(tau), self.count))
-
-    def _unit_cov(self, tau: float) -> np.ndarray:
+    def _unit_cov(self, t: int) -> np.ndarray:
+        tau = math.ldexp(1.0, t)
         if tau >= self.max_norm:  # nothing is clipped
             return self.G / tau / tau
-        # tau = m * 2^e with m in [0.5, 1): bucket s lies wholly at or below
-        # tau when s <= e-2, wholly above it when 2^s >= tau
-        mantissa, e = math.frexp(tau)
-        first_clipped = e - 1 if mantissa == 0.5 else e
+        # bucket s lies wholly at or below tau = 2^t when s < t, above it else
         total = np.zeros((self.dim, self.dim))
-        for s, (lo, hi) in self._layout().buckets.items():
-            if s <= e - 2:
-                weight = math.ldexp((1.0 / mantissa) ** 2, 2 * (s + 1 - e))
-                total += weight * self._bucket_gram("A", s)
-            elif s >= first_clipped:
+        for s in self._layout().buckets:
+            if s < t:
+                total += math.ldexp(1.0, 2 * (s + 1 - t)) * self._bucket_gram("A", s)
+            else:
                 total += self._bucket_gram("B", s)
-            else:  # the bucket straddles a non-dyadic tau
-                total += self._block_gram(lo, hi, lambda norms: np.maximum(norms, tau))
         return _symmetrize(total / self.count)
 
     def _bucket_gram(self, kind: str, s: int) -> np.ndarray:
-        lo, hi = self._layout().buckets[s]
-        if kind == "A":
-            scale = math.ldexp(1.0, s + 1)
-            return self._cached(("A", s), lambda: self._block_gram(lo, hi, lambda _: scale))
-        return self._cached(("B", s), lambda: self._block_gram(lo, hi, lambda norms: norms))
+        """``A_s`` (kind "A": the bucket's columns over 2^(s+1)) or ``B_s``
+        (kind "B": each over its norm), accumulated _CHUNK_COLUMNS columns
+        at a time."""
 
-    def _block_gram(self, lo: int, hi: int, divisor) -> np.ndarray:
-        """Gram of the columns at sorted positions lo..hi-1, each divided by
-        ``divisor`` of its norm, accumulated _CHUNK_COLUMNS columns at a time."""
-        layout = self._layout()
-        acc = np.zeros((self.dim, self.dim))
-        for start in range(lo, hi, _CHUNK_COLUMNS):
-            stop = min(start + _CHUNK_COLUMNS, hi)
-            block = self._dataset.columns[:, layout.order[start:stop]]
-            block /= divisor(layout.norms[start:stop])
-            acc += block @ block.T
-        acc = _symmetrize(acc)
-        acc.flags.writeable = False
-        return acc
+        def build():
+            layout = self._layout()
+            lo, hi = layout.buckets[s]
+            scale = math.ldexp(1.0, s + 1)
+            acc = np.zeros((self.dim, self.dim))
+            for start in range(lo, hi, _CHUNK_COLUMNS):
+                stop = min(start + _CHUNK_COLUMNS, hi)
+                block = self._dataset.columns[:, layout.order[start:stop]]
+                block /= scale if kind == "A" else layout.norms[start:stop]
+                acc += block @ block.T
+            return _frozen(_symmetrize(acc))
+
+        return self._cached((kind, s), build)

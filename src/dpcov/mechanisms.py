@@ -17,8 +17,8 @@ vector on the exact spectrum, used as produced -- no projection or
 re-sorting -- unless ``project_nonnegative`` is requested) and to the
 eigenvectors (the eigenbasis of the noise-matrix-perturbed covariance), then
 reassembled.  ``clip_mechanism`` wraps either body: clip columns to radius
-tau, run it on the (1/tau)-rescaled data, and scale the estimate back by
-tau^2.
+tau (a power of two), run it on the (1/tau)-rescaled data, and scale the
+estimate back by tau^2.
 
 Every mechanism takes a :class:`Dataset` or its :class:`CovSketch` and reads
 only the sketch: callers that run many mechanisms on one dataset should
@@ -42,7 +42,7 @@ from .bounds import (
     slw_op_bound,
     upsilon,
 )
-from .linalg import _NORM_RTOL, CovSketch, Dataset, Gram, _is_symmetric, eig_sym, reconstruct
+from .linalg import _NORM_RTOL, CovSketch, Dataset, _is_symmetric, eig_sym, reconstruct
 from .privacy import PrivacyBudget, compose, gaussian_scale, laplace_scale
 from .randomness import (
     RandomStream,
@@ -270,17 +270,18 @@ def _release(family, base, x, value, stream, project_nonnegative=False) -> Mecha
     if sketch.max_norm > 1.0 + _NORM_RTOL:
         raise ValueError(f"norms exceed 1 (max norm {sketch.max_norm})")
     budget = family.budget(value)  # validate before drawing
-    estimate = _body(family, base, sketch.gram(), value, stream, project_nonnegative)
+    estimate = _body(family, base, sketch, None, value, stream, project_nonnegative)
     return MechanismReport(estimate, budget, base)
 
 
-def _body(family, base, g: Gram, value, stream, project_nonnegative=False) -> np.ndarray:
+def _body(family, base, sketch, tau, value, stream, project_nonnegative=False) -> np.ndarray:
     """The estimate of the family's plain or separate mechanism (``base``)
-    on the covariance of data in the unit ball."""
+    on ``sketch.gram(tau)``, the covariance of data in the unit ball."""
+    cov, d, n = sketch.gram(tau), sketch.dim, sketch.count
     if base == family.plain:
-        return g.cov + family.matrix_noise(stream, g.dim, g.count, value)
-    lam_noisy = g.spectrum() + family.vector_noise(stream, g.dim, g.count, value / 2)
-    basis = eig_sym(g.cov + family.matrix_noise(stream, g.dim, g.count, value / 2)).basis
+        return cov + family.matrix_noise(stream, d, n, value)
+    lam_noisy = sketch.spectrum(tau) + family.vector_noise(stream, d, n, value / 2)
+    basis = eig_sym(cov + family.matrix_noise(stream, d, n, value / 2)).basis
     if project_nonnegative:
         lam_noisy = np.maximum(lam_noisy, 0.0)
     return reconstruct(basis, lam_noisy)
@@ -289,15 +290,17 @@ def _body(family, base, g: Gram, value, stream, project_nonnegative=False) -> np
 def _clipped(family, base, sketch: CovSketch, value, tau, stream) -> np.ndarray:
     """``base`` on the columns clipped to tau and rescaled to the unit ball,
     scaled back by tau^2.  The caller checks tau, base and budget."""
-    return tau * tau * _body(family, base, sketch.gram(tau), value, stream)
+    return tau * tau * _body(family, base, sketch, tau, value, stream)
 
 
 def clip_mechanism(
     x: Dataset | CovSketch, budget: PrivacyBudget, tau: float, stream: RandomStream, base: str
 ) -> MechanismReport:
     """Run a base mechanism (a family's plain or separate name) on columns
-    clipped to radius tau and rescaled to the unit ball, then scale the
-    estimate back by tau^2."""
+    clipped to radius tau, a power of two in (0, 1], and rescaled to the
+    unit ball, then scale the estimate back by tau^2.  Any other tau raises
+    ``ValueError`` (a non power of two from :meth:`CovSketch.gram`, before
+    any noise is drawn)."""
     if not 0.0 < tau <= 1.0:
         raise ValueError("clip threshold must lie in (0, 1]")
     family = next((f for f in FAMILIES.values() if base in (f.plain, f.separate)), None)

@@ -314,6 +314,107 @@ class TestRadiusSvtPrivacyLoss:
             assert p[0] == pytest.approx(fires, rel=1e-5)
 
 
+def threshold_svt_queries(family, x, value, beta, r_tilde, tr_hat):
+    """The queries ``_adaptive`` hands the threshold SVT, listed, given the
+    radius and trace bound the earlier stages released."""
+    sketch = CovSketch.of(x)
+    d, n = sketch.dim, sketch.count
+    bounds = family.noise_bounds(family.ledger(value)["mechanism"], beta / 2, d, n)
+    query = threshold_query(bounds, sketch.histogram(r_tilde), tr_hat, r_tilde, n)
+    start, end = int(math.log2(r_tilde)), max(-d * n, -1020)
+    return [query(t) for t in range(start, end - 1, -1)]
+
+
+class TestThresholdSvtPrivacyLoss:
+    """The exact privacy loss of the threshold SVT on neighbouring sketches,
+    with the released r and tr_hat held fixed across each pair.
+
+    One column adds at most r^2 - tau^2 to n * bias (its clipped norm lies in
+    a bucket s < log2 r), so after the n/(4 r^2) normalization a query moves
+    by at most 1/4, not the 1 the SVT is calibrated for, and every query
+    moves the same way.  Shifting the threshold noise by 1/4 then costs
+    eps/8, and the firing query's noise eps/16 more: the loss is at most
+    3 eps/16, and a pair whose queries all shift by about 1/4 near the
+    threshold reads eps/8."""
+
+    BETA = 0.05
+    BASE = [0.9, 0.6, 0.3, 0.3, 0.2, 0.1, 0.05, 0.5, 0.125, 0.125, 2**-6, 0.0, 0.0, 0.01]
+    BASE += [0.002, 0.25, 0.7, 0.4, 0.04, 0.003]
+    # (column, new norm): within a bucket, across buckets, to and from 0,
+    # across r in both directions, off and onto 2^k, and onto r = 2^-2 itself
+    MOVES = [
+        (2, 0.27),
+        (2, 0.05),
+        (2, 0.0),
+        (11, 0.2),
+        (5, 0.9),
+        (0, 0.01),
+        (8, math.nextafter(0.125, 1.0)),
+        (8, 2**-4),
+        (15, 0.26),
+        (6, 0.25),
+        (12, 1.0),
+    ]
+
+    def queries(self, family, value, norms, r_tilde, tr_hat):
+        # d * n = 40: each vector has at most 41 queries
+        x = dataset_from_norms(norms, 2, seed=0)
+        return threshold_svt_queries(family, x, value, self.BETA, r_tilde, tr_hat)
+
+    def test_helper_lists_what_adaptive_queries(self):
+        x = dataset_from_norms(self.BASE, 2, seed=0)
+        for family, value in ((GAUSSIAN, 1.0), (LAPLACE, 1.0)):
+            seen = []
+
+            def recording_svt(queries, sensitivity, threshold, eps, stream):
+                seen.append(list(queries))
+                return 1
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(adaptive, "svt", recording_svt)
+                details = adaptive._adaptive(family, x, value, self.BETA, RandomStream(3)).details
+            r_tilde, tr_hat = details["r_tilde"], details["tr_hat"]
+            assert seen[1] == threshold_svt_queries(family, x, value, self.BETA, r_tilde, tr_hat)
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, LAPLACE], ids=lambda f: f.kind)
+    @pytest.mark.parametrize("r_tilde", [1.0, 0.25])
+    def test_neighbours_within_eps(self, family, r_tilde):
+        value = 1.0
+        eps = family.svt_eps(family.ledger(value)["svt"])
+        tr_hat = CovSketch(dataset_from_norms(self.BASE, 2, seed=0)).trace(r_tilde)
+        q = np.array(self.queries(family, value, self.BASE, r_tilde, tr_hat))
+        assert len(q) <= 41 and q.min() < 0.0 < q.max()  # the SVT can fire inside the grid
+        for i, norm in self.MOVES:
+            neighbour = self.BASE[:i] + [norm] + self.BASE[i + 1 :]
+            q_prime = np.array(self.queries(family, value, neighbour, r_tilde, tr_hat))
+            moved = q_prime - q
+            assert np.all(moved >= 0.0) or np.all(moved <= 0.0), (i, norm)
+            assert np.max(np.abs(moved)) <= 1.0
+            loss = svt_privacy_loss(q, q_prime, 1.0, 0.0, eps)
+            assert loss <= eps
+            assert loss <= 3.0 / 16.0 * eps * (1 + 1e-4), (i, norm)
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, LAPLACE], ids=lambda f: f.kind)
+    def test_shrunk_threshold_noise_shows(self, family):
+        # a zero column becomes a unit one at r = 1: near the threshold every
+        # query moves by (1 - tau^2)/4, about 1/4, so dividing the threshold
+        # noise Lap(2/eps) by k reads about k * (1/4) * eps/2 = k eps/8:
+        # eps/2 at k = 4, which is still within eps because of the 4x slack
+        # above, and 2 eps at k = 16
+        value = 1.0
+        eps = family.svt_eps(family.ledger(value)["svt"])
+        tr_hat = CovSketch(dataset_from_norms(self.BASE, 2, seed=0)).trace(1.0)
+        q = self.queries(family, value, self.BASE, 1.0, tr_hat)
+        neighbour = self.BASE[:12] + [1.0] + self.BASE[13:]
+        q_prime = self.queries(family, value, neighbour, 1.0, tr_hat)
+        assert svt_privacy_loss(q, q_prime, 1.0, 0.0, eps, threshold_shrink=4.0) == pytest.approx(
+            eps / 2, rel=0.05
+        )
+        loss = svt_privacy_loss(q, q_prime, 1.0, 0.0, eps, threshold_shrink=16.0)
+        assert loss > eps
+        assert loss == pytest.approx(2 * eps, rel=0.05)
+
+
 class TestNormHistogram:
     def test_all_zero_data(self):
         assert build_histogram(Dataset(np.zeros((2, 7)))) == {}

@@ -223,10 +223,30 @@ class TestOutputFiles:
         assert meta["numpy"] == np.__version__
         assert meta["python"] == platform.python_version()
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        threads = meta["blas"].pop("threads")
         assert meta["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert threads == "unknown" or (isinstance(threads, int) and threads >= 1)
         first = meta_path.read_bytes()
         write_results(*run_plan(plan), plan, tmp_path / "out.csv")
         assert meta_path.read_bytes() == first
+
+    def test_metadata_records_blas_threads(self, tmp_path):
+        # result bytes depend on the BLAS thread count, so the sidecar
+        # records the count the run had (1 here: any host has one core)
+        code = (
+            "import sys; from dpcov.harness import run_plan, write_results, ExperimentPlan;"
+            "from dpcov.datagen import SynthSpec; from dpcov.privacy import zcdp;"
+            "plan = ExperimentPlan(mechanisms=('zero',), budget=zcdp(0.5),"
+            " synth_spec=SynthSpec(n=8, d=2), repetitions=1, master_seed=1);"
+            "write_results(*run_plan(plan), plan, sys.argv[1])"
+        )
+        src = str(Path(dpcov.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code, str(tmp_path / "out.csv")], env=env, check=True)
+        meta = json.loads((tmp_path / "out.meta.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" in str(blas["name"]).lower():
+            assert meta["blas"]["threads"] == 1
 
     def test_float_cells_round_trip(self, tmp_path):
         plan = small_plan(repetitions=2)

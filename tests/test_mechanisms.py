@@ -61,7 +61,7 @@ class TestZeroNoiseExactness:
 
     def test_clipped_zero_noise_is_clipped_covariance(self):
         x = ball_dataset(5, 30, seed=2)
-        tau = 0.3
+        tau = 0.25
         got = clip_mechanism(x, zcdp(1.0), tau, RandomStream(0, zero_noise=True), "gauss")
         want = covariance(clip_dataset(x, tau))
         assert frobenius_dist(got.estimate, want) < 1e-15
@@ -226,10 +226,15 @@ class TestClipMechanism:
         assert rep.variant == "separate"
 
     def test_invalid_tau(self):
+        # thresholds are powers of two in (0, 1]; the sketch also takes 2^t > 1
         x = ball_dataset(3, 6, seed=25)
-        for bad in (0.0, -0.5, 1.5):
+        for bad in (0.0, -0.5, 1.5, 0.3, 0.75, math.nan):
             with pytest.raises(ValueError):
                 clip_mechanism(x, zcdp(1.0), bad, RandomStream(0), "gauss")
+        sketch = CovSketch(x)
+        for read in (sketch.gram, sketch.spectrum):
+            with pytest.raises(ValueError, match="not a power of two"):
+                read(0.3)
 
     def test_budget_kind_checked(self):
         x = ball_dataset(3, 6, seed=26)
