@@ -43,14 +43,22 @@ class SynthSpec:
             raise ValueError("bins must be at least 1")
         if self.n < self.bins:
             raise ValueError("cannot populate bins: n < N")
+        zipf_bin_counts(self.n, self.bins, self.skew)  # rejects a skew it cannot weigh
 
 
 def zipf_bin_counts(n: int, bins: int, skew: float) -> list[int]:
     """Bin sizes proportional to 1/k^skew, largest-remainder rounded to sum
-    to n.  Ties in the remainders go to the smaller bin index."""
-    weights = [k ** (-skew) for k in range(1, bins + 1)]
+    to n.  Ties in the remainders go to the smaller bin index.  Raises
+    ``ValueError`` when a weight, their sum or a bin's share is not finite
+    (a NaN skew, or a negative one large enough to overflow)."""
+    try:
+        weights = [k ** (-skew) for k in range(1, bins + 1)]
+    except OverflowError:  # a float power raises where it would be inf
+        weights = [math.inf]
     total = sum(weights)
     quotas = [n * w / total for w in weights]
+    if not (math.isfinite(total) and all(map(math.isfinite, quotas))):
+        raise ValueError(f"skew {skew!r} gives non-finite Zipf weights over {bins} bins")
     counts = [int(math.floor(q)) for q in quotas]
     leftover = n - sum(counts)
     by_remainder = sorted(range(bins), key=lambda i: (counts[i] - quotas[i], i))
@@ -80,10 +88,10 @@ def synth(spec: SynthSpec) -> Dataset:
 
     counts = zipf_bin_counts(spec.n, spec.bins, spec.skew)
     assignment = np.repeat(np.arange(1, spec.bins + 1), counts)
-    assignment = assignment[stream.permutation(spec.n)]
+    assignment = assignment[gen.permutation(spec.n)]
     targets = np.ldexp(1.0, assignment - spec.bins)
     rows *= (targets / norms)[:, np.newaxis]
-    return Dataset(rows.T, ball_constrained=True)
+    return Dataset(rows.T)
 
 
 def rescale_radius(x: Dataset) -> Dataset:
@@ -92,10 +100,12 @@ def rescale_radius(x: Dataset) -> Dataset:
     r = radius(x)
     if r == 0.0:
         raise ValueError("degenerate dataset: all columns are zero")
-    scale = math.ldexp(1.0, math.ceil(math.log2(r)))
-    if scale == 1.0:
+    exponent = math.ceil(math.log2(r))
+    if exponent == 0:
         return x
-    return Dataset(x.columns / scale, ball_constrained=True)
+    # np.ldexp, not a division by 2^exponent: that is 2^1024 for radii above
+    # 2^1023, which overflows; the two agree bit for bit wherever it does not
+    return Dataset(np.ldexp(x.columns, -exponent))
 
 
 def load_csv(path: str | Path) -> Dataset:

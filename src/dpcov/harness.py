@@ -27,7 +27,7 @@ import numpy as np
 
 from .adaptive import adaptive_cov, adaptive_cov_pure
 from .datagen import SynthSpec, load_csv, rescale_radius, synth
-from .linalg import CovSketch, Dataset, frobenius_dist
+from .linalg import CovSketch, frobenius_dist
 from .mechanisms import (
     GAUSSIAN,
     LAPLACE,
@@ -184,18 +184,24 @@ def _expand_configs(plan: ExperimentPlan) -> list[_Config]:
     return configs
 
 
-def _materialize(plan: ExperimentPlan, config: _Config) -> Dataset:
-    if config.synth_spec is not None:
-        seed = _sub_seed(plan.master_seed, f"data/{config.index}")
-        return synth(dataclasses.replace(config.synth_spec, seed=seed))
-    return rescale_radius(load_csv(plan.csv_path))
+def _sketches(plan: ExperimentPlan, configs: list[_Config]) -> list[CovSketch]:
+    """The sketch of each config's data, by config index.  A CSV is loaded
+    and sketched once and shared by every config (a sweep over it can only
+    sweep the budget); each synthetic config draws its own data."""
+    if plan.csv_path is not None:
+        return [CovSketch(rescale_radius(load_csv(plan.csv_path)))] * len(configs)
+    sketches = []
+    for c in configs:
+        seed = _sub_seed(plan.master_seed, f"data/{c.index}")
+        sketches.append(CovSketch(synth(dataclasses.replace(c.synth_spec, seed=seed))))
+    return sketches
 
 
 def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
     """Execute the plan and return per-repetition rows plus a summary."""
     configs = _expand_configs(plan)
     # one pass over each dataset; every mechanism and repetition reads the sketch
-    sketches = {c.index: CovSketch(_materialize(plan, c)) for c in configs}
+    sketches = _sketches(plan, configs)
     root = RandomStream(plan.master_seed, zero_noise=plan.zero_noise)
 
     def one_run(config: _Config, mech: str, rep: int) -> ResultRow:
@@ -216,7 +222,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
             beta=plan.beta,
             seed=plan.master_seed,
             rep=rep,
-            frobenius_error=frobenius_dist(report.estimate, x.G),
+            frobenius_error=frobenius_dist(report.estimate, x.gram()),
             elapsed_ms=elapsed_ms,
             chosen_tau=report.clip_threshold,
             chosen_branch=report.variant if report.clip_threshold is not None else None,

@@ -33,9 +33,6 @@ __all__ = [
     "column_norms",
 ]
 
-# Relative slack for "norm <= bound" checks; clipping can overshoot by a few ulp.
-_NORM_RTOL = 1e-9
-
 # Columns per block of a norm scan or a bucket Gram: the working block is
 # d * _CHUNK_COLUMNS floats whatever n is.
 _CHUNK_COLUMNS = 1024
@@ -145,18 +142,15 @@ def _rescaled_norms(cols: np.ndarray) -> np.ndarray:
 class Dataset:
     """A d x n collection of column vectors, one column per individual.
 
-    ``ball_constrained=True`` asserts that every column lies in the unit
-    l2-ball; this is validated at construction time.
-
     The column norms are computed once, at construction (the same scan
     checks that every entry is finite), and :meth:`norms` returns them
     after.  So ``columns`` must not be mutated once the dataset is built:
-    the ball check, the memoised norms and any :class:`CovSketch` of the
-    dataset all describe the columns as they were.
+    the memoised norms and any :class:`CovSketch` of the dataset describe
+    the columns as they were.  Whether the columns lie in the unit ball is
+    checked where a mechanism reads them, not here.
     """
 
     columns: np.ndarray
-    ball_constrained: bool = False
     _norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -170,10 +164,6 @@ class Dataset:
         norms = _frozen(column_norms(cols))
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "_norms", norms)
-        if self.ball_constrained:
-            worst = float(np.max(norms))
-            if worst > 1.0 + _NORM_RTOL:
-                raise ValueError(f"norms exceed 1 (max norm {worst})")
 
     @property
     def dim(self) -> int:
@@ -271,7 +261,7 @@ def clip_dataset(x: Dataset, tau: float) -> Dataset:
     factors = np.ones_like(norms)
     over = norms > tau
     factors[over] = tau / norms[over]
-    return Dataset(x.columns * factors, ball_constrained=x.ball_constrained or tau <= 1.0)
+    return Dataset(x.columns * factors)
 
 
 def trace_stat(x: Dataset) -> float:
@@ -331,7 +321,7 @@ class CovSketch:
     dataset's memoised norms; the rest is derived on first need and kept:
 
     * the norms sorted, with prefix sums of their squares;
-    * ``G``, which is ``covariance(x)`` bit for bit;
+    * ``gram()``, which is ``covariance(x)`` bit for bit;
     * per dyadic bucket s (norms in (2^s, 2^(s+1)]): its count and sum of
       squared norms, read off the sorted norms; ``A_s``, the Gram of its
       columns; and ``B_s``, the Gram of its unit-normalised columns.
@@ -348,7 +338,7 @@ class CovSketch:
 
     Each ``A_s`` and ``B_s`` is built the first time a clipped Gram needs
     it, in blocks of ``_CHUNK_COLUMNS`` columns, so mechanisms that never
-    clip pay only for the norms and ``G``, and no second d x n array is
+    clip pay only for the norms and ``gram()``, and no second d x n array is
     ever held.  Memory: d^2 * (1 + 2 * occupied buckets + clip exponents
     queried) floats, d per spectrum, plus 4n for the norms, their order and
     the prefix sums.  The source columns are referenced, not copied.  Every
@@ -369,39 +359,38 @@ class CovSketch:
         """``x`` itself if it is a sketch, else the sketch of the dataset."""
         return x if isinstance(x, cls) else cls(x)
 
-    @property
-    def G(self) -> np.ndarray:
-        """``covariance(x)`` of the source dataset (read-only)."""
-        return self.gram()
-
     def count_above(self, level):
         """Number of column norms strictly above ``level``, or above each of
-        an array of levels (one search for all)."""
+        an array of levels (one search for all).  Levels must be positive."""
+        # a Python comparison for a scalar: a numpy call costs microseconds
+        if not (level > 0 if np.isscalar(level) else np.greater(level, 0.0).all()):
+            raise ValueError("levels and clip radii must be positive")
         return self.count - np.searchsorted(self._layout().norms, level, side="right")
 
     def trace(self, r: float = math.inf) -> float:
         """(1/n) sum_i min(||X_i||, r)^2, the trace of the covariance of the
         columns clipped to norm at most r."""
-        kept = self._kept(r)
-        total = self._layout().sq_prefix[kept]
-        if kept < self.count:
-            total += (self.count - kept) * r * r
+        clipped = int(self.count_above(r))
+        total = self._layout().sq_prefix[self.count - clipped]
+        if clipped:
+            total += clipped * r * r
         return float(total / self.count)
 
     def histogram(self, r: float = math.inf) -> dict[int, int]:
         """Dyadic counts of the clipped norms min(||X_i||, r): bucket s holds
         the norms in (2^s, 2^(s+1)]; zero norms are in no bucket."""
-        kept = self._kept(r)
+        clipped = int(self.count_above(r))
+        kept = self.count - clipped
         buckets = self._layout().buckets
         counts = {s: min(hi, kept) - lo for s, (lo, hi) in buckets.items() if lo < kept}
-        if kept < self.count:
+        if clipped:
             top = int(_norm_bucket(np.float64(r)))
-            counts[top] = counts.get(top, 0) + self.count - kept
+            counts[top] = counts.get(top, 0) + clipped
         return counts
 
     def gram(self, tau: float | None = None) -> np.ndarray:
-        """The covariance of the columns (``G``); with tau = 2^t, that of the
-        columns clipped at tau and rescaled to the unit ball,
+        """The covariance of the columns, ``covariance(x)``; with tau = 2^t,
+        that of the columns clipped at tau and rescaled to the unit ball,
         (1/n) sum_i X_i X_i^T / max(||X_i||, tau)^2.  Read-only, built once
         per key; raises ``ValueError`` unless tau is a power of two."""
         if tau is None:
@@ -440,16 +429,10 @@ class CovSketch:
         }
         return _Layout(order, norms, sq_prefix, buckets)
 
-    def _kept(self, r: float) -> int:
-        """Number of columns that clipping at radius r leaves unchanged."""
-        if not r > 0:
-            raise ValueError("clip radius must be positive")
-        return int(np.searchsorted(self._layout().norms, r, side="right"))
-
     def _unit_cov(self, t: int) -> np.ndarray:
         tau = math.ldexp(1.0, t)
         if tau >= self.max_norm:  # nothing is clipped
-            return self.G / tau / tau
+            return self.gram() / tau / tau
         # bucket s lies wholly at or below tau = 2^t when s < t, above it else
         total = np.zeros((self.dim, self.dim))
         for s in self._layout().buckets:

@@ -13,10 +13,11 @@ Two bodies run on either family, over the covariance of data in the unit
 l2-ball.  Plain (``gauss_cov`` / ``lap_cov``): the covariance plus a
 symmetric Wigner noise matrix.  Separate (``separate_cov`` /
 ``separate_cov_pure``): half the budget each to the eigenvalues (a noise
-vector on the exact spectrum, used as produced -- no projection or
-re-sorting -- unless ``project_nonnegative`` is requested) and to the
-eigenvectors (the eigenbasis of the noise-matrix-perturbed covariance), then
-reassembled.  ``clip_mechanism`` wraps either body: clip columns to radius
+vector on the exact spectrum, used as produced: no projection, no
+re-sorting) and to the eigenvectors (the eigenbasis of the
+noise-matrix-perturbed covariance), reassembled as P diag(lambda) P^T.
+The unit ball is checked once, on the sketch a plain or separate mechanism
+reads.  ``clip_mechanism`` wraps either body: clip columns to radius
 tau (a power of two), run it on the (1/tau)-rescaled data, and scale the
 estimate back by tau^2.
 
@@ -42,7 +43,7 @@ from .bounds import (
     slw_op_bound,
     upsilon,
 )
-from .linalg import _NORM_RTOL, CovSketch, Dataset, _is_symmetric, eig_sym, reconstruct
+from .linalg import CovSketch, Dataset, _is_symmetric, eig_sym, reconstruct
 from .privacy import PrivacyBudget, compose, gaussian_scale, laplace_scale
 from .randomness import (
     RandomStream,
@@ -67,6 +68,9 @@ __all__ = [
     "clip_mechanism",
     "zero_cov",
 ]
+
+# Relative slack of the unit-ball check; clipping can overshoot by a few ulp.
+_NORM_RTOL = 1e-9
 
 # (tr_hat, tau) -> (plain bound, separate bound); see NoiseFamily.noise_bounds
 NoiseBounds = Callable[[float, float], tuple[float, float]]
@@ -233,48 +237,36 @@ def lap_cov(x: Dataset | CovSketch, eps: float, stream: RandomStream) -> Mechani
     return _release(LAPLACE, LAPLACE.plain, x, eps, stream)
 
 
-def separate_cov(
-    x: Dataset | CovSketch,
-    rho: float,
-    stream: RandomStream,
-    *,
-    project_nonnegative: bool = False,
-) -> MechanismReport:
+def separate_cov(x: Dataset | CovSketch, rho: float, stream: RandomStream) -> MechanismReport:
     """Privatize eigenvalues and eigenvectors separately, rho/2 each.
 
     Eigenvalue noise is an i.i.d. Gaussian vector calibrated to the
     sqrt(2)/n l2-sensitivity of the sorted spectrum.  The basis comes from
     eigendecomposing the Gaussian-noised covariance.
     """
-    return _release(GAUSSIAN, GAUSSIAN.separate, x, rho, stream, project_nonnegative)
+    return _release(GAUSSIAN, GAUSSIAN.separate, x, rho, stream)
 
 
-def separate_cov_pure(
-    x: Dataset | CovSketch,
-    eps: float,
-    stream: RandomStream,
-    *,
-    project_nonnegative: bool = False,
-) -> MechanismReport:
+def separate_cov_pure(x: Dataset | CovSketch, eps: float, stream: RandomStream) -> MechanismReport:
     """Pure-DP variant of the eigenvalue/eigenvector split, eps/2 each.
 
     Eigenvalues get Laplace noise calibrated to their 2/n l1-sensitivity;
     the basis comes from the Laplace-noised covariance.
     """
-    return _release(LAPLACE, LAPLACE.separate, x, eps, stream, project_nonnegative)
+    return _release(LAPLACE, LAPLACE.separate, x, eps, stream)
 
 
-def _release(family, base, x, value, stream, project_nonnegative=False) -> MechanismReport:
+def _release(family, base, x, value, stream) -> MechanismReport:
     """The public form of ``base``: on a unit-ball dataset, one report."""
     sketch = CovSketch.of(x)
     if sketch.max_norm > 1.0 + _NORM_RTOL:
         raise ValueError(f"norms exceed 1 (max norm {sketch.max_norm})")
     budget = family.budget(value)  # validate before drawing
-    estimate = _body(family, base, sketch, None, value, stream, project_nonnegative)
+    estimate = _body(family, base, sketch, None, value, stream)
     return MechanismReport(estimate, budget, base)
 
 
-def _body(family, base, sketch, tau, value, stream, project_nonnegative=False) -> np.ndarray:
+def _body(family, base, sketch, tau, value, stream) -> np.ndarray:
     """The estimate of the family's plain or separate mechanism (``base``)
     on ``sketch.gram(tau)``, the covariance of data in the unit ball."""
     cov, d, n = sketch.gram(tau), sketch.dim, sketch.count
@@ -282,8 +274,6 @@ def _body(family, base, sketch, tau, value, stream, project_nonnegative=False) -
         return cov + family.matrix_noise(stream, d, n, value)
     lam_noisy = sketch.spectrum(tau) + family.vector_noise(stream, d, n, value / 2)
     basis = eig_sym(cov + family.matrix_noise(stream, d, n, value / 2)).basis
-    if project_nonnegative:
-        lam_noisy = np.maximum(lam_noisy, 0.0)
     return reconstruct(basis, lam_noisy)
 
 

@@ -95,11 +95,6 @@ class RandomStream:
             self._gen = _philox_generator(self._key)
         return self._gen
 
-    def permutation(self, n: int) -> np.ndarray:
-        """A random permutation of range(n); unaffected by zero-noise mode
-        (it is not a noise draw)."""
-        return self.generator.permutation(n)
-
     def __repr__(self):  # pragma: no cover
         return f"RandomStream(seed={self.seed}, zero_noise={self.zero_noise})"
 

@@ -221,7 +221,7 @@ def synth_oneshot(spec: SynthSpec) -> np.ndarray:
     norms = np.linalg.norm(cols, axis=0)
     counts = zipf_bin_counts(spec.n, spec.bins, spec.skew)
     assignment = np.repeat(np.arange(1, spec.bins + 1), counts)
-    assignment = assignment[stream.permutation(spec.n)]
+    assignment = assignment[gen.permutation(spec.n)]
     targets = np.ldexp(1.0, assignment - spec.bins)
     return cols * (targets / norms)
 
@@ -235,7 +235,7 @@ def skewed_dataset(n: int, seed: int, heavy: int = 5) -> Dataset:
     cols /= np.linalg.norm(cols, axis=0)
     norms = np.full(n, n**-0.25)
     norms[:heavy] = 1.0
-    return Dataset(cols * norms, ball_constrained=True)
+    return Dataset(cols * norms)
 
 
 def jacobi_eig_sym(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> EigenDecomp:

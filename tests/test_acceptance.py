@@ -65,7 +65,7 @@ def report(capsys, number, name, ok, detail, elapsed, limit):
 def test_criterion_01_noise_calibration(capsys):
     started = time.perf_counter()
     d, n, rho, reps = 2, 100, 1.0, 100_000
-    x = Dataset(np.eye(d, n), ball_constrained=True)
+    x = Dataset(np.eye(d, n))
     stream = RandomStream(1001)
     draws = np.empty(reps)
     for i in range(reps):
@@ -95,9 +95,7 @@ def test_criterion_02_sensitivity_suite(capsys):
         replacement = rng.standard_normal(d)
         replacement /= max(np.linalg.norm(replacement), 1.0)
         primed[:, rng.integers(n)] = replacement * rng.uniform(0.0, 1.0)
-        probe = sensitivity_probe(
-            Dataset(cols, ball_constrained=True), Dataset(primed, ball_constrained=True)
-        )
+        probe = sensitivity_probe(Dataset(cols), Dataset(primed))
         margins = (
             probe["sigma_fro"] - math.sqrt(2) / n,
             probe["lambda_fro"] - math.sqrt(2) / n,
@@ -163,7 +161,7 @@ def test_criterion_04_worst_case_scaling(capsys):
     gauss_means, sep_means = [], []
     for d in dims:
         x = CovSketch(synth(SynthSpec(n=n, d=d, bins=1, seed=1400 + d)))
-        sigma = x.G
+        sigma = x.gram()
         ge = [
             frobenius_dist(
                 gauss_cov(x, rho, RandomStream(1401).child(f"{d}/{r}")).estimate, sigma
@@ -224,7 +222,7 @@ def test_criterion_06_trace_sensitivity(capsys):
     for n_bins in bins:
         # one pass over the data; the three mechanisms and every rep read the sketch
         x = CovSketch(synth(SynthSpec(n=n, d=d, bins=n_bins, seed=1600 + n_bins)))
-        sigma = x.G
+        sigma = x.gram()
         errs = {"gauss": [], "separate": [], "adaptive": []}
         for r in range(reps):
             # one stream label per (mechanism, rep), shared across bin counts:
@@ -269,7 +267,7 @@ def test_criterion_07_adaptive_optimality(capsys):
     x = skewed_dataset(n, seed=1700, heavy=5)
     sketch = CovSketch(x)
     d = x.dim
-    sigma = sketch.G
+    sigma = sketch.gram()
     tr = trace_stat(x)
 
     adaptive_errors = [
@@ -348,7 +346,7 @@ def test_criterion_08_zero_noise_exactness(capsys):
         norms[:heavy] = rng.uniform(0.5, 1.0, size=heavy)
         cols = rng.standard_normal((d, n))
         cols /= np.linalg.norm(cols, axis=0)
-        data = Dataset(cols * norms, ball_constrained=True)
+        data = Dataset(cols * norms)
         rho = float(rng.choice([1.0, 4.0]))
         rep = adaptive_cov(data, rho, 0.05, RandomStream(0, zero_noise=True))
         r_oracle, tau_oracle = zero_noise_tau_oracle(data, rho, 0.05)

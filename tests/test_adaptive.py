@@ -57,7 +57,7 @@ def dataset_with_norms(norms, d=4, seed=0):
     rng = np.random.default_rng(seed)
     cols = rng.standard_normal((d, norms.size))
     cols /= np.linalg.norm(cols, axis=0)
-    return Dataset(cols * norms, ball_constrained=bool(np.all(norms <= 1.0)))
+    return Dataset(cols * norms)
 
 
 class TestSVT:

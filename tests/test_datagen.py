@@ -48,6 +48,29 @@ class TestZipfCounts:
     def test_single_bin_takes_everything(self):
         assert zipf_bin_counts(123, 1, 3.0) == [123]
 
+    def test_extreme_finite_weights_keep_their_counts(self):
+        # every weight and share is finite: the counts are the formula's
+        assert zipf_bin_counts(100, 3, math.inf) == [100, 0, 0]
+        assert zipf_bin_counts(100, 1, math.nan) == [100]
+        assert zipf_bin_counts(100, 3, 1000.0) == [100, 0, 0]
+        assert zipf_bin_counts(100, 3, -600.0) == [0, 0, 100]
+
+    @pytest.mark.parametrize(
+        "bins, skew",
+        [
+            (3, -1000.0),  # 3^1000 overflows
+            (3, math.nan),
+            (3, -math.inf),
+            (100, -154.1),  # each weight is finite, their sum is not
+            (2, -1023.5),  # 2^1023.5 is finite, 100 times it is not
+        ],
+    )
+    def test_non_finite_weights_rejected(self, bins, skew):
+        with pytest.raises(ValueError, match="skew"):
+            zipf_bin_counts(100, bins, skew)
+        with pytest.raises(ValueError, match="skew"):
+            SynthSpec(n=100, d=4, bins=bins, skew=skew)
+
 
 class TestSynth:
     def test_unit_norm_case(self):
@@ -62,7 +85,7 @@ class TestSynth:
         values, tallies = np.unique(np.round(x.norms(), 12), return_counts=True)
         assert list(values) == [2.0 ** (k - 4) for k in (1, 2, 3, 4)]
         assert sorted(tallies.tolist(), reverse=True) == sorted(counts, reverse=True)
-        assert x.ball_constrained
+        assert x.norms().max() <= 1
 
     def test_trace_matches_bin_mass(self):
         spec = SynthSpec(n=1000, d=6, bins=4, seed=3)
@@ -123,7 +146,7 @@ class TestStreamedBuild:
         tracemalloc.start()
         try:
             x = synth(SynthSpec(n=n, d=d, bins=4, seed=1))
-            CovSketch(x).G
+            CovSketch(x).gram()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -140,7 +163,7 @@ class TestStreamedBuild:
         monkeypatch.setattr(dpcov.linalg, "column_norms", counting)
         monkeypatch.setattr(dpcov.datagen, "column_norms", counting)
         x = synth(SynthSpec(n=3000, d=6, bins=4, seed=9))
-        CovSketch(x).G
+        CovSketch(x).gram()
         radius(x)
         # once before scaling, once on the final data
         assert scanned == [(6, 3000), (6, 3000)]
@@ -172,11 +195,21 @@ class TestRescaleRadius:
             rescale_radius(Dataset(np.zeros((2, 2))))
 
     def test_huge_entries(self):
-        # squares of these entries overflow; the norm and the rescale do not
-        x = Dataset(np.array([[1e200, 1.0], [1e200, 0.0]]))
-        assert math.isfinite(radius(x))
-        r = radius(rescale_radius(x))
-        assert 0.5 < r <= 1.0
+        # squares of these entries overflow; the norm and the rescale do not,
+        # nor does the scale 2^1024 of a radius above 2^1023
+        for cols in ([[1e200, 1.0], [1e200, 0.0]], [[1e308, 1.0], [1e308, 2.0]]):
+            x = Dataset(np.array(cols))
+            assert math.isfinite(radius(x))
+            r = radius(rescale_radius(x))
+            assert 0.5 < r <= 1.0
+
+    def test_scaling_is_the_division_by_a_power_of_two(self):
+        rng = np.random.default_rng(8)
+        for exponent in (-1070, -600, -3, 5, 700, 1022):
+            cols = rng.uniform(-1.0, 1.0, (3, 10)) * math.ldexp(1.0, exponent)
+            x = Dataset(cols)
+            scale = math.ldexp(1.0, math.ceil(math.log2(radius(x))))
+            assert np.array_equal(rescale_radius(x).columns, cols / scale)
 
 
 class TestCsvRoundTrip:

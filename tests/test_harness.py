@@ -12,8 +12,9 @@ import pytest
 from oracle_utils import save_csv
 
 import dpcov
+from dpcov import harness
 from dpcov.cli import main
-from dpcov.datagen import SynthSpec, synth
+from dpcov.datagen import SynthSpec, rescale_radius, synth
 from dpcov.harness import (
     MECHANISMS,
     ExperimentPlan,
@@ -22,7 +23,9 @@ from dpcov.harness import (
     summarize,
     write_results,
 )
+from dpcov.linalg import CovSketch, frobenius_dist
 from dpcov.privacy import pure, zcdp
+from dpcov.randomness import RandomStream
 
 BUDGETS = {"zcdp": zcdp(0.5), "pure": pure(1.0)}
 
@@ -136,6 +139,32 @@ class TestRunPlan:
         rows, _ = run_plan(plan)
         assert all(r.frobenius_error == 0.0 for r in rows)
 
+    def test_csv_budget_sweep_loads_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "in.csv"
+        save_csv(synth(SynthSpec(n=40, d=3, bins=2, seed=5)), path)
+        real_load = harness.load_csv
+        loads = []
+        monkeypatch.setattr(harness, "load_csv", lambda p: loads.append(p) or real_load(p))
+        plan = small_plan(
+            mechanisms=("gauss", "separate", "adaptive"),
+            synth_spec=None,
+            csv_path=str(path),
+            repetitions=2,
+            sweep_axis="rho",
+            sweep_values=(0.1, 0.2, 0.4, 0.8),
+        )
+        rows, _ = run_plan(plan)
+        assert loads == [str(path)]
+        # every config reads the one sketch; each row is what a sketch of
+        # its own would give
+        root = RandomStream(plan.master_seed)
+        fresh = CovSketch(rescale_radius(real_load(path)))
+        for row in rows:
+            i = plan.sweep_values.index(row.budget_value)
+            stream = root.child(f"run/{i}/{row.mechanism}/{row.rep}")
+            report = MECHANISMS[row.mechanism][1](fresh, row.budget_value, plan, stream)
+            assert row.frobenius_error == frobenius_dist(report.estimate, fresh.gram())
+
 
 class TestScalingThroughHarness:
     def test_gauss_error_grows_linearly_in_d(self):
@@ -159,7 +188,6 @@ class TestScalingThroughHarness:
 
 class TestNumericalFailure:
     def test_non_finite_estimate_exits_3(self, monkeypatch):
-        import dpcov.harness as harness
         from dpcov.mechanisms import MechanismReport
 
         def poisoned(x, value, plan, stream):
@@ -297,6 +325,18 @@ class TestCli:
 
     def test_bad_synthetic_spec_is_input_error(self):
         assert main(["run", "--mechanism", "gauss", "--synthetic", "n=10", "--rho", "1"]) == 2
+
+    @pytest.mark.parametrize("skew", ["-1000", "nan"])
+    def test_non_finite_zipf_weights_are_input_error(self, skew, capsys):
+        spec = f"n=100,d=4,N=3,s={skew}"
+        assert main(["run", "--mechanism", "gauss", "--synthetic", spec, "--rho", "0.1"]) == 2
+        assert f"input error: skew {float(skew)!r}" in capsys.readouterr().err
+
+    def test_csv_radius_above_2_to_the_1023(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1e308,1e308\n1,2\n")
+        argv = ["run", "--mechanism", "gauss", "--input", str(path), "--rho", "0.1", "--reps", "1"]
+        assert main(argv) == 0
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_uint64_is_input_error(self, seed, capsys):

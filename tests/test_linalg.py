@@ -26,7 +26,7 @@ def random_ball_dataset(d, n, rng=RNG, scale=1.0):
     cols = rng.standard_normal((d, n))
     norms = np.linalg.norm(cols, axis=0)
     cols = cols / np.max(norms) * scale
-    return Dataset(cols, ball_constrained=scale <= 1.0)
+    return Dataset(cols)
 
 
 class TestDataset:
@@ -37,10 +37,6 @@ class TestDataset:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(np.array([[1.0, np.nan]]))
-
-    def test_ball_flag_enforced(self):
-        with pytest.raises(ValueError, match="norms exceed 1"):
-            Dataset(2.0 * np.eye(2), ball_constrained=True)
 
     def test_non_finite_found_in_a_later_block(self):
         cols = np.ones((2, 3 * _CHUNK_COLUMNS + 5))
@@ -313,7 +309,7 @@ class TestTraceStat:
         assert trace_stat(Dataset(np.zeros((3, 4)))) == 0.0
 
     def test_unit_columns(self):
-        assert abs(trace_stat(Dataset(np.eye(3), ball_constrained=True)) - 1.0) < 1e-15
+        assert abs(trace_stat(Dataset(np.eye(3))) - 1.0) < 1e-15
 
     def test_equals_eigenvalue_sum(self):
         x = random_ball_dataset(6, 40)

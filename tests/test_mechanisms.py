@@ -41,7 +41,7 @@ def ball_dataset(d, n, seed, norm_groups=None):
     else:
         norms = np.concatenate([np.full(k, v) for k, v in norm_groups])
         assert norms.size == n
-    return Dataset(cols * norms, ball_constrained=True)
+    return Dataset(cols * norms)
 
 
 class TestZeroNoiseExactness:
@@ -75,7 +75,7 @@ class TestGaussCov:
 
     def test_entry_noise_scale(self):
         # off-diagonal noise std should be 1/(sqrt(rho) n)
-        x = Dataset(np.eye(2), ball_constrained=True)
+        x = Dataset(np.eye(2))
         n, rho = x.count, 1.0
         stream = RandomStream(3)
         draws = np.array([gauss_cov(x, rho, stream).estimate[0, 1] for _ in range(20_000)])
@@ -110,7 +110,7 @@ class TestGaussCov:
 class TestLapCov:
     def test_entry_noise_scale(self):
         # Laplace entries have variance 2 * (sqrt(2) d / (eps n))^2
-        x = Dataset(np.eye(2), ball_constrained=True)
+        x = Dataset(np.eye(2))
         d, n, eps = 2, 2, 1.0
         scale = math.sqrt(2) * d / (eps * n)
         stream = RandomStream(9)
@@ -159,11 +159,6 @@ class TestSeparateCov:
         )
         assert hits >= 95
 
-    def test_projection_flag(self):
-        x = ball_dataset(6, 12, seed=16)
-        rep = separate_cov(x, 0.01, RandomStream(17), project_nonnegative=True)
-        assert np.min(eig_sym(rep.estimate).values) >= -1e-10
-
 
 class TestSeparateCovPure:
     def test_eigenvalue_noise_replay(self):
@@ -184,7 +179,7 @@ class TestSeparateCovPure:
         cols = np.zeros((2, 100))
         cols[0, :50] = 0.9
         cols[1, 50:] = 0.3
-        x = Dataset(cols, ball_constrained=True)
+        x = Dataset(cols)
         eps = 1.0
         top = eig_sym(covariance(x)).values[0]
         stream = RandomStream(19)
@@ -284,9 +279,7 @@ class TestSensitivityProbe:
             new_col = rng.standard_normal(d)
             new_col /= max(np.linalg.norm(new_col), 1.0)
             primed[:, rng.integers(n)] = new_col
-            probe = sensitivity_probe(
-                Dataset(cols, ball_constrained=True), Dataset(primed, ball_constrained=True)
-            )
+            probe = sensitivity_probe(Dataset(cols), Dataset(primed))
             assert probe["sigma_fro"] <= math.sqrt(2) / n + slack
             assert probe["lambda_fro"] <= math.sqrt(2) / n + slack
             assert probe["sigma_l1"] <= math.sqrt(2) * d / n + slack
@@ -322,7 +315,7 @@ class TestPureCalibrationMargin:
         x, y = (np.asarray(v) / max(np.linalg.norm(v), 1.0) for v in pair)
         n = 5
         rest = ball_dataset(d, n - 1, seed=40 + d).columns
-        ds = [Dataset(np.column_stack([v, rest]), ball_constrained=True) for v in (x, y)]
+        ds = [Dataset(np.column_stack([v, rest])) for v in (x, y)]
         diff = covariance(ds[0]) - covariance(ds[1])
         upper_l1 = float(np.sum(np.abs(diff[np.triu_indices(d)])))
         assert abs(upper_l1 * n - found) <= 1e-6
@@ -360,7 +353,7 @@ class TestOneReportPerCall:
         "gauss": lambda x, s: gauss_cov(x, 0.5, s),
         "lap": lambda x, s: lap_cov(x, 0.5, s),
         "separate": lambda x, s: separate_cov(x, 0.5, s),
-        "separate-pure": lambda x, s: separate_cov_pure(x, 0.5, s, project_nonnegative=True),
+        "separate-pure": lambda x, s: separate_cov_pure(x, 0.5, s),
         "clip-gauss": lambda x, s: clip_mechanism(x, zcdp(0.5), 0.25, s, "gauss"),
         "clip-separate-pure": lambda x, s: clip_mechanism(x, pure(0.5), 0.5, s, "separate-pure"),
         "adaptive": lambda x, s: adaptive_cov(x, 0.5, 0.05, s),

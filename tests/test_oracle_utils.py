@@ -22,7 +22,7 @@ class TestSensitivityProbe:
         rng = np.random.default_rng(31)
         cols = rng.standard_normal((4, 9))
         cols /= np.linalg.norm(cols, axis=0)
-        x = Dataset(cols * rng.uniform(0.05, 1.0, size=9), ball_constrained=True)
+        x = Dataset(cols * rng.uniform(0.05, 1.0, size=9))
         probe = sensitivity_probe(x, x)
         assert all(v == 0.0 for v in probe.values())
 
@@ -30,9 +30,9 @@ class TestSensitivityProbe:
         cols = np.zeros((2, 2))
         cols[0, 0] = 1.0
         cols[1, 1] = 0.5
-        x = Dataset(cols, ball_constrained=True)
+        x = Dataset(cols)
         primed = cols.copy()
         primed[:, 0] = 0.0
-        probe = sensitivity_probe(x, Dataset(primed, ball_constrained=True))
+        probe = sensitivity_probe(x, Dataset(primed))
         assert abs(probe["sigma_fro"] - 0.5) < 1e-12
         assert probe["sigma_fro"] <= math.sqrt(2) / 2

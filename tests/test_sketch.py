@@ -55,7 +55,7 @@ def clip_exponents(x):
 
 def check_against_dataset_path(x):
     sketch = CovSketch(x)
-    assert np.array_equal(sketch.G, covariance(x))
+    assert np.array_equal(sketch.gram(), covariance(x))
     assert sketch.max_norm == float(np.max(x.norms()))
     norms = x.norms()
     for j in range(0, 14):
