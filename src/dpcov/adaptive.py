@@ -151,16 +151,15 @@ def private_trace_ub(
     dominates the clipped trace.
     """
     sketch = CovSketch.of(x)
-    tr = sketch.trace(r_tilde)
-    sensitivity = r_tilde * r_tilde / sketch.count
-    if sensitivity == 0.0:
-        # r^2 underflowed; every clipped squared norm (hence the trace)
-        # flushed to zero with it, so the capped value is exact and
-        # data-independent
-        return min(tr, r_tilde * r_tilde)
+    # noised in units of 2^e, where r / 2^e lies in [1/2, 1), so the
+    # sensitivity r^2/n cannot underflow to 0 however small r is; the
+    # rescaling is exact wherever the direct form is
+    _, e = math.frexp(r_tilde)
+    cap = math.ldexp(r_tilde, -e) ** 2
+    tr = math.ldexp(sketch.trace(r_tilde), -2 * e)
     family = FAMILIES[budget_frag.kind]
-    draw, offset = family.scalar_noise(stream, sensitivity, budget_frag.value, beta / 8)
-    return min(tr + draw + offset, r_tilde * r_tilde)
+    draw, offset = family.scalar_noise(stream, cap / sketch.count, budget_frag.value, beta / 8)
+    return math.ldexp(min(tr + draw + offset, cap), 2 * e)
 
 
 def threshold_query(

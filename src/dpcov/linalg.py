@@ -33,8 +33,9 @@ __all__ = [
     "column_norms",
 ]
 
-# Columns per block of a norm scan or a bucket Gram: the working block is
-# d * _CHUNK_COLUMNS floats whatever n is.
+# Columns per block of a norm scan or a clipped Gram: the working block is
+# at most d * (2 * _CHUNK_COLUMNS - 1) floats whatever n is (the last block
+# takes the remainder; see _blocks), and one block is held at a time.
 _CHUNK_COLUMNS = 1024
 
 # Edge of the square tiles in which a d x d matrix is read against its
@@ -242,12 +243,25 @@ def reconstruct(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def frobenius_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius distance ||A - B||_F."""
+    """Frobenius distance ||A - B||_F.
+
+    ``np.linalg.norm(a - b)`` bit for bit wherever that is finite and at
+    least 2^-500; elsewhere its squares may have overflowed or lost bits to
+    underflow, so A - B is rescaled by an exact power of two, as a column is
+    in :func:`column_norms`.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
-    return float(np.linalg.norm(a - b))
+    with np.errstate(over="ignore"):
+        diff = a - b
+        dist = float(np.linalg.norm(diff))
+    # an entry of A - B that overflowed (or is not finite) bounds the
+    # distance from below, so numpy's inf (or nan) stands
+    if _TINY_NORM <= dist < math.inf or diff.size == 0 or not np.all(np.isfinite(diff)):
+        return dist
+    return float(_rescaled_norms(diff.reshape(-1, 1))[0])
 
 
 def clip_dataset(x: Dataset, tau: float) -> Dataset:
@@ -308,7 +322,6 @@ def _norm_bucket(norms: np.ndarray) -> np.ndarray:
 class _Layout(NamedTuple):
     """The column norms sorted ascending, with what is read off them."""
 
-    order: np.ndarray  # column indices in norm order
     norms: np.ndarray  # sorted norms
     sq_prefix: np.ndarray  # sq_prefix[k] = sum of the k smallest squared norms
     buckets: dict[int, tuple[int, int]]  # s -> sorted positions [lo, hi)
@@ -320,30 +333,26 @@ class CovSketch:
     Built from a :class:`Dataset` without reading its columns: it takes the
     dataset's memoised norms; the rest is derived on first need and kept:
 
-    * the norms sorted, with prefix sums of their squares;
+    * the norms sorted, with prefix sums of their squares, and the dyadic
+      buckets s (norms in (2^s, 2^(s+1)]) as runs of the sorted norms;
     * ``gram()``, which is ``covariance(x)`` bit for bit;
-    * per dyadic bucket s (norms in (2^s, 2^(s+1)]): its count and sum of
-      squared norms, read off the sorted norms; ``A_s``, the Gram of its
-      columns; and ``B_s``, the Gram of its unit-normalised columns.
+    * per clip threshold tau = 2^t asked for, ``gram(tau)``, the unit-ball
+      Gram of the columns clipped at tau, (1/n) sum_i X_i X_i^T /
+      max(||X_i||, tau)^2, and its spectrum (``spectrum(tau)``).
 
-    From these, the data clipped at a radius r is summarised without
-    touching the columns again: counts above a level and the clipped trace
-    (``trace(r)``) by binary search over the sorted norms, the dyadic
-    histogram of the clipped norms min(||x||, r) (``histogram(r)``) from the
-    buckets, and the unit-ball Gram of the columns clipped at tau = 2^t
-    (``gram(tau)``), ``sum_{s<t} A_s / tau^2 + sum_{s>=t} B_s``, with its
-    spectrum (``spectrum(tau)``).  Clip thresholds are powers of two, the
-    bucket edges, so no bucket straddles one.  ``A_s`` is stored divided by
-    4^(s+1) so that buckets of tiny norms stay in floating range.
+    The data clipped at a radius r is summarised from the sorted norms
+    without touching the columns: counts above a level and the clipped trace
+    (``trace(r)``) by binary search, and the dyadic histogram of the clipped
+    norms min(||x||, r) (``histogram(r)``) from the buckets.  A clipped Gram
+    is one pass over the columns in blocks of ``_CHUNK_COLUMNS``, each
+    column divided by max(||x||, tau), so every term lies in the unit ball
+    and no second d x n array is ever held; mechanisms that never clip pay
+    only for the norms and ``gram()``.
 
-    Each ``A_s`` and ``B_s`` is built the first time a clipped Gram needs
-    it, in blocks of ``_CHUNK_COLUMNS`` columns, so mechanisms that never
-    clip pay only for the norms and ``gram()``, and no second d x n array is
-    ever held.  Memory: d^2 * (1 + 2 * occupied buckets + clip exponents
-    queried) floats, d per spectrum, plus 4n for the norms, their order and
-    the prefix sums.  The source columns are referenced, not copied.  Every
-    lazy part is built once, under the sketch's one lock, so threads may
-    share a sketch.
+    Memory: d^2 * (1 + clip exponents queried) floats, d per spectrum, plus
+    2n for the sorted norms and their prefix sums.  The source columns are
+    referenced, not copied.  Every lazy part is built once, under the
+    sketch's one lock, so threads may share a sketch.
     """
 
     def __init__(self, x: Dataset):
@@ -417,8 +426,7 @@ class CovSketch:
         return self._cached("layout", self._sort_norms)
 
     def _sort_norms(self) -> _Layout:
-        order = np.argsort(self._norms, kind="stable")
-        norms = self._norms[order]
+        norms = np.sort(self._norms)
         sq_prefix = np.concatenate(([0.0], np.cumsum(norms * norms)))
         # buckets are runs of the sorted norms; zero columns lead and join none
         first = int(np.searchsorted(norms, 0.0, side="right"))
@@ -427,36 +435,17 @@ class CovSketch:
         buckets = {
             int(ids[lo - first]): (int(lo), int(hi)) for lo, hi in zip(edges, edges[1:]) if lo < hi
         }
-        return _Layout(order, norms, sq_prefix, buckets)
+        return _Layout(norms, sq_prefix, buckets)
 
     def _unit_cov(self, t: int) -> np.ndarray:
         tau = math.ldexp(1.0, t)
-        if tau >= self.max_norm:  # nothing is clipped
-            return self.gram() / tau / tau
-        # bucket s lies wholly at or below tau = 2^t when s < t, above it else
+        # each column over max(||x||, tau): clipped at tau and rescaled, it
+        # lies in the unit ball whatever its norm
+        cols, norms = self._dataset.columns, self._norms
         total = np.zeros((self.dim, self.dim))
-        for s in self._layout().buckets:
-            if s < t:
-                total += math.ldexp(1.0, 2 * (s + 1 - t)) * self._bucket_gram("A", s)
-            else:
-                total += self._bucket_gram("B", s)
-        return _symmetrize(total / self.count)
-
-    def _bucket_gram(self, kind: str, s: int) -> np.ndarray:
-        """``A_s`` (kind "A": the bucket's columns over 2^(s+1)) or ``B_s``
-        (kind "B": each over its norm), accumulated _CHUNK_COLUMNS columns
-        at a time."""
-
-        def build():
-            layout = self._layout()
-            lo, hi = layout.buckets[s]
-            scale = math.ldexp(1.0, s + 1)
-            acc = np.zeros((self.dim, self.dim))
-            for start in range(lo, hi, _CHUNK_COLUMNS):
-                stop = min(start + _CHUNK_COLUMNS, hi)
-                block = self._dataset.columns[:, layout.order[start:stop]]
-                block /= scale if kind == "A" else layout.norms[start:stop]
-                acc += block @ block.T
-            return _frozen(_symmetrize(acc))
-
-        return self._cached((kind, s), build)
+        for start, stop in _blocks(self.count, _CHUNK_COLUMNS):
+            block = cols[:, start:stop] / np.maximum(norms[start:stop], tau)
+            total += block @ block.T
+            del block  # freed before the next block is built
+        total /= self.count
+        return _symmetrize(total)

@@ -650,6 +650,35 @@ class TestPrivateTrace:
                 assert got < r * r
                 assert abs(got - want) <= 1e-12 * want
 
+    def test_direct_form_bits_in_normal_range(self):
+        # min(tr + noise(r^2/n) + offset, r^2), the paper's form, computed
+        # directly; the scaled computation must give its bits
+        rng = np.random.default_rng(19)
+        for i in range(300):
+            n = int(rng.integers(1, 200))
+            r = math.ldexp(1.0, int(rng.integers(-40, 1)))
+            x = Dataset(rng.uniform(0.0, 2 * r, size=(1, n)))
+            budget = (zcdp, pure)[i % 2](float(rng.uniform(0.01, 2.0)))
+            sketch = CovSketch(x)
+            draw, offset = FAMILIES[budget.kind].scalar_noise(
+                RandomStream(i), r * r / n, budget.value, 0.05 / 8
+            )
+            want = min(sketch.trace(r) + draw + offset, r * r)
+            assert private_trace_ub(sketch, r, budget, 0.05, RandomStream(i)) == want
+
+    def test_noised_where_r_squared_over_n_underflows(self):
+        # r^2/n = 2^-1076 is 0 in float64 while the clipped trace, about
+        # 4.3e-320, is not: the release must still be noised
+        n, r = 2**16, 2.0**-530
+        norms = np.repeat([2.0**-530, 2.0**-532], n // 2)
+        sketch = CovSketch(Dataset(norms.reshape(1, -1)))
+        tr = sketch.trace(r)
+        assert r * r / n == 0.0 and tr > 0.0
+        stream = RandomStream(20)
+        released = [private_trace_ub(sketch, r, zcdp(1e-6), 0.05, stream) for _ in range(20)]
+        assert len(set(released)) == 20 and tr not in released
+        assert all(v <= r * r for v in released)
+
 
 class TestDiffQuery:
     """The threshold SVT's query, threshold_query(bounds, counts, tr_hat, r, n)(t)

@@ -240,6 +240,44 @@ class TestFrobeniusDist:
         with pytest.raises(ValueError, match="dimension mismatch"):
             frobenius_dist(np.eye(2), np.eye(3))
 
+    def test_numpy_bits_in_normal_range(self):
+        for scale in (1e-120, 1e-3, 1.0, 1e40, 1e150):
+            a = scale * RNG.standard_normal((7, 7))
+            b = scale * RNG.standard_normal((7, 7))
+            assert frobenius_dist(a, b) == float(np.linalg.norm(a - b))
+
+    def test_squares_that_overflow(self):
+        # entries of 3e200 square to inf; the distance, 4 * 3e200, is finite
+        a, b = np.full((4, 4), 3e200), np.full((4, 4), -3e200)
+        with np.errstate(over="raise"):
+            got = frobenius_dist(a, np.zeros((4, 4)))
+            assert got == pytest.approx(1.2e201, rel=1e-15)
+            assert frobenius_dist(a, b) == pytest.approx(2.4e201, rel=1e-15)
+
+    def test_squares_that_underflow(self):
+        # subnormal entries square to 0; rescaled, the distance is exact
+        a = np.full((2, 2), 3 * 2.0**-1074)
+        assert float(np.linalg.norm(a)) != 6 * 2.0**-1074
+        assert frobenius_dist(a, np.zeros((2, 2))) == 6 * 2.0**-1074
+        assert frobenius_dist(np.zeros((2, 2)), -a) == 6 * 2.0**-1074
+
+    def test_large_and_nearly_equal(self):
+        # A - B underflows in its squares however large A and B are
+        for top in (1.0, 2.0**1000):
+            a = np.array([[top, 2.0**-600], [3 * 2.0**-1074, -top]])
+            b = np.array([[top, 0.0], [0.0, -top]])
+            assert float(np.linalg.norm(a - b)) == 0.0
+            assert frobenius_dist(a, b) == 2.0**-600
+            assert frobenius_dist(b, a) == 2.0**-600
+        a = np.array([[2.0**1000, 3 * 2.0**-1074]])
+        assert frobenius_dist(a, np.array([[2.0**1000, 0.0]])) == 3 * 2.0**-1074
+
+    def test_distance_past_the_float_range(self):
+        a = np.full((2, 2), 1.5 * 2.0**1023)
+        with np.errstate(over="raise"):
+            assert frobenius_dist(a, -a) == math.inf
+            assert frobenius_dist(a, a / 2) == pytest.approx(1.5 * 2.0**1023, rel=1e-15)
+
 
 class TestClip:
     def test_halves_long_vector(self):

@@ -213,6 +213,26 @@ class TestMechanismsOnSketch:
             tracemalloc.stop()
         assert peak < 8 * d * n / 4
 
+    def test_retains_one_gram_per_exponent(self):
+        # a clipped Gram is built straight from the columns: nothing per
+        # bucket outlives it, so the sketch keeps one d x d Gram per exponent
+        # asked for, the unclipped Gram (which a threshold at or above every
+        # norm reads) and O(n) for the sorted norms
+        d, n = 64, 4000
+        x = synth(SynthSpec(n=n, d=d, bins=8, seed=1))
+        buckets = occupied_buckets(x)
+        assert len(buckets) == 8
+        sketch = CovSketch(x)
+        exponents = range(buckets[-1] + 1, buckets[0] - 1, -1)
+        tracemalloc.start()
+        try:
+            for t in exponents:
+                sketch.gram(math.ldexp(1.0, t))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 8 * (d * d * (1 + len(exponents)) + 4 * n)
+
 
 class TestSharedAcrossThreads:
     def test_lazy_parts_are_built_once(self, monkeypatch):
