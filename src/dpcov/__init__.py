@@ -12,7 +12,6 @@ from .adaptive import (
     adaptive_cov,
     adaptive_cov_pure,
     build_histogram,
-    noise_hat,
     priv_radius,
     private_trace_ub,
     svt,

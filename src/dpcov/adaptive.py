@@ -32,8 +32,6 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import Callable, Iterable
 
-import numpy as np
-
 from .linalg import CovSketch, Dataset, _pow2_exponent
 from .mechanisms import (
     FAMILIES,
@@ -51,7 +49,6 @@ __all__ = [
     "svt",
     "priv_radius",
     "build_histogram",
-    "noise_hat",
     "private_trace_ub",
     "threshold_query",
     "adaptive_cov",
@@ -101,20 +98,23 @@ def priv_radius(
     Runs the SVT over the count queries |{i : ||X_i|| > 2^-j}| for
     j = 0..ceil(log2(1/b)) against the threshold (6/eps)*log(2(J+1)/beta),
     and returns twice the radius at the triggering index (capped at 1), or b
-    if nothing triggers.  With probability at least 1-beta the result is at
+    if nothing triggers.  The count at 2^-j sums the sketch's dyadic
+    histogram over the buckets s >= -j, and is summed only once the SVT
+    reaches level j.  With probability at least 1-beta the result is at
     most 2*rad(X)+b and clips at most (12/eps)*log(2(J+1)/beta) columns.
     """
     if not 0.0 < b < 1.0:
         raise ValueError("additive offset b must lie in (0, 1)")
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
-    sketch = CovSketch.of(x)
     levels = math.ceil(-math.log2(b))  # 1/b overflows for subnormal b
     threshold = (6.0 / eps) * math.log(2.0 * (levels + 1) / beta)
-    # every level's count from one search; the SVT still pulls them one by one
-    # (int32 exponents: numpy's ldexp over int64 ones is about 3x slower)
-    counts = sketch.count_above(np.ldexp(1.0, np.arange(0, -levels - 1, -1, dtype=np.int32)))
-    k = svt(map(float, counts), 1.0, threshold, eps, stream)
+    # the count above 2^0 sums every bucket s >= 0; each level after it adds
+    # one bucket
+    hist = CovSketch.of(x).histogram()
+    at_one = sum(c for s, c in hist.items() if s >= 0)
+    counts = accumulate((hist.get(-j, 0) for j in range(1, levels + 1)), initial=at_one)
+    k = svt(counts, 1.0, threshold, eps, stream)
     if k <= levels + 1:
         return min(1.0, math.ldexp(1.0, 2 - k))
     return b
@@ -125,14 +125,6 @@ def build_histogram(x: Dataset | CovSketch, r: float = math.inf) -> dict[int, in
     min(||X_i||, r): bucket s holds the norms in (2^s, 2^(s+1)]; zero norms
     are in no bucket."""
     return CovSketch.of(x).histogram(r)
-
-
-def noise_hat(bounds: NoiseBounds, tr_hat: float, tau: float) -> float:
-    """The smaller of a family's two clipped-mechanism noise bounds at
-    threshold tau, given a (privatized) trace upper bound; ``bounds`` is the
-    family's :meth:`~dpcov.mechanisms.NoiseFamily.noise_bounds` at the final
-    mechanism's budget."""
-    return min(bounds(tr_hat, tau))
 
 
 def private_trace_ub(
@@ -167,7 +159,7 @@ def threshold_query(
 ) -> Callable[[int], float]:
     """The threshold SVT's query at tau = 2^t, as a function of t:
 
-        (n / (4 r^2)) * (bias - noise_hat(bounds, tr_hat, tau)),
+        (n / (4 r^2)) * (bias - min(bounds(tr_hat, tau))),
         bias = (1/n) * sum_{t <= s < log2 r} Count_s * (2^(2s+2) - tau^2),
 
     for a private radius r > 0 and the dyadic counts of the r-clipped norms
@@ -196,7 +188,7 @@ def threshold_query(
         idx = bisect_left(neg, s)
         tau_sq = math.ldexp(1.0, 2 * s)  # 0.0 on underflow; the bound only loosens
         bias = max(0.0, (suffix_weight[idx] - tau_sq * suffix_count[idx]) / n)
-        return n / 4.0 * (bias - noise_hat(bounds, tr_unit, math.ldexp(1.0, s)))
+        return n / 4.0 * (bias - min(bounds(tr_unit, math.ldexp(1.0, s))))
 
     return query
 
@@ -249,18 +241,13 @@ def _adaptive(
     hist = build_histogram(x, r_tilde)
 
     bounds = family.noise_bounds(ledger["mechanism"], beta / 2, d, n)
-    if r_tilde * r_tilde == 0.0:
-        # the final estimate is scaled by tau^2 <= r^2 = 0: any threshold
-        # yields the zero matrix, so skip the (ill-conditioned) search
-        tau = r_tilde
-    else:
-        # SVT down the dyadic grid r, r/2, ..., 2^end, then one level back up
-        query = threshold_query(bounds, hist, tr_hat, r_tilde, n)
-        start, end = _pow2_exponent(r_tilde), max(-d * n, _MIN_FLOAT_EXPONENT)
-        queries = (query(t) for t in range(start, end - 1, -1))
-        k = svt(queries, 1.0, 0.0, family.svt_eps(ledger["svt"]), stream.child("svt"))
-        # the k-th query is at 2^(start+1-k), so tau >= 2^end
-        tau = min(math.ldexp(1.0, start + 2 - k), r_tilde)
+    # SVT down the dyadic grid r, r/2, ..., 2^end, then one level back up
+    query = threshold_query(bounds, hist, tr_hat, r_tilde, n)
+    start, end = _pow2_exponent(r_tilde), max(-d * n, _MIN_FLOAT_EXPONENT)
+    queries = (query(t) for t in range(start, end - 1, -1))
+    k = svt(queries, 1.0, 0.0, family.svt_eps(ledger["svt"]), stream.child("svt"))
+    # the k-th query is at 2^(start+1-k), so tau >= min(2^end, r)
+    tau = min(math.ldexp(1.0, start + 2 - k), r_tilde)
 
     plain, separate = bounds(tr_hat, tau)
     branch = family.plain if separate >= plain else family.separate

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import textwrap
+from pathlib import Path
 
 from .harness import (
     MECHANISMS,
@@ -114,6 +115,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         plan = _plan_from_args(args)
+        # checked before the runs, so a mistyped directory costs none of them
+        if args.out and not Path(args.out).parent.is_dir():
+            raise ValueError(f"--out {args.out!r}: its directory does not exist")
     except (ValueError, OSError) as exc:
         print(f"dpcov: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -91,9 +91,11 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.mechanisms:
             raise ValueError("no mechanisms selected")
-        for m in self.mechanisms:
+        for i, m in enumerate(self.mechanisms):
             if m not in MECHANISMS:
                 raise ValueError(f"unknown mechanism {m!r}")
+            if m in self.mechanisms[:i]:
+                raise ValueError(f"mechanism {m!r} is named twice")
             kind = MECHANISMS[m][0]
             if kind not in (None, self.budget.kind):
                 raise ValueError(f"mechanism {m!r} needs {_BUDGET_FLAGS[kind]}")
@@ -112,6 +114,8 @@ class ExperimentPlan:
                 raise ValueError(f"unknown sweep axis {self.sweep_axis!r}")
             if not self.sweep_values:
                 raise ValueError("empty sweep value list")
+            if len(set(self.sweep_values)) < len(self.sweep_values):
+                raise ValueError(f"repeated value in sweep {self.sweep_values}")
             if SWEEP_AXES[self.sweep_axis] and self.synth_spec is None:
                 raise ValueError(f"sweeping {self.sweep_axis} requires synthetic data")
             if self.sweep_axis == "rho" and self.budget.kind != "zcdp":

@@ -368,18 +368,17 @@ class CovSketch:
         """``x`` itself if it is a sketch, else the sketch of the dataset."""
         return x if isinstance(x, cls) else cls(x)
 
-    def count_above(self, level):
-        """Number of column norms strictly above ``level``, or above each of
-        an array of levels (one search for all).  Levels must be positive."""
-        # a Python comparison for a scalar: a numpy call costs microseconds
-        if not (level > 0 if np.isscalar(level) else np.greater(level, 0.0).all()):
+    def count_above(self, level: float) -> int:
+        """Number of column norms strictly above ``level``, which must be
+        positive: one binary search of the sorted norms."""
+        if not level > 0:
             raise ValueError("levels and clip radii must be positive")
-        return self.count - np.searchsorted(self._layout().norms, level, side="right")
+        return self.count - int(np.searchsorted(self._layout().norms, level, side="right"))
 
     def trace(self, r: float = math.inf) -> float:
         """(1/n) sum_i min(||X_i||, r)^2, the trace of the covariance of the
         columns clipped to norm at most r."""
-        clipped = int(self.count_above(r))
+        clipped = self.count_above(r)
         total = self._layout().sq_prefix[self.count - clipped]
         if clipped:
             total += clipped * r * r
@@ -388,7 +387,7 @@ class CovSketch:
     def histogram(self, r: float = math.inf) -> dict[int, int]:
         """Dyadic counts of the clipped norms min(||X_i||, r): bucket s holds
         the norms in (2^s, 2^(s+1)]; zero norms are in no bucket."""
-        clipped = int(self.count_above(r))
+        clipped = self.count_above(r)
         kept = self.count - clipped
         buckets = self._layout().buckets
         counts = {s: min(hi, kept) - lo for s, (lo, hi) in buckets.items() if lo < kept}

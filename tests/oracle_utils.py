@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from dpcov.adaptive import noise_hat, priv_radius, private_trace_ub
+from dpcov.adaptive import priv_radius, private_trace_ub
 from dpcov.datagen import SynthSpec, zipf_bin_counts
 from dpcov.linalg import Dataset, EigenDecomp, clip_dataset, column_norms, covariance, eig_sym
 from dpcov.mechanisms import GAUSSIAN
@@ -170,7 +170,7 @@ def zero_noise_tau_oracle(x: Dataset, rho: float, beta: float):
     trigger = None
     for t in exponents:
         tau = math.ldexp(1.0, t)
-        if bias_direct(norms, tau, n) - noise_hat(bounds, tr_hat, tau) >= 0.0:
+        if bias_direct(norms, tau, n) - min(bounds(tr_hat, tau)) >= 0.0:
             trigger = t
             break
     # one dyadic step above the trigger, capped at r; without a trigger the

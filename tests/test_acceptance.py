@@ -16,7 +16,7 @@ import numpy as np
 
 from oracle_utils import sensitivity_probe, skewed_dataset, zero_noise_tau_oracle
 
-from dpcov.adaptive import adaptive_cov, adaptive_cov_pure, noise_hat, svt
+from dpcov.adaptive import adaptive_cov, adaptive_cov_pure, svt
 from dpcov.bounds import (
     eta,
     lap_vec_bound,
@@ -288,7 +288,7 @@ def test_criterion_07_adaptive_optimality(capsys):
     grid = [math.ldexp(1.0, t) for t in range(0, -9, -1)]
     bounds = GAUSSIAN.noise_bounds(rho, beta, d, n)
     objective = min(
-        noise_hat(bounds, trace_stat(clip_dataset(x, tau)), tau)
+        min(bounds(trace_stat(clip_dataset(x, tau)), tau))
         + tail_gamma(x, tau)
         for tau in grid
     )

@@ -29,7 +29,6 @@ from dpcov.adaptive import (
     adaptive_cov,
     adaptive_cov_pure,
     build_histogram,
-    noise_hat,
     priv_radius,
     private_trace_ub,
     svt,
@@ -209,8 +208,8 @@ def radius_svt_call(x, eps, beta, b):
 
 
 class TestRadiusCounts:
-    """priv_radius reads every level's count from one search over the sorted
-    norms, and hands the SVT exactly the counts |{i : ||X_i|| > 2^-j}|."""
+    """priv_radius reads each level's count off the sketch's dyadic
+    histogram, and hands the SVT exactly the counts |{i : ||X_i|| > 2^-j}|."""
 
     @settings(max_examples=60, deadline=None)
     @given(datasets(subnormal=True), st.integers(1, 1074))
@@ -218,21 +217,17 @@ class TestRadiusCounts:
         b = math.ldexp(1.0, -offset_exponent)
         levels = [math.ldexp(1.0, -j) for j in range(offset_exponent + 1)]
         want = [int(np.sum(x.norms() > level)) for level in levels]
-        assert CovSketch(x).count_above(levels).tolist() == want
         assert radius_svt_call(x, 1.0, 0.1, b)[0] == want
 
-    def test_one_count_search_per_call(self, monkeypatch):
-        searches = []
-        original = CovSketch.count_above
-
-        def counted(sketch, level):
-            searches.append(np.size(level))
-            return original(sketch, level)
-
-        monkeypatch.setattr(CovSketch, "count_above", counted)
-        x = CovSketch(dataset_with_norms(np.linspace(0.0, 1.0, 50)))
-        priv_radius(x, 1.0, 0.1, 2.0**-30, RandomStream(0))
-        assert searches == [31]
+    def test_norms_on_the_levels(self):
+        # a norm of exactly 2^-j is not above 2^-j; norms above 1 count at
+        # every level
+        norms = [4.0, 2.0, 1.0, 0.5, 0.5, 0.25, 2.0**-30, 2.0**-40, 2.0**-1074, 0.0]
+        x = Dataset(np.array([norms, np.zeros(len(norms))]))
+        assert x.norms().tolist() == norms
+        want = [sum(v > math.ldexp(1.0, -j) for v in norms) for j in range(41)]
+        assert want[:3] == [2, 3, 5] and want[40] == 7
+        assert radius_svt_call(x, 1.0, 0.1, 2.0**-40)[0] == want
 
 
 class TestRadiusSvtPrivacyLoss:
@@ -540,7 +535,7 @@ class TestNoiseBounds:
     def test_zero_threshold(self):
         bounds = GAUSSIAN.noise_bounds(0.1, 0.05, 16, 100)
         assert bounds(0.5, 0.0) == (0.0, 0.0)
-        assert noise_hat(bounds, 0.5, 0.0) == 0.0
+        assert min(bounds(0.5, 0.0)) == 0.0
 
     def test_gauss_quadruples_when_tau_doubles(self):
         bounds = GAUSSIAN.noise_bounds(0.1, 0.05, 32, 500)
@@ -564,25 +559,29 @@ class TestNoiseBounds:
             assert abs(gap - want) < 1e-14
 
     def test_noise_hat_takes_smaller_branch(self):
+        # the threshold search's noise term is min(bounds(...)), and the
+        # final dispatch runs the branch of that smaller bound
         rho, beta, d, n = 0.1, 0.05, 64, 1000
         bounds = GAUSSIAN.noise_bounds(rho, beta, d, n)
         # small trace: the separate branch wins; large trace: gauss wins
         for tr_hat in (1e-6, 1.0):
             for tau in (0.125, 1.0):
-                assert noise_hat(bounds, tr_hat, tau) == min(bounds(tr_hat, tau))
-        assert noise_hat(bounds, 1e-6, 0.5) == bounds(1e-6, 0.5)[1]
-        assert noise_hat(bounds, 1.0, 0.5) == bounds(1.0, 0.5)[0]
+                plain, separate = bounds(tr_hat, tau)
+                assert min(bounds(tr_hat, tau)) == (plain if separate >= plain else separate)
+        assert min(bounds(1e-6, 0.5)) == bounds(1e-6, 0.5)[1]
+        assert min(bounds(1.0, 0.5)) == bounds(1.0, 0.5)[0]
 
     def test_noise_hat_nondecreasing_in_tau(self):
         bounds = GAUSSIAN.noise_bounds(0.1, 0.05, 32, 500)
-        values = [noise_hat(bounds, 0.2, math.ldexp(1.0, t)) for t in range(-20, 1)]
+        values = [min(bounds(0.2, math.ldexp(1.0, t))) for t in range(-20, 1)]
         assert all(a <= b + 1e-18 for a, b in zip(values, values[1:]))
 
     def test_pure_variants(self):
         eps, beta, d, n = 1.0, 0.05, 32, 500
         bounds = LAPLACE.noise_bounds(eps, beta, d, n)
         assert bounds(0.4, 0.0) == (0.0, 0.0)
-        assert noise_hat(bounds, 0.4, 0.5) == min(bounds(0.4, 0.5))
+        plain, separate = bounds(0.4, 0.5)
+        assert min(bounds(0.4, 0.5)) == (plain if separate >= plain else separate) > 0.0
 
     def test_norm_bounds_evaluated_once_per_run(self, monkeypatch):
         calls = []
@@ -853,6 +852,24 @@ class TestAdaptiveCov:
             assert min(evaluated) == -1020
             assert rep.details["tau"] == 2.0**-1020
 
+    def test_radius_whose_square_underflows(self):
+        # every norm is 2^-600, so r~^2 underflows to 0; the threshold search
+        # runs in units of r~ all the same, and the estimate, scaled by
+        # tau^2 <= r~^2, is the zero matrix
+        x = Dataset(np.vstack([np.full(1000, 2.0**-600), np.zeros(1000)]))
+        cases = ((adaptive_cov, GAUSSIAN, 0.5), (adaptive_cov_pure, LAPLACE, 1.0))
+        for run, family, value in cases:
+            for seed in range(20):
+                rep = run(x, value, 0.05, RandomStream(seed))
+                r_tilde, tau = rep.details["r_tilde"], rep.details["tau"]
+                assert r_tilde * r_tilde == 0.0
+                assert 2.0**-1020 <= tau <= r_tilde
+                assert np.all(np.isfinite(rep.estimate))
+                assert np.array_equal(rep.estimate, rep.estimate.T)
+                assert not rep.estimate.any()
+                assert sum(rep.details["ledger"].values()) == value
+                assert rep.budget_spent == family.budget(value)
+
 
 class TestFinalStage:
     """The adaptive estimate is the clipped mechanism at the chosen threshold
@@ -933,11 +950,8 @@ class TestEndToEndRegression:
             ]
             bounds = GAUSSIAN.noise_bounds(rho / 2, beta / 2, x.dim, x.count)
             objective = min(
-                noise_hat(
-                    bounds, trace_stat(clip_dataset(x, math.ldexp(1.0, t))), math.ldexp(1.0, t)
-                )
-                + tail_gamma(x, math.ldexp(1.0, t))
-                for t in range(0, -16, -1)
+                min(bounds(trace_stat(clip_dataset(x, tau)), tau)) + tail_gamma(x, tau)
+                for tau in (math.ldexp(1.0, t) for t in range(0, -16, -1))
             )
             assert np.mean(errors) <= 25.0 * objective + 2.0**-4096
 

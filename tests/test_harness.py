@@ -12,7 +12,7 @@ import pytest
 from oracle_utils import save_csv
 
 import dpcov
-from dpcov import harness
+from dpcov import cli, harness
 from dpcov.cli import main
 from dpcov.datagen import SynthSpec, rescale_radius, synth
 from dpcov.harness import (
@@ -62,6 +62,19 @@ class TestPlanValidation:
             small_plan(sweep_axis="q", sweep_values=(1, 2))
         with pytest.raises(ValueError, match="requires a pure-DP"):
             small_plan(sweep_axis="eps", sweep_values=(0.5, 1.0))
+
+    def test_repeated_mechanism(self):
+        # a repeat would run twice on the same streams and enter one summary
+        # row twice
+        with pytest.raises(ValueError, match="'gauss' is named twice"):
+            small_plan(mechanisms=("gauss", "zero", "gauss"))
+
+    def test_repeated_sweep_value(self):
+        # a repeat would merge two different datasets into one summary row
+        with pytest.raises(ValueError, match="repeated value"):
+            small_plan(sweep_axis="d", sweep_values=(4, 8, 4))
+        with pytest.raises(ValueError, match="repeated value"):
+            small_plan(sweep_axis="rho", sweep_values=(0.1, 0.1))
 
 
 class TestRegistry:
@@ -316,6 +329,27 @@ class TestCli:
 
     def test_bad_mechanism_is_input_error(self):
         assert main(["run", "--mechanism", "nope", "--synthetic", "n=10,d=2", "--rho", "1"]) == 2
+
+    def test_repeated_names_are_input_errors(self, capsys):
+        argv = ["run", "--synthetic", "n=50,d=4", "--rho", "1", "--reps", "3", "--seed", "1"]
+        assert main(argv + ["--mechanism", "gauss,gauss"]) == 2
+        assert main(argv + ["--mechanism", "gauss", "--sweep", "d=4,4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "named twice" in captured.err and "repeated value" in captured.err
+
+    def test_missing_out_directory_is_input_error_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        ran, real = [], cli.run_plan
+        monkeypatch.setattr(cli, "run_plan", lambda plan: ran.append(plan) or real(plan))
+        out = tmp_path / "missing" / "res.csv"
+        argv = ["run", "--mechanism", "gauss", "--synthetic", "n=10,d=4", "--rho", "1"]
+        assert main(argv + ["--reps", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert ran == [] and captured.out == ""
+        assert "does not exist" in captured.err
+        assert not out.parent.exists()
 
     def test_missing_file_is_input_error(self):
         assert main(["run", "--mechanism", "gauss", "--input", "no_such.csv", "--rho", "1"]) == 2

@@ -5,7 +5,7 @@ import pytest
 
 from oracle_utils import sensitivity_probe
 
-from dpcov.adaptive import adaptive_cov, adaptive_cov_pure, noise_hat
+from dpcov.adaptive import adaptive_cov, adaptive_cov_pure
 from dpcov.bounds import eta, lap_vec_bound, omega, slw_frob_bound, slw_op_bound, upsilon
 from dpcov.linalg import (
     CovSketch,
@@ -243,7 +243,7 @@ class TestClipMechanism:
         sigma = covariance(x)
         tr_clip = trace_stat(clip_dataset(x, tau))
         bounds = GAUSSIAN.noise_bounds(rho, beta, d, n)
-        budget_bound = noise_hat(bounds, tr_clip, tau) + tail_gamma(x, tau)
+        budget_bound = min(bounds(tr_clip, tau)) + tail_gamma(x, tau)
         stream = RandomStream(28)
         hits = sum(
             frobenius_dist(clip_mechanism(x, zcdp(rho), tau, stream, "gauss").estimate, sigma)
