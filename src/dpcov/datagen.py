@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import _CHUNK_ROWS, Dataset, _blocks, column_norms, radius
+from .linalg import _CHUNK_FLOATS, Dataset, _blocks, column_norms, radius
 from .randomness import RandomStream
 
 __all__ = ["SynthSpec", "synth", "zipf_bin_counts", "rescale_radius", "load_csv"]
@@ -71,16 +71,24 @@ def synth(spec: SynthSpec) -> Dataset:
     """Generate one synthetic dataset; byte-identical for a fixed spec.
 
     The data is written once, into one n x d buffer whose transpose is the
-    dataset: Z is drawn and multiplied by U in blocks of rows, then the
-    buffer is centred and scaled in place.  Working memory beyond it is
-    O(d * _CHUNK_ROWS) floats plus a few length-n vectors.
+    dataset: each block of max(1, _CHUNK_FLOATS // d) rows of Z (1 MiB; the
+    last block takes the remainder) is drawn into one block buffer and
+    multiplied by U into the data buffer.  The block buffer is freed before
+    the data is centred and scaled in place, so working memory beyond the
+    data is U, a few length-n vectors and that buffer: under 2 MiB up to
+    d = 2^17, one row of 8 d bytes above.
     """
     stream = RandomStream(spec.seed).child("synth")
     gen = stream.generator
     u = gen.random((spec.d, spec.d))
     rows = np.empty((spec.n, spec.d))
-    for start, stop in _blocks(spec.n, _CHUNK_ROWS):
-        np.matmul(gen.standard_normal((stop - start, spec.d)), u, out=rows[start:stop])
+    blocks = list(_blocks(spec.n, max(1, _CHUNK_FLOATS // spec.d)))
+    z = np.empty((blocks[-1][1] - blocks[-1][0], spec.d))  # the last block is the largest
+    for start, stop in blocks:
+        block = z[: stop - start]
+        gen.standard_normal(out=block)
+        np.matmul(block, u, out=rows[start:stop])
+    del z, block
     rows -= rows.mean(axis=0)
     norms = column_norms(rows.T)
     if np.any(norms == 0):
@@ -118,7 +126,7 @@ def load_csv(path: str | Path) -> Dataset:
     non-numeric or non-finite cells are rejected with their location.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         first = next((row for row in csv.reader(fh) if row), None)
         if first is None:
             raise ValueError(f"{path}: empty file")
@@ -152,7 +160,7 @@ def _raise_located(path: Path, header: bool, exc: ValueError | None):
     """Raise the error of the first ragged row or bad cell of a CSV file
     that numpy rejected (``exc``) or read with a non-finite value.  Rows
     are counted without blank lines, header included."""
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = enumerate((row for row in csv.reader(fh) if row), start=1)
         width = None
         for i, row in islice(rows, int(header), None):

@@ -13,6 +13,7 @@ written to the results file, which must be byte-identical across reruns.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
 import functools
@@ -188,28 +189,30 @@ def _expand_configs(plan: ExperimentPlan) -> list[_Config]:
     return configs
 
 
-def _sketches(plan: ExperimentPlan, configs: list[_Config]) -> list[CovSketch]:
-    """The sketch of each config's data, by config index.  A CSV is loaded
-    and sketched once and shared by every config (a sweep over it can only
-    sweep the budget); each synthetic config draws its own data."""
+def _sketches(plan: ExperimentPlan, configs: list[_Config]):
+    """Yield (config, sketch of its data) for each config in turn.  A CSV is
+    loaded and sketched once and shared by every config (a sweep over it can
+    only sweep the budget); each synthetic config draws its own data when
+    its turn comes, so a sweep need hold only one synthetic dataset."""
     if plan.csv_path is not None:
-        return [CovSketch(rescale_radius(load_csv(plan.csv_path)))] * len(configs)
-    sketches = []
+        shared = CovSketch(rescale_radius(load_csv(plan.csv_path)))
+        for c in configs:
+            yield c, shared
+        return
     for c in configs:
         seed = _sub_seed(plan.master_seed, f"data/{c.index}")
-        sketches.append(CovSketch(synth(dataclasses.replace(c.synth_spec, seed=seed))))
-    return sketches
+        yield c, CovSketch(synth(dataclasses.replace(c.synth_spec, seed=seed)))
 
 
 def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
-    """Execute the plan and return per-repetition rows plus a summary."""
-    configs = _expand_configs(plan)
-    # one pass over each dataset; every mechanism and repetition reads the sketch
-    sketches = _sketches(plan, configs)
+    """Execute the plan and return per-repetition rows plus a summary.
+
+    The configs run one after another, each on its own sketch (one pass
+    over its dataset, read by every mechanism and repetition); with several
+    workers, a config's runs are shared out before the next config starts."""
     root = RandomStream(plan.master_seed, zero_noise=plan.zero_noise)
 
-    def one_run(config: _Config, mech: str, rep: int) -> ResultRow:
-        x = sketches[config.index]
+    def one_run(x: CovSketch, config: _Config, mech: str, rep: int) -> ResultRow:
         stream = root.child(f"run/{config.index}/{mech}/{rep}")
         started = time.perf_counter()
         report = MECHANISMS[mech][1](x, config.budget.value, plan, stream)
@@ -232,20 +235,19 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
             chosen_branch=report.variant if report.clip_threshold is not None else None,
         )
 
-    tasks = [
-        (config, mech, rep)
-        for config in configs
-        for mech in plan.mechanisms
-        for rep in range(plan.repetitions)
-    ]
-    if plan.workers == 1:
-        rows = [one_run(*t) for t in tasks]
-    else:
-        # imported here: concurrent.futures adds about 8 ms to ``import dpcov``
-        from concurrent.futures import ThreadPoolExecutor
+    mechs, reps = zip(*((m, r) for m in plan.mechanisms for r in range(plan.repetitions)))
+    with contextlib.ExitStack() as stack:
+        if plan.workers == 1:
+            map_runs = map
+        else:
+            # imported here: concurrent.futures adds about 8 ms to ``import dpcov``
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            rows = list(pool.map(lambda t: one_run(*t), tasks))
+            map_runs = stack.enter_context(ThreadPoolExecutor(max_workers=plan.workers)).map
+        rows = []
+        for config, x in _sketches(plan, _expand_configs(plan)):
+            rows += map_runs(functools.partial(one_run, x, config), mechs, reps)
+            del x  # dropped before the next config's data is drawn
     return rows, summarize(rows)
 
 

@@ -47,11 +47,12 @@ _CHUNK_COLUMNS = 1024
 # overhead.  See the README, "Symmetric matrices", for the sizes timed.
 _TILE = 128
 
-# Rows per block when ``synth`` draws Z and writes Z U.  The BLAS product of
-# a block need not round like the same rows of the one-shot product; on
-# OpenBLAS (Haswell kernels) 4096-row blocks matched it for more shapes than
-# 1024-row blocks did (see the README, "Building a dataset").
-_CHUNK_ROWS = 4096
+# Floats per block (1 MiB) when ``synth`` draws Z and writes Z U: a block
+# is max(1, _CHUNK_FLOATS // d) rows, so 4096 rows at d = 32 and 128 at
+# d = 1024, and the last block takes the remainder (see _blocks).  The BLAS
+# product of a block need not round like the same rows of the one-shot
+# product; see the README, "Building a dataset", for the shapes where it does.
+_CHUNK_FLOATS = 2**17
 
 # Column norms below this are recomputed from the column scaled by a power of
 # two: their squares may have lost bits to underflow.

@@ -9,7 +9,7 @@ from oracle_utils import save_csv, synth_oneshot
 import dpcov.datagen
 import dpcov.linalg
 from dpcov.datagen import SynthSpec, load_csv, rescale_radius, synth, zipf_bin_counts
-from dpcov.linalg import _CHUNK_ROWS, CovSketch, Dataset, clip_dataset, radius, trace_stat
+from dpcov.linalg import _CHUNK_FLOATS, CovSketch, Dataset, clip_dataset, radius, trace_stat
 
 
 def largest_remainder_oracle(n, bins, skew):
@@ -108,20 +108,45 @@ class TestSynth:
             SynthSpec(n=3, d=4, bins=5)
 
 
+def block_rows(d):
+    """Rows of Z per block of ``synth`` at dimension d."""
+    return max(1, _CHUNK_FLOATS // d)
+
+
+def block_edges(d):
+    """(n, d) one row short of a block, exactly one, one over, the largest
+    single block (the remainder rides on it), two blocks, and several blocks
+    plus a remainder."""
+    rows = block_rows(d)
+    return [(n, d) for n in (rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 3 * rows + 7)]
+
+
 class TestStreamedBuild:
-    """``synth`` writes one buffer in row blocks and scans its norms twice."""
+    """``synth`` draws Z into one 1 MiB block buffer, writes one data buffer
+    and scans its norms twice."""
+
+    @pytest.mark.parametrize("d, rows", [(1, 2**17), (5, 26214), (32, 4096), (200, 655), (1024, 128)])
+    def test_block_rows(self, monkeypatch, d, rows):
+        sizes = []
+        real = dpcov.datagen._blocks
+        monkeypatch.setattr(dpcov.datagen, "_blocks", lambda n, size: sizes.append(size) or real(n, size))
+        synth(SynthSpec(n=3, d=d, seed=1))
+        assert sizes == [rows] == [block_rows(d)]
 
     @pytest.mark.parametrize(
         "n, d",
         [
             (2, 1),
             (100, 1),
-            (_CHUNK_ROWS - 1, 3),
-            (_CHUNK_ROWS, 8),
-            (_CHUNK_ROWS + 1, 16),
-            (_CHUNK_ROWS + 2, 1),
-            (3 * _CHUNK_ROWS + 7, 5),
-            (2 * _CHUNK_ROWS + 1, 40),
+            (4095, 3),
+            (4096, 8),
+            (4097, 16),
+            (4098, 1),
+            (12295, 5),
+            (8193, 40),
+            *block_edges(5),
+            *block_edges(32),
+            *block_edges(200),
         ],
     )
     def test_bit_equal_to_oneshot_formula(self, n, d):
@@ -137,7 +162,7 @@ class TestStreamedBuild:
     def test_other_shapes_agree_to_rounding(self):
         # the BLAS product of a row block need not round like the same rows
         # of the one-shot product; the difference is a last-bit one
-        spec = SynthSpec(n=2 * _CHUNK_ROWS + 1, d=226, bins=3, seed=2)
+        spec = SynthSpec(n=3 * block_rows(226) + 1, d=226, bins=3, seed=2)
         got, want = synth(spec).columns, synth_oneshot(spec)
         assert np.max(np.abs(got - want) / np.linalg.norm(want, axis=0)) <= 8 * np.finfo(float).eps
 
@@ -151,6 +176,18 @@ class TestStreamedBuild:
         finally:
             tracemalloc.stop()
         assert peak < 1.3 * (8 * d * n)
+
+    def test_wide_build_holds_one_block(self):
+        # the block buffer is 1 MiB; the full-size Z of a one-block draw
+        # would be another 32 MiB
+        d, n = 1024, 4096
+        tracemalloc.start()
+        try:
+            synth(SynthSpec(n=n, d=d, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (d * n + d * d) + 16 * 2**20
 
     def test_norm_scans_per_build(self, monkeypatch):
         scanned = []
@@ -225,6 +262,19 @@ class TestCsvRoundTrip:
         x = load_csv(path)
         assert x.dim == 2 and x.count == 2
         assert np.array_equal(x.columns[:, 0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("text", ["0.1,2\n3,4\n", "a,b\n0.1,2\n3,4\n"])
+    def test_utf8_byte_order_mark_skipped(self, tmp_path, text):
+        # Excel's "CSV UTF-8" starts the file with one
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert np.array_equal(load_csv(path).columns, [[0.1, 3.0], [2.0, 4.0]])
+
+    def test_byte_order_mark_not_in_located_cell(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfx,1\n2,3\n")
+        with pytest.raises(ValueError, match="non-numeric cell at row 1, column 1: 'x'$"):
+            load_csv(path)
 
     def test_write_then_load_is_exact(self, tmp_path):
         rng = np.random.default_rng(8)

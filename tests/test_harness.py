@@ -4,6 +4,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,22 @@ class TestRunPlan:
         rows, summaries = run_plan(plan)
         assert {r.d for r in rows} == {4, 8}
         assert len(summaries) == 4  # 2 mechanisms x 2 configs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_holds_one_dataset_at_a_time(self, workers):
+        def traced_peak(**overrides):
+            plan = small_plan(mechanisms=("gauss",), repetitions=2, workers=workers, **overrides)
+            tracemalloc.start()
+            try:
+                run_plan(plan)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        spec = SynthSpec(n=40_000, d=32, bins=2)
+        alone = traced_peak(synth_spec=spec)
+        swept = traced_peak(synth_spec=spec, sweep_axis="n", sweep_values=(10_000, 20_000, 40_000))
+        assert swept < 1.1 * alone
 
     def test_adaptive_rows_carry_choice(self):
         plan = small_plan(mechanisms=("adaptive",), repetitions=2)
