@@ -14,9 +14,16 @@ and failure parameter beta:
 
 The family's ledger splits B over the four stages: rho/8, rho/8, rho/4 and
 rho/2 under zCDP (the two SVT stages run as eps-DP mechanisms with
-eps^2/2 equal to their share), eps/4 each under pure DP.  Every run composes
-the ledger with :func:`~dpcov.privacy.compose` and raises ValueError unless
-it adds up to exactly B; the check also runs under ``python -O``.
+eps^2/2 equal to their share), eps/4 each under pure DP.  The ledger is
+composed with :func:`~dpcov.privacy.compose` and checked once per (family,
+B), and a split that does not add up to exactly B raises ValueError; the
+check also runs under ``python -O``.
+
+What depends only on the data is built once per sketch and kept there (see
+:class:`~dpcov.linalg.CovSketch`): the radius search's count at every level,
+the clipped trace and histogram at each radius r, and the threshold
+queries' bias tables at each r.  A run then pays for its draws and its
+d x d algebra.
 
 Every stage after the radius reads the unclipped data and clips it to r
 itself, so no stage can be handed data that was not clipped.  The bias/noise
@@ -30,7 +37,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .linalg import CovSketch, Dataset, _pow2_exponent
 from .mechanisms import (
@@ -43,7 +50,7 @@ from .mechanisms import (
     _clipped,
 )
 from .privacy import PrivacyBudget
-from .randomness import RandomStream, laplace_scalar
+from .randomness import RandomStream, laplace_sampler, laplace_scalar
 
 __all__ = [
     "svt",
@@ -74,7 +81,7 @@ def svt(
     noised threshold, or one past the end if none does.
 
     Queries are consumed lazily; nothing beyond the returned index is
-    evaluated.
+    evaluated, and one noise value is drawn per query pulled.
     """
     if not (sensitivity > 0 and math.isfinite(sensitivity)):
         raise ValueError("sensitivity must be positive and finite")
@@ -83,9 +90,10 @@ def svt(
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("epsilon must be positive and finite")
     noisy_threshold = threshold + laplace_scalar(stream, 2.0 * sensitivity / eps)
+    noise = laplace_sampler(stream, 4.0 * sensitivity / eps)
     k = 0
     for k, q in enumerate(queries, start=1):
-        if q + laplace_scalar(stream, 4.0 * sensitivity / eps) >= noisy_threshold:
+        if q + noise() >= noisy_threshold:
             return k
     return k + 1
 
@@ -99,9 +107,10 @@ def priv_radius(
     j = 0..ceil(log2(1/b)) against the threshold (6/eps)*log(2(J+1)/beta),
     and returns twice the radius at the triggering index (capped at 1), or b
     if nothing triggers.  The count at 2^-j sums the sketch's dyadic
-    histogram over the buckets s >= -j, and is summed only once the SVT
-    reaches level j.  With probability at least 1-beta the result is at
-    most 2*rad(X)+b and clips at most (12/eps)*log(2(J+1)/beta) columns.
+    histogram over the buckets s >= -j; the counts at every level are summed
+    once per sketch and number of levels, and kept on the sketch.  With
+    probability at least 1-beta the result is at most 2*rad(X)+b and clips
+    at most (12/eps)*log(2(J+1)/beta) columns.
     """
     if not 0.0 < b < 1.0:
         raise ValueError("additive offset b must lie in (0, 1)")
@@ -109,21 +118,27 @@ def priv_radius(
         raise ValueError("beta must lie in (0, 1)")
     levels = math.ceil(-math.log2(b))  # 1/b overflows for subnormal b
     threshold = (6.0 / eps) * math.log(2.0 * (levels + 1) / beta)
-    # the count above 2^0 sums every bucket s >= 0; each level after it adds
-    # one bucket
-    hist = CovSketch.of(x).histogram()
-    at_one = sum(c for s, c in hist.items() if s >= 0)
-    counts = accumulate((hist.get(-j, 0) for j in range(1, levels + 1)), initial=at_one)
+    sketch = CovSketch.of(x)
+    counts = sketch._cached(("level counts", levels), lambda: _level_counts(sketch, levels))
     k = svt(counts, 1.0, threshold, eps, stream)
     if k <= levels + 1:
         return min(1.0, math.ldexp(1.0, 2 - k))
     return b
 
 
-def build_histogram(x: Dataset | CovSketch, r: float = math.inf) -> dict[int, int]:
+def _level_counts(sketch: CovSketch, levels: int) -> tuple[int, ...]:
+    """|{i : ||X_i|| > 2^-j}| for j = 0..levels."""
+    # the count above 2^0 sums every bucket s >= 0; each level after it adds
+    # one bucket
+    hist = sketch.histogram()
+    at_one = sum(c for s, c in hist.items() if s >= 0)
+    return tuple(accumulate((hist.get(-j, 0) for j in range(1, levels + 1)), initial=at_one))
+
+
+def build_histogram(x: Dataset | CovSketch, r: float = math.inf) -> Mapping[int, int]:
     """Dyadic counts of the column norms of a dataset clipped to radius r,
     min(||X_i||, r): bucket s holds the norms in (2^s, 2^(s+1)]; zero norms
-    are in no bucket."""
+    are in no bucket.  Read-only: the sketch's own table."""
     return CovSketch.of(x).histogram(r)
 
 
@@ -155,18 +170,20 @@ def private_trace_ub(
 
 
 def threshold_query(
-    bounds: NoiseBounds, counts: dict[int, int], tr_hat: float, r_tilde: float, n: int
+    bounds: NoiseBounds, x: Dataset | CovSketch, tr_hat: float, r_tilde: float
 ) -> Callable[[int], float]:
     """The threshold SVT's query at tau = 2^t, as a function of t:
 
         (n / (4 r^2)) * (bias - min(bounds(tr_hat, tau))),
         bias = (1/n) * sum_{t <= s < log2 r} Count_s * (2^(2s+2) - tau^2),
 
-    for a private radius r > 0 and the dyadic counts of the r-clipped norms
-    (:func:`build_histogram`).  bias bounds the clipping bias at tau from
-    above.  A column adds 2^(2s+2) - tau^2 < r^2 to n*bias (s < log2 r), so
-    one column change moves the query by at most 1/4, all queries the same
-    way; the SVT runs at sensitivity 1, as calibrated in the paper.
+    for a private radius r > 0 and the dyadic counts Count_s of the
+    r-clipped norms of ``x`` (:func:`build_histogram`); the suffix sums of
+    the bias weights are built once per sketch and r.  bias bounds the
+    clipping bias at tau from above.  A column adds 2^(2s+2) - tau^2 < r^2
+    to n*bias (s < log2 r), so one column change moves the query by at most
+    1/4, all queries the same way; the SVT runs at sensitivity 1, as
+    calibrated in the paper.
     Nondecreasing as tau walks down the dyadic grid.
 
     Bias and noise are evaluated in units of r, at tau/r and tr_hat/r^2,
@@ -175,12 +192,11 @@ def threshold_query(
     overflows (r below about 2^-512).
     """
     unit = _pow2_exponent(r_tilde)
-    # sub-unit buckets in units of r, with suffix sums of their bias weights
-    neg = sorted(s - unit for s in counts if s < unit)
-    weights = (counts[s + unit] * math.ldexp(1.0, 2 * s + 2) for s in reversed(neg))
-    tallies = (counts[s + unit] for s in reversed(neg))
-    suffix_weight = list(accumulate(weights, initial=0.0))[::-1]
-    suffix_count = list(accumulate(tallies, initial=0))[::-1]
+    sketch = CovSketch.of(x)
+    neg, suffix_weight, suffix_count = sketch._cached(
+        ("bias suffixes", unit), lambda: _bias_suffixes(sketch.histogram(r_tilde), unit)
+    )
+    n = sketch.count
     tr_unit = math.ldexp(tr_hat, -2 * unit)
 
     def query(t: int) -> float:
@@ -191,6 +207,18 @@ def threshold_query(
         return n / 4.0 * (bias - min(bounds(tr_unit, math.ldexp(1.0, s))))
 
     return query
+
+
+def _bias_suffixes(counts: Mapping[int, int], unit: int) -> tuple[tuple, tuple, tuple]:
+    """The buckets below 2^unit, shifted into units of r = 2^unit and sorted,
+    with the suffix sums of their bias weights Count_s * 2^(2s+2) and of
+    their counts."""
+    neg = sorted(s - unit for s in counts if s < unit)
+    weights = (counts[s + unit] * math.ldexp(1.0, 2 * s + 2) for s in reversed(neg))
+    tallies = (counts[s + unit] for s in reversed(neg))
+    suffix_weight = tuple(accumulate(weights, initial=0.0))[::-1]
+    suffix_count = tuple(accumulate(tallies, initial=0))[::-1]
+    return tuple(neg), suffix_weight, suffix_count
 
 
 def adaptive_cov(
@@ -238,11 +266,10 @@ def _adaptive(
     r_tilde = priv_radius(x, family.svt_eps(ledger["radius"]), beta / 8, b, stream.child("radius"))
     trace_budget = family.budget(ledger["trace"])
     tr_hat = private_trace_ub(x, r_tilde, trace_budget, beta, stream.child("trace"))
-    hist = build_histogram(x, r_tilde)
 
     bounds = family.noise_bounds(ledger["mechanism"], beta / 2, d, n)
     # SVT down the dyadic grid r, r/2, ..., 2^end, then one level back up
-    query = threshold_query(bounds, hist, tr_hat, r_tilde, n)
+    query = threshold_query(bounds, x, tr_hat, r_tilde)
     start, end = _pow2_exponent(r_tilde), max(-d * n, _MIN_FLOAT_EXPONENT)
     queries = (query(t) for t in range(start, end - 1, -1))
     k = svt(queries, 1.0, 0.0, family.svt_eps(ledger["svt"]), stream.child("svt"))

@@ -75,8 +75,9 @@ def synth(spec: SynthSpec) -> Dataset:
     last block takes the remainder) is drawn into one block buffer and
     multiplied by U into the data buffer.  The block buffer is freed before
     the data is centred and scaled in place, so working memory beyond the
-    data is U, a few length-n vectors and that buffer: under 2 MiB up to
-    d = 2^17, one row of 8 d bytes above.
+    data is U, a few length-n vectors and that buffer, or the norm scan's
+    block of squares, as large (see :func:`~dpcov.linalg.column_norms`):
+    under 2 MiB up to d = 2^16.
     """
     stream = RandomStream(spec.seed).child("synth")
     gen = stream.generator

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -33,9 +34,9 @@ __all__ = [
     "column_norms",
 ]
 
-# Columns per block of a norm scan or a clipped Gram: the working block is
-# at most d * (2 * _CHUNK_COLUMNS - 1) floats whatever n is (the last block
-# takes the remainder; see _blocks), and one block is held at a time.
+# Columns per block of a clipped Gram: the working block is at most
+# d * (2 * _CHUNK_COLUMNS - 1) floats whatever n is (the last block takes the
+# remainder; see _blocks), and one block is held at a time.
 _CHUNK_COLUMNS = 1024
 
 # Edge of the square tiles in which a d x d matrix is read against its
@@ -52,6 +53,7 @@ _TILE = 128
 # d = 1024, and the last block takes the remainder (see _blocks).  The BLAS
 # product of a block need not round like the same rows of the one-shot
 # product; see the README, "Building a dataset", for the shapes where it does.
+# The norm scan's blocks of squares are as large (see _scan_width).
 _CHUNK_FLOATS = 2**17
 
 # Column norms below this are recomputed from the column scaled by a power of
@@ -65,6 +67,13 @@ def _blocks(n: int, size: int):
     thin block can be reduced or multiplied in another order."""
     starts = range(0, max(n - size, 0) + 1, size)
     return zip(starts, [*starts[1:], n])
+
+
+def _scan_width(d: int) -> int:
+    """Columns per block of the norm scan: _CHUNK_FLOATS // d, so a block's
+    squares take 1 MiB (under 2 MiB with the remainder), but two at least:
+    numpy sums a lone column of a row-major array in another order."""
+    return max(2, _CHUNK_FLOATS // d)
 
 
 def _tile_spans(d: int) -> list[slice]:
@@ -82,7 +91,9 @@ def _is_symmetric(a: np.ndarray) -> bool:
     spans = _tile_spans(a.shape[0])
     for i, rows in enumerate(spans):
         for cols in spans[i:]:
-            if not (a[rows, cols] == a[cols, rows].T).all():
+            # != is exactly "not ==" (nan != nan), and counting is cheaper
+            # than numpy's all() on a small tile
+            if np.count_nonzero(a[rows, cols] != a[cols, rows].T):
                 return False
     return True
 
@@ -113,7 +124,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def column_norms(cols: np.ndarray) -> np.ndarray:
-    """l2 norms of the columns of a (d, n) array, _CHUNK_COLUMNS at a time.
+    """l2 norms of the columns of a (d, n) array, a block of
+    :func:`_scan_width` columns at a time.
 
     Each norm is exactly ``np.linalg.norm(cols, axis=0)``'s unless that one
     lost bits: a column whose norm comes out below 2^-500 (squares
@@ -122,7 +134,7 @@ def column_norms(cols: np.ndarray) -> np.ndarray:
     no d x n temporary is made.  Raises ``ValueError`` on a non-finite entry.
     """
     norms = np.empty(cols.shape[1])
-    for start, stop in _blocks(cols.shape[1], _CHUNK_COLUMNS):
+    for start, stop in _blocks(cols.shape[1], _scan_width(cols.shape[0])):
         block, out = cols[:, start:stop], norms[start:stop]
         with np.errstate(over="ignore"):
             out[:] = np.linalg.norm(block, axis=0)
@@ -221,7 +233,7 @@ def eig_sym(a: np.ndarray) -> EigenDecomp:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("non-finite matrix")
     if not _is_symmetric(a):
         raise ValueError("matrix is not symmetric")
@@ -256,13 +268,14 @@ def frobenius_dist(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
     with np.errstate(over="ignore"):
-        diff = a - b
-        dist = float(np.linalg.norm(diff))
+        diff = (a - b).ravel()
+        # np.linalg.norm's own computation, without its dispatch
+        dist = math.sqrt(diff.dot(diff))
     # an entry of A - B that overflowed (or is not finite) bounds the
     # distance from below, so numpy's inf (or nan) stands
     if _TINY_NORM <= dist < math.inf or diff.size == 0 or not np.all(np.isfinite(diff)):
         return dist
-    return float(_rescaled_norms(diff.reshape(-1, 1))[0])
+    return float(_rescaled_norms(diff[:, None])[0])
 
 
 def clip_dataset(x: Dataset, tau: float) -> Dataset:
@@ -344,14 +357,17 @@ class CovSketch:
     The data clipped at a radius r is summarised from the sorted norms
     without touching the columns: counts above a level and the clipped trace
     (``trace(r)``) by binary search, and the dyadic histogram of the clipped
-    norms min(||x||, r) (``histogram(r)``) from the buckets.  A clipped Gram
+    norms min(||x||, r) (``histogram(r)``) from the buckets, each kept per r
+    (read-only), as are the adaptive pipeline's tables derived from them
+    (:mod:`dpcov.adaptive`).  A clipped Gram
     is one pass over the columns in blocks of ``_CHUNK_COLUMNS``, each
     column divided by max(||x||, tau), so every term lies in the unit ball
     and no second d x n array is ever held; mechanisms that never clip pay
     only for the norms and ``gram()``.
 
     Memory: d^2 * (1 + clip exponents queried) floats, d per spectrum, plus
-    2n for the sorted norms and their prefix sums.  The source columns are
+    2n for the sorted norms and their prefix sums, and O(buckets) per radius
+    (O(levels) for the radius search's counts).  The source columns are
     referenced, not copied.  Every lazy part is built once, under the
     sketch's one lock, so threads may share a sketch.
     """
@@ -378,24 +394,14 @@ class CovSketch:
 
     def trace(self, r: float = math.inf) -> float:
         """(1/n) sum_i min(||X_i||, r)^2, the trace of the covariance of the
-        columns clipped to norm at most r."""
-        clipped = self.count_above(r)
-        total = self._layout().sq_prefix[self.count - clipped]
-        if clipped:
-            total += clipped * r * r
-        return float(total / self.count)
+        columns clipped to norm at most r; built once per r."""
+        return self._cached(("trace", r), lambda: self._clipped_trace(r))
 
-    def histogram(self, r: float = math.inf) -> dict[int, int]:
+    def histogram(self, r: float = math.inf) -> Mapping[int, int]:
         """Dyadic counts of the clipped norms min(||X_i||, r): bucket s holds
-        the norms in (2^s, 2^(s+1)]; zero norms are in no bucket."""
-        clipped = self.count_above(r)
-        kept = self.count - clipped
-        buckets = self._layout().buckets
-        counts = {s: min(hi, kept) - lo for s, (lo, hi) in buckets.items() if lo < kept}
-        if clipped:
-            top = int(_norm_bucket(np.float64(r)))
-            counts[top] = counts.get(top, 0) + clipped
-        return counts
+        the norms in (2^s, 2^(s+1)]; zero norms are in no bucket.  Read-only,
+        built once per r."""
+        return self._cached(("histogram", r), lambda: self._clipped_histogram(r))
 
     def gram(self, tau: float | None = None) -> np.ndarray:
         """The covariance of the columns, ``covariance(x)``; with tau = 2^t,
@@ -421,6 +427,23 @@ class CovSketch:
             if value is None:
                 value = self._cache[key] = build()
             return value
+
+    def _clipped_trace(self, r: float) -> float:
+        clipped = self.count_above(r)
+        total = self._layout().sq_prefix[self.count - clipped]
+        if clipped:
+            total += clipped * r * r
+        return float(total / self.count)
+
+    def _clipped_histogram(self, r: float) -> Mapping[int, int]:
+        clipped = self.count_above(r)
+        kept = self.count - clipped
+        buckets = self._layout().buckets
+        counts = {s: min(hi, kept) - lo for s, (lo, hi) in buckets.items() if lo < kept}
+        if clipped:
+            top = int(_norm_bucket(np.float64(r)))
+            counts[top] = counts.get(top, 0) + clipped
+        return MappingProxyType(counts)
 
     def _layout(self) -> _Layout:
         return self._cached("layout", self._sort_norms)

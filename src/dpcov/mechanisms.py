@@ -29,9 +29,11 @@ for a fixed stream, deterministic functions of the inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -95,8 +97,9 @@ class NoiseFamily:
       ``value`` runs the sparse vector technique;
     * ``noise_bounds(value, beta, d, n)``: (tr_hat, tau) -> the error bounds
       of the clipped plain and separate mechanisms, each holding with
-      probability at least 1-beta.  The norm bounds are evaluated once, in
-      this call.
+      probability at least 1-beta.  The norm bounds are evaluated in this
+      call, which is made once per key: the function is kept and returned
+      again.
     """
 
     kind: str
@@ -108,16 +111,17 @@ class NoiseFamily:
     def budget(self, value: float) -> PrivacyBudget:
         return PrivacyBudget(self.kind, value)
 
-    def ledger(self, value: float) -> dict[str, float]:
-        """The adaptive mechanism's budget per stage.  The stages are composed
-        with :func:`compose`; a split that does not add up to exactly
-        ``value`` raises ValueError (a check, not an assert, so it also runs
-        under ``python -O``)."""
+    @functools.lru_cache(maxsize=64, typed=True)
+    def ledger(self, value: float) -> Mapping[str, float]:
+        """The adaptive mechanism's budget per stage, read-only.  The stages
+        are composed with :func:`compose` once per (family, value); a split
+        that does not add up to exactly ``value`` raises ValueError (a check,
+        not an assert, so it also runs under ``python -O``), and is not kept."""
         ledger = {stage: value * share for stage, share in self.split}
         total = compose(self.budget(v) for v in ledger.values())
         if total != self.budget(value):
             raise ValueError(f"{self.adaptive} budget split composes to {total.value}, not {value}")
-        return ledger
+        return MappingProxyType(ledger)
 
 
 @dataclass(frozen=True)
@@ -136,6 +140,7 @@ class _Gaussian(NoiseFamily):
     def svt_eps(self, value):
         return math.sqrt(2.0 * value)  # eps-DP implies eps^2/2-zCDP
 
+    @functools.lru_cache(maxsize=64, typed=True)
     def noise_bounds(self, value, beta, d, n):
         frob, op, vec = omega(d, beta), upsilon(d, beta / 2), eta(d, beta / 2)
 
@@ -165,6 +170,7 @@ class _Laplace(NoiseFamily):
     def svt_eps(self, value):
         return value
 
+    @functools.lru_cache(maxsize=64, typed=True)
     def noise_bounds(self, value, beta, d, n):
         frob = slw_frob_bound(d, beta)
         op_noise = (2.0 * math.sqrt(2.0) * d / (value * n)) * slw_op_bound(d, beta / 2)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .linalg import _mirror_upper
 __all__ = [
     "RandomStream",
     "gaussian_vector",
+    "laplace_sampler",
     "laplace_scalar",
     "laplace_vector",
     "sgw_matrix",
@@ -55,21 +57,36 @@ class _PhiloxKey:
         self.words = (key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64)
 
     def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
+        if n_words != 2 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("a Philox key is two uint64 words")
         return np.array(self.words, dtype=np.uint64)
 
 
+@functools.cache
+def _register_philox_key() -> None:
+    """Make numpy accept a :class:`_PhiloxKey` as a seed sequence.  Done once,
+    when the first generator is built rather than at import, because numpy 2
+    loads numpy.random on first use, which adds about 20 ms."""
+    np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
+
+
+# Philox's counter, which starts at zero.  Given as an array it is copied;
+# given as the int 0 (the default) it goes through a conversion that took
+# 4 of the 7 us of building a Philox.
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.flags.writeable = False
+
+
 def _philox_generator(key: int) -> np.random.Generator:
     """``Generator(Philox(key=key))``, with no entropy read."""
-    # registering is deferred to here because numpy 2 loads numpy.random on
-    # first use, which adds about 20 ms; after the first call it is a no-op
-    np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+    _register_philox_key()
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_ZERO_COUNTER))
 
 
 class RandomStream:
     """A single-owner random stream with labelled, independent sub-streams."""
+
+    __slots__ = ("seed", "zero_noise", "_key", "_gen")
 
     def __init__(self, seed: int, *, zero_noise: bool = False, _key: int | None = None):
         if not 0 <= int(seed) < 2**64:
@@ -84,9 +101,12 @@ class RandomStream:
     def child(self, label: str) -> "RandomStream":
         """Derive an independent stream; the same (seed, label path) always
         yields the same stream."""
-        return RandomStream(
-            self.seed, zero_noise=self.zero_noise, _key=_derive_key(self._key, label)
-        )
+        # the seed was checked when the root was made, and a derived key is
+        # 128 bits by construction, so nothing is validated again
+        child = object.__new__(RandomStream)
+        child.seed, child.zero_noise, child._gen = self.seed, self.zero_noise, None
+        child._key = _derive_key(self._key, label)
+        return child
 
     @property
     def generator(self) -> np.random.Generator:
@@ -108,13 +128,21 @@ def gaussian_vector(stream: RandomStream, d: int) -> np.ndarray:
     return stream.generator.standard_normal(d)
 
 
-def laplace_scalar(stream: RandomStream, scale: float) -> float:
-    """One draw from Lap(scale), density (1/2b) exp(-|x|/b)."""
+def laplace_sampler(stream: RandomStream, scale: float) -> Callable[[], float]:
+    """A function that draws one value from Lap(scale), density
+    (1/2b) exp(-|x|/b), per call: the scale is checked and the generator's
+    sampler bound once, here, for a caller that draws many."""
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError("laplace scale must be positive and finite")
     if stream.zero_noise:
-        return 0.0
-    return float(stream.generator.laplace(0.0, scale))
+        return lambda: 0.0
+    # Generator.laplace returns a Python float when given scalars
+    return functools.partial(stream.generator.laplace, 0.0, scale)
+
+
+def laplace_scalar(stream: RandomStream, scale: float) -> float:
+    """One draw from Lap(scale), density (1/2b) exp(-|x|/b)."""
+    return laplace_sampler(stream, scale)()
 
 
 def laplace_vector(stream: RandomStream, d: int, scale: float = 1.0) -> np.ndarray:

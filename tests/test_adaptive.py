@@ -315,7 +315,7 @@ def threshold_svt_queries(family, x, value, beta, r_tilde, tr_hat):
     sketch = CovSketch.of(x)
     d, n = sketch.dim, sketch.count
     bounds = family.noise_bounds(family.ledger(value)["mechanism"], beta / 2, d, n)
-    query = threshold_query(bounds, sketch.histogram(r_tilde), tr_hat, r_tilde, n)
+    query = threshold_query(bounds, sketch, tr_hat, r_tilde)
     start, end = int(math.log2(r_tilde)), max(-d * n, -1020)
     return [query(t) for t in range(start, end - 1, -1)]
 
@@ -460,7 +460,7 @@ def zero_noise_bounds(tr_hat, tau):
 def bias_bound(x, tau):
     """The bias term of the threshold query at a dyadic tau <= 1: the query
     at r = 1 with zero noise bounds, over n/4."""
-    query = threshold_query(zero_noise_bounds, build_histogram(x), 0.0, 1.0, x.count)
+    query = threshold_query(zero_noise_bounds, x, 0.0, 1.0)
     return query(int(math.log2(tau))) * 4.0 / x.count
 
 
@@ -495,7 +495,7 @@ class TestBiasHat:
         # at r = 2^-k, on norms down to 2^-1074, the zero-noise query is n/4
         # times the bias bound of the r-clipped norms measured in units of r
         r, n = math.ldexp(1.0, -k), x.count
-        query = threshold_query(zero_noise_bounds, build_histogram(x, r), 0.0, r, n)
+        query = threshold_query(zero_noise_bounds, x, 0.0, r)
         in_units = np.minimum(x.norms(), r) / r
         for t in range(-k, -k - 40, -1):
             want = n / 4.0 * bias_direct(in_units, math.ldexp(1.0, t + k), n)
@@ -522,10 +522,10 @@ class TestBiasHat:
 
     def test_non_dyadic_tau_rejected(self):
         # the grid is dyadic in units of r, so r must be a power of two
-        counts = build_histogram(dataset_with_norms([0.5]))
+        x = dataset_with_norms([0.5])
         for bad in (0.3, 0.0, -0.5, math.inf):
             with pytest.raises(ValueError):
-                threshold_query(zero_noise_bounds, counts, 0.0, bad, 1)
+                threshold_query(zero_noise_bounds, x, 0.0, bad)
 
 
 class TestNoiseBounds:
@@ -584,6 +584,9 @@ class TestNoiseBounds:
         assert min(bounds(0.4, 0.5)) == (plain if separate >= plain else separate) > 0.0
 
     def test_norm_bounds_evaluated_once_per_run(self, monkeypatch):
+        # the bounds are kept per key, so an earlier test with this run's
+        # key must not have left them behind
+        GAUSSIAN.noise_bounds.cache_clear()
         calls = []
         for name in ("omega", "upsilon", "eta"):
             real = getattr(mechanisms, name)
@@ -602,6 +605,23 @@ class TestNoiseBounds:
         adaptive_cov(x, 0.5, 0.05, RandomStream(3))
         assert len(queries) > 1
         assert sorted(calls) == ["eta", "omega", "upsilon"]
+
+    def test_norm_bounds_kept_per_key(self, monkeypatch):
+        # a second run with the same (budget, beta, d, n) evaluates none
+        calls = []
+        for name in ("omega", "upsilon", "eta"):
+            real = getattr(mechanisms, name)
+            monkeypatch.setattr(
+                mechanisms, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a)
+            )
+        norms = np.concatenate([np.full(8, 0.9), np.full(404, 0.01)])
+        x = CovSketch(dataset_with_norms(norms, d=16))
+        first = adaptive_cov(x, 0.5, 0.05, RandomStream(3))
+        again = adaptive_cov(x, 0.5, 0.05, RandomStream(3))
+        assert sorted(calls) == ["eta", "omega", "upsilon"]
+        assert np.array_equal(again.estimate, first.estimate)
+        key = (0.25, 0.025, 16, 412)
+        assert GAUSSIAN.noise_bounds(*key) is GAUSSIAN.noise_bounds(*key)
 
 
 class TestPrivateTrace:
@@ -680,25 +700,23 @@ class TestPrivateTrace:
 
 
 class TestDiffQuery:
-    """The threshold SVT's query, threshold_query(bounds, counts, tr_hat, r, n)(t)
+    """The threshold SVT's query, threshold_query(bounds, x, tr_hat, r)(t)
     at tau = 2^t."""
 
     def test_negative_when_no_bias(self):
         x = dataset_with_norms(np.full(30, 0.4), seed=16)
-        h = build_histogram(x)
         for family in FAMILIES.values():
             bounds = family.noise_bounds(0.1, 0.05, x.dim, x.count)
-            assert threshold_query(bounds, h, 0.16, 0.5, x.count)(-1) < 0.0
+            assert threshold_query(bounds, x, 0.16, 0.5)(-1) < 0.0
 
     def test_nondecreasing_down_the_grid(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
             norms = rng.uniform(0.0, 1.0, size=60)
-            x = dataset_with_norms(norms, seed=int(rng.integers(1 << 31)))
-            h = build_histogram(x)
+            x = CovSketch(dataset_with_norms(norms, seed=int(rng.integers(1 << 31))))
             for family in FAMILIES.values():
                 bounds = family.noise_bounds(0.1, 0.05, x.dim, x.count)
-                query = threshold_query(bounds, h, 0.7, 1.0, x.count)
+                query = threshold_query(bounds, x, 0.7, 1.0)
                 values = [query(t) for t in range(0, -24, -1)]
                 assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -712,12 +730,12 @@ class TestDiffQuery:
             primed = norms.copy()
             primed[rng.integers(n)] = rng.uniform(0.0, r)
             # 1-d datasets whose column norms are exactly these values
-            ha = build_histogram(Dataset(norms.reshape(1, -1)))
-            hb = build_histogram(Dataset(primed.reshape(1, -1)))
+            xa = Dataset(norms.reshape(1, -1))
+            xb = Dataset(primed.reshape(1, -1))
             tr_hat = r * r / 2
             bounds = GAUSSIAN.noise_bounds(0.1, 0.05, 4, n)
-            qa = threshold_query(bounds, ha, tr_hat, r, n)
-            qb = threshold_query(bounds, hb, tr_hat, r, n)
+            qa = threshold_query(bounds, xa, tr_hat, r)
+            qb = threshold_query(bounds, xb, tr_hat, r)
             for t in range(int(math.log2(r)), int(math.log2(r)) - 8, -1):
                 assert abs(qa(t) - qb(t)) <= 1.0 + slack
 
@@ -728,12 +746,13 @@ class TestDiffQuery:
         # for bit (tr_hat = 1/8 stays exact at both scales)
         k, n = 530, 50
         norms = np.linspace(0.01, 0.5, n)
-        h = build_histogram(Dataset(norms.reshape(1, -1)))
-        h_tiny = {s - k: c for s, c in h.items()}
+        x = CovSketch(Dataset(norms.reshape(1, -1)))
+        x_tiny = CovSketch(Dataset(np.ldexp(norms, -k).reshape(1, -1)))
+        assert build_histogram(x_tiny) == {s - k: c for s, c in build_histogram(x).items()}
         for family in FAMILIES.values():
             bounds = family.noise_bounds(0.1, 0.05, 4, n)
-            query = threshold_query(bounds, h, 0.125, 0.5, n)
-            tiny = threshold_query(bounds, h_tiny, math.ldexp(0.125, -2 * k), 2.0 ** (-1 - k), n)
+            query = threshold_query(bounds, x, 0.125, 0.5)
+            tiny = threshold_query(bounds, x_tiny, math.ldexp(0.125, -2 * k), 2.0 ** (-1 - k))
             for t in range(-1, -40, -1):
                 assert math.isfinite(tiny(t - k))
                 assert tiny(t - k) == query(t)
@@ -963,6 +982,15 @@ class TestBudgetLedger:
         assert rep.details["ledger"] == {"radius": 0.1, "trace": 0.1, "svt": 0.2, "mechanism": 0.4}
         rep = adaptive_cov_pure(x, 2.0, 0.05, RandomStream(20))
         assert rep.details["ledger"] == {"radius": 0.5, "trace": 0.5, "svt": 0.5, "mechanism": 0.5}
+
+    def test_composed_once_per_value(self, monkeypatch):
+        composed = []
+        real = mechanisms.compose
+        monkeypatch.setattr(mechanisms, "compose", lambda b: composed.append(1) or real(b))
+        for family in (GAUSSIAN, LAPLACE):
+            composed.clear()
+            assert family.ledger(0.3125) is family.ledger(0.3125)
+            assert composed == [1]
 
     def test_wrong_split_rejected(self, monkeypatch):
         short = (("radius", 1 / 8), ("trace", 1 / 8), ("svt", 1 / 4), ("mechanism", 1 / 4))

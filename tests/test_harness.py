@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import platform
 import re
@@ -196,6 +198,71 @@ class TestRunPlan:
             assert row.frobenius_error == frobenius_dist(report.estimate, fresh.gram())
 
 
+# Philox bit generators a run builds: one per stream that draws, and an
+# adaptive run draws in four stages (radius, trace, threshold SVT, mechanism)
+GENERATORS_PER_RUN = {
+    "gauss": 1,
+    "lap": 1,
+    "separate": 1,
+    "separate-pure": 1,
+    "adaptive": 4,
+    "adaptive-pure": 4,
+    "zero": 0,
+}
+
+
+def count_generators(monkeypatch) -> list:
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(a) or philox(*a, **k))
+    return built
+
+
+class TestPerRunCost:
+    @pytest.mark.parametrize("name", sorted(GENERATORS_PER_RUN))
+    def test_generators_built_per_run(self, name, monkeypatch):
+        assert set(GENERATORS_PER_RUN) == set(MECHANISMS)
+        plan = small_plan(mechanisms=(name,), budget=BUDGETS[MECHANISMS[name][0] or "zcdp"])
+        sketch = CovSketch(synth(SynthSpec(n=200, d=6, bins=2, seed=3)))
+        built = count_generators(monkeypatch)
+        root = RandomStream(plan.master_seed)
+        for rep in range(3):
+            stream = root.child(f"run/0/{name}/{rep}")
+            MECHANISMS[name][1](sketch, plan.budget.value, plan, stream)
+            assert len(built) == (rep + 1) * GENERATORS_PER_RUN[name]
+            if name.startswith("adaptive"):
+                assert stream._gen is None  # its stages draw from children
+        assert root._gen is None
+
+    def test_run_plan_builds_no_root_or_run_level_generator(self, monkeypatch):
+        # a plan of zero runs builds only what drawing its dataset builds
+        spec = SynthSpec(n=60, d=6, bins=2)
+        built = count_generators(monkeypatch)
+        synth(dataclasses.replace(spec, seed=harness._sub_seed(11, "data/0")))
+        drawing = len(built)
+        built.clear()
+        run_plan(small_plan(mechanisms=("zero",), synth_spec=spec))
+        assert len(built) == drawing
+
+    def test_cells_are_written_as_format_17g(self, tmp_path):
+        floats = [0.1, -0.0, 5e-324, 1e22, 2.0**-1074 * 3, 1 / 3, math.inf, 1e300 * 10.0]
+        rows = [
+            ResultRow("gauss", 2, 3, None, "zcdp", 0.5, 0.05, 7, i, v, 1.0, v, "gauss")
+            for i, v in enumerate(floats)
+        ] + [ResultRow("adaptive", 2, 3, 4, "zcdp", 1, 0.05, 7, 9, 0.25, 1.0, None, None)]
+        plan = small_plan(repetitions=1)
+        write_results(rows, summarize(rows[-1:]), plan, tmp_path / "out.csv")
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert lines[0] == (
+            "mechanism,d,n,N,budget_kind,budget_value,beta,seed,rep,"
+            "frobenius_error,chosen_tau,chosen_branch"
+        )
+        for rep, (line, v) in enumerate(zip(lines[1:], floats)):
+            cell = format(v, ".17g")
+            assert line == f"gauss,2,3,,zcdp,0.5,0.050000000000000003,7,{rep},{cell},{cell},gauss"
+        assert lines[-1] == "adaptive,2,3,4,zcdp,1,0.050000000000000003,7,9,0.25,,"
+
+
 class TestScalingThroughHarness:
     def test_gauss_error_grows_linearly_in_d(self):
         # the harness-level version of the dimension sweep: log-log slope
@@ -305,6 +372,21 @@ class TestOutputFiles:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         if "openblas" in str(blas["name"]).lower():
             assert meta["blas"]["threads"] == 1
+
+    def test_csv_results_are_labelled_non_private(self, tmp_path):
+        # a CSV is rescaled by a power of two read off its largest norm
+        path = tmp_path / "in.csv"
+        save_csv(synth(SynthSpec(n=40, d=3, bins=2, seed=5)), path)
+        plan = small_plan(synth_spec=None, csv_path=str(path), repetitions=1)
+        meta = write_results(*run_plan(plan), plan, tmp_path / "csv.csv")
+        assert meta["non_private"] is True
+        assert json.loads((tmp_path / "csv.meta.json").read_text())["non_private"] is True
+
+    def test_synthetic_results_carry_no_non_private_label(self, tmp_path):
+        plan = small_plan(repetitions=1)
+        meta = write_results(*run_plan(plan), plan, tmp_path / "synth.csv")
+        assert "non_private" not in meta
+        assert "non_private" not in json.loads((tmp_path / "synth.meta.json").read_text())
 
     def test_float_cells_round_trip(self, tmp_path):
         plan = small_plan(repetitions=2)

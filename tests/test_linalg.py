@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from oracle_utils import clip_vector, jacobi_eig_sym
 
 from dpcov.linalg import (
-    _CHUNK_COLUMNS,
     Dataset,
+    _scan_width,
     clip_dataset,
     column_norms,
     covariance,
@@ -39,7 +40,7 @@ class TestDataset:
             Dataset(np.array([[1.0, np.nan]]))
 
     def test_non_finite_found_in_a_later_block(self):
-        cols = np.ones((2, 3 * _CHUNK_COLUMNS + 5))
+        cols = np.ones((2, 3 * _scan_width(2) + 5))
         for bad in (np.inf, -np.inf, np.nan):
             cols[1, -2] = bad
             with pytest.raises(ValueError, match="non-finite"):
@@ -58,23 +59,53 @@ def within_ulps(got: float, want: float, ulps: int) -> bool:
     return abs(got - want) <= ulps * math.ulp(want)
 
 
+def layouts(d, n, seed):
+    """(d, n) arrays of wide-ranging column norms in four memory layouts."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((n, d)) * np.exp(rng.uniform(-30, 30, size=(n, 1)))
+    return {
+        "columns contiguous": base.T,
+        "rows contiguous": np.ascontiguousarray(base.T),
+        "strided columns": np.asfortranarray(rng.standard_normal((d, 2 * n)))[:, ::2],
+        "strided rows": rng.standard_normal((2 * d, n))[::2],
+    }
+
+
+# at d = 128 the scan reads blocks of 1024 columns
+WIDTH_AT_128 = _scan_width(128)
+
+
 class TestColumnNorms:
     """The blocked norm scan: numpy's norms bit for bit, except columns whose
     squares underflow or overflow."""
 
-    @pytest.mark.parametrize("n", [1, 7, _CHUNK_COLUMNS, _CHUNK_COLUMNS + 1, 3 * _CHUNK_COLUMNS - 1])
+    @pytest.mark.parametrize("n", [1, 7, WIDTH_AT_128, WIDTH_AT_128 + 1, 3 * WIDTH_AT_128 - 1])
     def test_bit_equal_to_numpy_in_every_layout(self, n):
-        rng = np.random.default_rng(n)
-        d = 9
-        base = rng.standard_normal((n, d)) * np.exp(rng.uniform(-30, 30, size=(n, 1)))
-        layouts = {
-            "columns contiguous": base.T,
-            "rows contiguous": np.ascontiguousarray(base.T),
-            "strided columns": np.asfortranarray(rng.standard_normal((d, 2 * n)))[:, ::2],
-            "strided rows": rng.standard_normal((2 * d, n))[::2],
-        }
-        for name, cols in layouts.items():
+        for name, cols in layouts(128, n, seed=n).items():
             assert np.array_equal(column_norms(cols), np.linalg.norm(cols, axis=0)), name
+
+    @pytest.mark.parametrize("d", [9, 1024, 2**17])
+    def test_bit_equal_across_blocks_at_every_width(self, d):
+        # one column short of a block, one block, one over, and several
+        # blocks plus a remainder; at d = 2^17 a block is two columns, since
+        # numpy sums a lone column of a row-major array in another order
+        width = _scan_width(d)
+        assert width == max(2, 2**17 // d)
+        for n in (width - 1, width, width + 1, 3 * width - 1):
+            for name, cols in layouts(d, n, seed=d + n).items():
+                got, want = column_norms(cols), np.linalg.norm(cols, axis=0)
+                assert np.array_equal(got, want), (name, n)
+
+    def test_peak_memory_is_one_block(self):
+        # blocks of 128 columns at d = 1024, the last of 255: 2 MiB of squares
+        cols = np.random.default_rng(3).standard_normal((1024, 5119))
+        tracemalloc.start()
+        try:
+            column_norms(cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_underflowing_squares(self):
         cols = np.array([[1e-310, 5e-324, 3e-160, 0.0], [2e-309, 0.0, 1e-170, 0.0]])
@@ -93,7 +124,7 @@ class TestColumnNorms:
 
     def test_rescaled_columns_leave_the_others_exact(self):
         rng = np.random.default_rng(5)
-        cols = rng.standard_normal((4, 2 * _CHUNK_COLUMNS + 3))
+        cols = rng.standard_normal((4, 2 * _scan_width(4) + 3))
         cols[:, 17] *= 1e-200
         cols[:, -1] *= 1e200
         with np.errstate(over="ignore"):

@@ -18,10 +18,19 @@ from hypothesis import given, settings
 
 from oracle_utils import bucket_exponent, dataset_from_norms, datasets
 
-from dpcov.adaptive import adaptive_cov, adaptive_cov_pure, build_histogram
+import dpcov.adaptive as adaptive
+from dpcov.adaptive import adaptive_cov, adaptive_cov_pure, build_histogram, threshold_query
 from dpcov.datagen import SynthSpec, synth
 from dpcov.linalg import CovSketch, Dataset, clip_dataset, covariance, eig_sym, trace_stat
-from dpcov.mechanisms import clip_mechanism, gauss_cov, lap_cov, separate_cov, separate_cov_pure
+from dpcov.mechanisms import (
+    GAUSSIAN,
+    LAPLACE,
+    clip_mechanism,
+    gauss_cov,
+    lap_cov,
+    separate_cov,
+    separate_cov_pure,
+)
 from dpcov.privacy import pure, zcdp
 from dpcov.randomness import RandomStream
 
@@ -265,6 +274,98 @@ class TestSharedAcrossThreads:
         for got in seen[1:]:
             assert all(g is h and a is b for (g, a), (h, b) in zip(got, seen[0]))
         assert len(solves) == len(taus)
+
+    def test_adaptive_tables_are_built_once(self, monkeypatch):
+        # the radius counts, clipped traces and histograms, and threshold
+        # bias tables: one build per key across eight threads, and every
+        # thread gets the same object
+        sketch = CovSketch(synth(SynthSpec(n=3000, d=12, bins=4, seed=14)))
+        radii = [math.ldexp(1.0, t) for t in range(0, -6, -1)]
+        bounds = GAUSSIAN.noise_bounds(0.05, 0.025, sketch.dim, sketch.count)
+        builds = []
+        for owner, name in (
+            (CovSketch, "_clipped_trace"),
+            (CovSketch, "_clipped_histogram"),
+            (adaptive, "_level_counts"),
+            (adaptive, "_bias_suffixes"),
+        ):
+            real = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda *a, _f=real, _n=name: builds.append((_n, a[-1])) or _f(*a)
+            )
+        seen = [None] * 8
+        errors = []
+
+        def work(i):
+            try:
+                stream = RandomStream(i)
+                adaptive.priv_radius(sketch, 1.0, 0.1, 2.0**-30, stream)
+                tables = [sketch._cache[("level counts", 30)]]
+                for r in radii:
+                    tables += [sketch.trace(r), sketch.histogram(r)]
+                    threshold_query(bounds, sketch, 0.5 * r * r, r)(-7)
+                    tables.append(sketch._cache[("bias suffixes", int(math.log2(r)))])
+                seen[i] = tables
+            except Exception as exc:  # reported below; a thread must not die silently
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(seen))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        for got in seen[1:]:
+            assert all(a is b for a, b in zip(got, seen[0]))
+        assert len(builds) == len(set(builds))
+        # the histogram at r = inf feeds the radius counts
+        assert sorted(n for n, _ in builds) == sorted(
+            ["_level_counts", "_clipped_histogram"]
+            + ["_clipped_trace", "_clipped_histogram", "_bias_suffixes"] * len(radii)
+        )
+
+
+class TestReadOnlyTables:
+    """What the sketch and the noise families keep is handed out read-only,
+    so a caller that writes to it raises and the next call is unchanged."""
+
+    def test_histogram(self):
+        x = dataset_from_norms([0.9, 0.6, 0.3, 0.1, 0.0], 3, seed=1)
+        sketch = CovSketch(x)
+        want = bucket_counts(np.minimum(x.norms(), 0.5))
+        hist = build_histogram(sketch, 0.5)
+        assert hist == want
+        with pytest.raises(TypeError):
+            hist[-1] = 99
+        with pytest.raises(AttributeError):
+            hist.clear()
+        assert build_histogram(sketch, 0.5) == want == build_histogram(CovSketch(x), 0.5)
+
+    def test_ledger(self):
+        for family, value, want in (
+            (GAUSSIAN, 0.8, {"radius": 0.1, "trace": 0.1, "svt": 0.2, "mechanism": 0.4}),
+            (LAPLACE, 2.0, {"radius": 0.5, "trace": 0.5, "svt": 0.5, "mechanism": 0.5}),
+        ):
+            ledger = family.ledger(value)
+            with pytest.raises(TypeError):
+                ledger["svt"] = value
+            assert family.ledger(value) == want
+
+    def test_ledger_in_a_report(self):
+        x = dataset_from_norms(np.linspace(0.1, 1.0, 64), 4, seed=2)
+        sketch = CovSketch(x)
+        first = adaptive_cov(sketch, 0.8, 0.05, RandomStream(20))
+        with pytest.raises(TypeError):
+            first.details["ledger"]["mechanism"] = 0.8
+        again = adaptive_cov(sketch, 0.8, 0.05, RandomStream(20))
+        assert np.array_equal(again.estimate, first.estimate)
+        want = {"radius": 0.1, "trace": 0.1, "svt": 0.2, "mechanism": 0.4}
+        assert again.details["ledger"] == want
 
 
 class TestTinyRadiusRegression:
