@@ -28,7 +28,6 @@ from .bounds import (
 from .datagen import SynthSpec, load_csv, rescale_radius, synth
 from .harness import ExperimentPlan, ResultRow, SummaryRow, run_plan, summarize, write_results
 from .linalg import (
-    CovSketch,
     Dataset,
     EigenDecomp,
     clip_dataset,

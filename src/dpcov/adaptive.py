@@ -19,10 +19,11 @@ composed with :func:`~dpcov.privacy.compose` and checked once per (family,
 B), and a split that does not add up to exactly B raises ValueError; the
 check also runs under ``python -O``.
 
-What depends only on the data is built once per sketch and kept there (see
-:class:`~dpcov.linalg.CovSketch`): the radius search's count at every level,
-the clipped trace and histogram at each radius r, and the threshold
-queries' bias tables at each r.  A run then pays for its draws and its
+What depends only on the data is built once per dataset and kept there
+(see :class:`~dpcov.linalg.Dataset`): the radius search's count at every
+level, the clipped trace and histogram at each radius r, the threshold
+queries' bias tables at each r, and the clipped Gram of the last threshold
+chosen.  Repeated runs on one dataset then pay for their draws and their
 d x d algebra.
 
 Every stage after the radius reads the unclipped data and clips it to r
@@ -39,7 +40,7 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import Callable, Iterable, Mapping
 
-from .linalg import CovSketch, Dataset, _pow2_exponent
+from .linalg import Dataset, _pow2_exponent
 from .mechanisms import (
     FAMILIES,
     GAUSSIAN,
@@ -98,17 +99,15 @@ def svt(
     return k + 1
 
 
-def priv_radius(
-    x: Dataset | CovSketch, eps: float, beta: float, b: float, stream: RandomStream
-) -> float:
+def priv_radius(x: Dataset, eps: float, beta: float, b: float, stream: RandomStream) -> float:
     """Private estimate of the largest column norm.
 
     Runs the SVT over the count queries |{i : ||X_i|| > 2^-j}| for
     j = 0..ceil(log2(1/b)) against the threshold (6/eps)*log(2(J+1)/beta),
     and returns twice the radius at the triggering index (capped at 1), or b
-    if nothing triggers.  The count at 2^-j sums the sketch's dyadic
+    if nothing triggers.  The count at 2^-j sums the dataset's dyadic
     histogram over the buckets s >= -j; the counts at every level are summed
-    once per sketch and number of levels, and kept on the sketch.  With
+    once per dataset and number of levels, and kept on the dataset.  With
     probability at least 1-beta the result is at most 2*rad(X)+b and clips
     at most (12/eps)*log(2(J+1)/beta) columns.
     """
@@ -118,36 +117,31 @@ def priv_radius(
         raise ValueError("beta must lie in (0, 1)")
     levels = math.ceil(-math.log2(b))  # 1/b overflows for subnormal b
     threshold = (6.0 / eps) * math.log(2.0 * (levels + 1) / beta)
-    sketch = CovSketch.of(x)
-    counts = sketch._cached(("level counts", levels), lambda: _level_counts(sketch, levels))
+    counts = x._cached(("level counts", levels), lambda: _level_counts(x, levels))
     k = svt(counts, 1.0, threshold, eps, stream)
     if k <= levels + 1:
         return min(1.0, math.ldexp(1.0, 2 - k))
     return b
 
 
-def _level_counts(sketch: CovSketch, levels: int) -> tuple[int, ...]:
+def _level_counts(x: Dataset, levels: int) -> tuple[int, ...]:
     """|{i : ||X_i|| > 2^-j}| for j = 0..levels."""
     # the count above 2^0 sums every bucket s >= 0; each level after it adds
     # one bucket
-    hist = sketch.histogram()
+    hist = x.histogram()
     at_one = sum(c for s, c in hist.items() if s >= 0)
     return tuple(accumulate((hist.get(-j, 0) for j in range(1, levels + 1)), initial=at_one))
 
 
-def build_histogram(x: Dataset | CovSketch, r: float = math.inf) -> Mapping[int, int]:
+def build_histogram(x: Dataset, r: float = math.inf) -> Mapping[int, int]:
     """Dyadic counts of the column norms of a dataset clipped to radius r,
     min(||X_i||, r): bucket s holds the norms in (2^s, 2^(s+1)]; zero norms
-    are in no bucket.  Read-only: the sketch's own table."""
-    return CovSketch.of(x).histogram(r)
+    are in no bucket.  Read-only: the dataset's own table."""
+    return x.histogram(r)
 
 
 def private_trace_ub(
-    x: Dataset | CovSketch,
-    r_tilde: float,
-    budget_frag: PrivacyBudget,
-    beta: float,
-    stream: RandomStream,
+    x: Dataset, r_tilde: float, budget_frag: PrivacyBudget, beta: float, stream: RandomStream
 ) -> float:
     """Privatized upper bound on the trace of the data clipped to radius r.
 
@@ -157,20 +151,19 @@ def private_trace_ub(
     probability at least 1 - beta/8, then caps at r^2, which always
     dominates the clipped trace.
     """
-    sketch = CovSketch.of(x)
     # noised in units of 2^e, where r / 2^e lies in [1/2, 1), so the
     # sensitivity r^2/n cannot underflow to 0 however small r is; the
     # rescaling is exact wherever the direct form is
     _, e = math.frexp(r_tilde)
     cap = math.ldexp(r_tilde, -e) ** 2
-    tr = math.ldexp(sketch.trace(r_tilde), -2 * e)
+    tr = math.ldexp(x.trace(r_tilde), -2 * e)
     family = FAMILIES[budget_frag.kind]
-    draw, offset = family.scalar_noise(stream, cap / sketch.count, budget_frag.value, beta / 8)
+    draw, offset = family.scalar_noise(stream, cap / x.count, budget_frag.value, beta / 8)
     return math.ldexp(min(tr + draw + offset, cap), 2 * e)
 
 
 def threshold_query(
-    bounds: NoiseBounds, x: Dataset | CovSketch, tr_hat: float, r_tilde: float
+    bounds: NoiseBounds, x: Dataset, tr_hat: float, r_tilde: float
 ) -> Callable[[int], float]:
     """The threshold SVT's query at tau = 2^t, as a function of t:
 
@@ -179,7 +172,7 @@ def threshold_query(
 
     for a private radius r > 0 and the dyadic counts Count_s of the
     r-clipped norms of ``x`` (:func:`build_histogram`); the suffix sums of
-    the bias weights are built once per sketch and r.  bias bounds the
+    the bias weights are built once per dataset and r.  bias bounds the
     clipping bias at tau from above.  A column adds 2^(2s+2) - tau^2 < r^2
     to n*bias (s < log2 r), so one column change moves the query by at most
     1/4, all queries the same way; the SVT runs at sensitivity 1, as
@@ -192,11 +185,10 @@ def threshold_query(
     overflows (r below about 2^-512).
     """
     unit = _pow2_exponent(r_tilde)
-    sketch = CovSketch.of(x)
-    neg, suffix_weight, suffix_count = sketch._cached(
-        ("bias suffixes", unit), lambda: _bias_suffixes(sketch.histogram(r_tilde), unit)
+    neg, suffix_weight, suffix_count = x._cached(
+        ("bias suffixes", unit), lambda: _bias_suffixes(x.histogram(r_tilde), unit)
     )
-    n = sketch.count
+    n = x.count
     tr_unit = math.ldexp(tr_hat, -2 * unit)
 
     def query(t: int) -> float:
@@ -221,12 +213,7 @@ def _bias_suffixes(counts: Mapping[int, int], unit: int) -> tuple[tuple, tuple, 
     return tuple(neg), suffix_weight, suffix_count
 
 
-def adaptive_cov(
-    x: Dataset | CovSketch,
-    rho: float,
-    beta: float,
-    stream: RandomStream,
-) -> MechanismReport:
+def adaptive_cov(x: Dataset, rho: float, beta: float, stream: RandomStream) -> MechanismReport:
     """Tail-sensitive private covariance under rho-zCDP.
 
     Budget split: rho/8 radius, rho/8 trace, rho/4 threshold SVT, rho/2
@@ -237,12 +224,7 @@ def adaptive_cov(
     return _adaptive(GAUSSIAN, x, rho, beta, stream)
 
 
-def adaptive_cov_pure(
-    x: Dataset | CovSketch,
-    eps: float,
-    beta: float,
-    stream: RandomStream,
-) -> MechanismReport:
+def adaptive_cov_pure(x: Dataset, eps: float, beta: float, stream: RandomStream) -> MechanismReport:
     """Tail-sensitive private covariance under eps-DP.
 
     Same pipeline as :func:`adaptive_cov` with every stage at eps/4, Laplace
@@ -253,13 +235,12 @@ def adaptive_cov_pure(
 
 
 def _adaptive(
-    family: NoiseFamily, x, value: float, beta: float, stream: RandomStream
+    family: NoiseFamily, x: Dataset, value: float, beta: float, stream: RandomStream
 ) -> MechanismReport:
     budget = family.budget(value)
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     ledger = family.ledger(value)
-    x = CovSketch.of(x)
     d, n = x.dim, x.count
 
     b = math.ldexp(1.0, max(-2 * d * n, _MIN_FLOAT_EXPONENT))

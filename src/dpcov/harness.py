@@ -2,9 +2,11 @@
 
 Every (configuration, repetition) pair gets its own random stream derived
 from the master seed by label, so results are identical regardless of worker
-count or scheduling order.  The results file holds one row per repetition;
-the summary file one row per (mechanism, configuration) with mean and
-standard deviation of the Frobenius error.  Floats are printed with 17
+count or scheduling order.  A configuration's dataset is built once, and
+every run on it reads the summaries it keeps (its Grams and norm tables; see
+:class:`~dpcov.linalg.Dataset`).  The results file holds one row per
+repetition; the summary file one row per (mechanism, configuration) with
+mean and standard deviation of the Frobenius error.  Floats are printed with 17
 significant digits so files round-trip exactly and diffs are stable.
 
 Wall-clock timings are kept in memory (``ResultRow.elapsed_ms``) but not
@@ -31,7 +33,7 @@ import numpy as np
 
 from .adaptive import adaptive_cov, adaptive_cov_pure
 from .datagen import SynthSpec, load_csv, rescale_radius, synth
-from .linalg import CovSketch, frobenius_dist
+from .linalg import Dataset, frobenius_dist
 from .mechanisms import (
     GAUSSIAN,
     LAPLACE,
@@ -191,30 +193,31 @@ def _expand_configs(plan: ExperimentPlan) -> list[_Config]:
     return configs
 
 
-def _sketches(plan: ExperimentPlan, configs: list[_Config]):
-    """Yield (config, sketch of its data) for each config in turn.  A CSV is
-    loaded and sketched once and shared by every config (a sweep over it can
-    only sweep the budget); each synthetic config draws its own data when
-    its turn comes, so a sweep need hold only one synthetic dataset."""
+def _datasets(plan: ExperimentPlan, configs: list[_Config]):
+    """Yield (config, its dataset) for each config in turn.  A CSV is loaded
+    once and shared by every config (a sweep over it can only sweep the
+    budget); each synthetic config draws its own data when its turn comes,
+    so a sweep need hold only one synthetic dataset."""
     if plan.csv_path is not None:
-        shared = CovSketch(rescale_radius(load_csv(plan.csv_path)))
+        shared = rescale_radius(load_csv(plan.csv_path))
         for c in configs:
             yield c, shared
         return
     for c in configs:
         seed = _sub_seed(plan.master_seed, f"data/{c.index}")
-        yield c, CovSketch(synth(dataclasses.replace(c.synth_spec, seed=seed)))
+        yield c, synth(dataclasses.replace(c.synth_spec, seed=seed))
 
 
 def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
     """Execute the plan and return per-repetition rows plus a summary.
 
-    The configs run one after another, each on its own sketch (one pass
-    over its dataset, read by every mechanism and repetition); with several
-    workers, a config's runs are shared out before the next config starts."""
+    The configs run one after another, each on its own dataset, whose Grams
+    and norm tables are built once and read by every mechanism and
+    repetition; with several workers, a config's runs are shared out before
+    the next config starts."""
     root = RandomStream(plan.master_seed, zero_noise=plan.zero_noise)
 
-    def config_runs(config: _Config, x: CovSketch):
+    def config_runs(config: _Config, x: Dataset):
         """The run of one (mechanism, repetition) on this config: one stream,
         one distance to the exact covariance, whose finiteness is the one
         check, and one row, with everything the config fixes read once,
@@ -266,7 +269,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
 
             map_runs = stack.enter_context(ThreadPoolExecutor(max_workers=plan.workers)).map
         rows = []
-        for config, x in _sketches(plan, _expand_configs(plan)):
+        for config, x in _datasets(plan, _expand_configs(plan)):
             rows += map_runs(config_runs(config, x), mechs, reps)
             del x  # dropped before the next config's data is drawn
     return rows, summarize(rows)

@@ -1,6 +1,6 @@
-"""Exact (non-private) linear algebra: covariance, symmetric eigendecomposition,
-norm clipping, the trace/tail statistics the private mechanisms are built on,
-and :class:`CovSketch`, the one-pass summary of a dataset they all read.
+"""Exact (non-private) linear algebra: :class:`Dataset`, with the summaries
+of it that the private mechanisms read, covariance, symmetric
+eigendecomposition, norm clipping and the trace/tail statistics.
 
 Matrices are plain float64 ndarrays.  Symmetric matrices are kept *exactly*
 symmetric (entry-wise equal to their transpose): the Grams are by
@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "Dataset",
-    "CovSketch",
     "EigenDecomp",
     "covariance",
     "eig_sym",
@@ -154,18 +153,45 @@ def _rescaled_norms(cols: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A d x n collection of column vectors, one column per individual.
+    """A d x n collection of column vectors, one column per individual, and
+    the summaries the covariance mechanisms read off it.
 
     The column norms are computed once, at construction (the same scan
     checks that every entry is finite), and :meth:`norms` returns them
-    after.  So ``columns`` must not be mutated once the dataset is built:
-    the memoised norms and any :class:`CovSketch` of the dataset describe
-    the columns as they were.  Whether the columns lie in the unit ball is
-    checked where a mechanism reads them, not here.
+    after.  The rest is built on first need and kept:
+
+    * the norms sorted, with prefix sums of their squares, and the dyadic
+      buckets s (norms in (2^s, 2^(s+1)]) as runs of the sorted norms;
+    * ``gram()``, which is ``covariance(x)`` bit for bit, and its spectrum;
+    * for the last clip threshold tau = 2^t asked for, ``gram(tau)``, the
+      unit-ball Gram of the columns clipped at tau, (1/n) sum_i X_i X_i^T /
+      max(||X_i||, tau)^2, and its spectrum (``spectrum(tau)``); asking for
+      another t drops them.
+
+    The data clipped at a radius r is summarised from the sorted norms
+    without touching the columns: counts above a level and the clipped trace
+    (``trace(r)``) by binary search, and the dyadic histogram of the clipped
+    norms min(||x||, r) (``histogram(r)``) from the buckets, each kept per r
+    (read-only), as are the adaptive pipeline's tables derived from them
+    (:mod:`dpcov.adaptive`).  A clipped Gram is one pass over the columns in
+    blocks of ``_CHUNK_COLUMNS``, each column divided by max(||x||, tau), so
+    every term lies in the unit ball and no second d x n array is ever held.
+
+    Memory beyond the columns: 2 d^2 floats for the two Grams, d per
+    spectrum, 3n for the norms, the sorted norms and their prefix sums, and
+    O(buckets) per radius.  What is kept refers to the columns and norms,
+    never to the dataset, so a dataset is freed with its last reference.
+    Every lazy part is built once, under the dataset's one lock, so threads
+    may share a dataset.  ``columns`` must not be mutated once the dataset
+    is built: what it keeps describes the columns as they were.  Whether the
+    columns lie in the unit ball is checked where a mechanism reads them.
     """
 
     columns: np.ndarray
     _norms: np.ndarray = field(init=False, repr=False, compare=False)
+    max_norm: float = field(init=False, repr=False, compare=False)
+    _cache: dict = field(init=False, repr=False, compare=False)
+    _lock: threading.RLock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cols = np.asarray(self.columns, dtype=float)
@@ -176,8 +202,14 @@ class Dataset:
         if cols.shape[0] == 0:
             raise ValueError("dataset dimension must be at least 1")
         norms = _frozen(column_norms(cols))
-        object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "_norms", norms)
+        # frozen: the fields are set through the instance dict
+        vars(self).update(
+            columns=cols,
+            _norms=norms,
+            max_norm=float(np.max(norms)),
+            _cache={},
+            _lock=threading.RLock(),
+        )
 
     @property
     def dim(self) -> int:
@@ -190,6 +222,111 @@ class Dataset:
     def norms(self) -> np.ndarray:
         """Column l2 norms, shape (n,) (read-only; see :func:`column_norms`)."""
         return self._norms
+
+    def count_above(self, level: float) -> int:
+        """Number of column norms strictly above ``level``, which must be
+        positive: one binary search of the sorted norms."""
+        if not level > 0:
+            raise ValueError("levels and clip radii must be positive")
+        return self.count - int(np.searchsorted(self._layout().norms, level, side="right"))
+
+    def trace(self, r: float = math.inf) -> float:
+        """(1/n) sum_i min(||X_i||, r)^2, the trace of the covariance of the
+        columns clipped to norm at most r; built once per r."""
+        return self._cached(("trace", r), lambda: self._clipped_trace(r))
+
+    def histogram(self, r: float = math.inf) -> Mapping[int, int]:
+        """Dyadic counts of the clipped norms min(||X_i||, r): bucket s holds
+        the norms in (2^s, 2^(s+1)]; zero norms are in no bucket.  Read-only,
+        built once per r."""
+        return self._cached(("histogram", r), lambda: self._clipped_histogram(r))
+
+    def gram(self, tau: float | None = None) -> np.ndarray:
+        """The covariance of the columns, ``covariance(x)``; with tau = 2^t,
+        that of the columns clipped at tau and rescaled to the unit ball,
+        (1/n) sum_i X_i X_i^T / max(||X_i||, tau)^2.  Read-only; the
+        unclipped Gram is built once, a clipped one once per run of calls at
+        its exponent.  Raises ``ValueError`` unless tau is a power of two."""
+        if tau is None:
+            return self._cached("gram", lambda: _frozen(covariance(self)))
+        t = _pow2_exponent(tau)
+        return self._at_exponent(t, "gram", lambda: _frozen(self._unit_cov(t)))
+
+    def spectrum(self, tau: float | None = None) -> np.ndarray:
+        """Eigenvalues of ``gram(tau)`` in descending order (read-only), kept
+        as long as that Gram is."""
+        def build():
+            return _frozen(np.linalg.eigvalsh(self.gram(tau))[::-1])
+
+        if tau is None:
+            return self._cached("spectrum", build)
+        return self._at_exponent(_pow2_exponent(tau), "spectrum", build)
+
+    # -- internals --------------------------------------------------------
+
+    def _cached(self, key, build):
+        with self._lock:
+            value = self._cache.get(key)
+            if value is None:
+                value = self._cache[key] = build()
+            return value
+
+    def _at_exponent(self, t: int, key: str, build):
+        """``_cached`` for what is kept of clip exponent t: asking for
+        another exponent first drops the last one's Gram and spectrum."""
+        with self._lock:
+            kept = self._cache.get("clipped")
+            if kept is None or kept["t"] != t:
+                self._cache.pop("clipped", None)  # freed before the next Gram is built
+                kept = self._cache["clipped"] = {"t": t}
+            if key not in kept:
+                kept[key] = build()
+            return kept[key]
+
+    def _clipped_trace(self, r: float) -> float:
+        clipped = self.count_above(r)
+        total = self._layout().sq_prefix[self.count - clipped]
+        if clipped:
+            total += clipped * r * r
+        return float(total / self.count)
+
+    def _clipped_histogram(self, r: float) -> Mapping[int, int]:
+        clipped = self.count_above(r)
+        kept = self.count - clipped
+        buckets = self._layout().buckets
+        counts = {s: min(hi, kept) - lo for s, (lo, hi) in buckets.items() if lo < kept}
+        if clipped:
+            top = int(_norm_bucket(np.float64(r)))
+            counts[top] = counts.get(top, 0) + clipped
+        return MappingProxyType(counts)
+
+    def _layout(self) -> _Layout:
+        return self._cached("layout", self._sort_norms)
+
+    def _sort_norms(self) -> _Layout:
+        norms = np.sort(self._norms)
+        sq_prefix = np.concatenate(([0.0], np.cumsum(norms * norms)))
+        # buckets are runs of the sorted norms; zero columns lead and join none
+        first = int(np.searchsorted(norms, 0.0, side="right"))
+        ids = _norm_bucket(norms[first:])
+        edges = [first, *(np.flatnonzero(np.diff(ids)) + first + 1), self.count]
+        buckets = {
+            int(ids[lo - first]): (int(lo), int(hi)) for lo, hi in zip(edges, edges[1:]) if lo < hi
+        }
+        return _Layout(norms, sq_prefix, buckets)
+
+    def _unit_cov(self, t: int) -> np.ndarray:
+        tau = math.ldexp(1.0, t)
+        # each column over max(||x||, tau): clipped at tau and rescaled, it
+        # lies in the unit ball whatever its norm
+        cols, norms = self.columns, self._norms
+        total = np.zeros((self.dim, self.dim))
+        for start, stop in _blocks(self.count, _CHUNK_COLUMNS):
+            block = cols[:, start:stop] / np.maximum(norms[start:stop], tau)
+            total += block @ block.T
+            del block  # freed before the next block is built
+        total /= self.count
+        return _symmetrize(total)
 
 
 class EigenDecomp(NamedTuple):
@@ -339,136 +476,3 @@ class _Layout(NamedTuple):
     norms: np.ndarray  # sorted norms
     sq_prefix: np.ndarray  # sq_prefix[k] = sum of the k smallest squared norms
     buckets: dict[int, tuple[int, int]]  # s -> sorted positions [lo, hi)
-
-
-class CovSketch:
-    """Sufficient statistics of a dataset for the covariance mechanisms.
-
-    Built from a :class:`Dataset` without reading its columns: it takes the
-    dataset's memoised norms; the rest is derived on first need and kept:
-
-    * the norms sorted, with prefix sums of their squares, and the dyadic
-      buckets s (norms in (2^s, 2^(s+1)]) as runs of the sorted norms;
-    * ``gram()``, which is ``covariance(x)`` bit for bit;
-    * per clip threshold tau = 2^t asked for, ``gram(tau)``, the unit-ball
-      Gram of the columns clipped at tau, (1/n) sum_i X_i X_i^T /
-      max(||X_i||, tau)^2, and its spectrum (``spectrum(tau)``).
-
-    The data clipped at a radius r is summarised from the sorted norms
-    without touching the columns: counts above a level and the clipped trace
-    (``trace(r)``) by binary search, and the dyadic histogram of the clipped
-    norms min(||x||, r) (``histogram(r)``) from the buckets, each kept per r
-    (read-only), as are the adaptive pipeline's tables derived from them
-    (:mod:`dpcov.adaptive`).  A clipped Gram
-    is one pass over the columns in blocks of ``_CHUNK_COLUMNS``, each
-    column divided by max(||x||, tau), so every term lies in the unit ball
-    and no second d x n array is ever held; mechanisms that never clip pay
-    only for the norms and ``gram()``.
-
-    Memory: d^2 * (1 + clip exponents queried) floats, d per spectrum, plus
-    2n for the sorted norms and their prefix sums, and O(buckets) per radius
-    (O(levels) for the radius search's counts).  The source columns are
-    referenced, not copied.  Every lazy part is built once, under the
-    sketch's one lock, so threads may share a sketch.
-    """
-
-    def __init__(self, x: Dataset):
-        self.dim, self.count = x.dim, x.count
-        self._dataset = x
-        self._norms = x.norms()
-        self.max_norm = float(np.max(self._norms))
-        self._cache: dict = {}
-        self._lock = threading.RLock()
-
-    @classmethod
-    def of(cls, x: "Dataset | CovSketch") -> "CovSketch":
-        """``x`` itself if it is a sketch, else the sketch of the dataset."""
-        return x if isinstance(x, cls) else cls(x)
-
-    def count_above(self, level: float) -> int:
-        """Number of column norms strictly above ``level``, which must be
-        positive: one binary search of the sorted norms."""
-        if not level > 0:
-            raise ValueError("levels and clip radii must be positive")
-        return self.count - int(np.searchsorted(self._layout().norms, level, side="right"))
-
-    def trace(self, r: float = math.inf) -> float:
-        """(1/n) sum_i min(||X_i||, r)^2, the trace of the covariance of the
-        columns clipped to norm at most r; built once per r."""
-        return self._cached(("trace", r), lambda: self._clipped_trace(r))
-
-    def histogram(self, r: float = math.inf) -> Mapping[int, int]:
-        """Dyadic counts of the clipped norms min(||X_i||, r): bucket s holds
-        the norms in (2^s, 2^(s+1)]; zero norms are in no bucket.  Read-only,
-        built once per r."""
-        return self._cached(("histogram", r), lambda: self._clipped_histogram(r))
-
-    def gram(self, tau: float | None = None) -> np.ndarray:
-        """The covariance of the columns, ``covariance(x)``; with tau = 2^t,
-        that of the columns clipped at tau and rescaled to the unit ball,
-        (1/n) sum_i X_i X_i^T / max(||X_i||, tau)^2.  Read-only, built once
-        per key; raises ``ValueError`` unless tau is a power of two."""
-        if tau is None:
-            return self._cached("G", lambda: _frozen(covariance(self._dataset)))
-        t = _pow2_exponent(tau)
-        return self._cached(t, lambda: _frozen(self._unit_cov(t)))
-
-    def spectrum(self, tau: float | None = None) -> np.ndarray:
-        """Eigenvalues of ``gram(tau)`` in descending order (read-only),
-        built once per key."""
-        key = ("spectrum", "G" if tau is None else _pow2_exponent(tau))
-        return self._cached(key, lambda: _frozen(np.linalg.eigvalsh(self.gram(tau))[::-1]))
-
-    # -- internals --------------------------------------------------------
-
-    def _cached(self, key, build):
-        with self._lock:
-            value = self._cache.get(key)
-            if value is None:
-                value = self._cache[key] = build()
-            return value
-
-    def _clipped_trace(self, r: float) -> float:
-        clipped = self.count_above(r)
-        total = self._layout().sq_prefix[self.count - clipped]
-        if clipped:
-            total += clipped * r * r
-        return float(total / self.count)
-
-    def _clipped_histogram(self, r: float) -> Mapping[int, int]:
-        clipped = self.count_above(r)
-        kept = self.count - clipped
-        buckets = self._layout().buckets
-        counts = {s: min(hi, kept) - lo for s, (lo, hi) in buckets.items() if lo < kept}
-        if clipped:
-            top = int(_norm_bucket(np.float64(r)))
-            counts[top] = counts.get(top, 0) + clipped
-        return MappingProxyType(counts)
-
-    def _layout(self) -> _Layout:
-        return self._cached("layout", self._sort_norms)
-
-    def _sort_norms(self) -> _Layout:
-        norms = np.sort(self._norms)
-        sq_prefix = np.concatenate(([0.0], np.cumsum(norms * norms)))
-        # buckets are runs of the sorted norms; zero columns lead and join none
-        first = int(np.searchsorted(norms, 0.0, side="right"))
-        ids = _norm_bucket(norms[first:])
-        edges = [first, *(np.flatnonzero(np.diff(ids)) + first + 1), self.count]
-        buckets = {
-            int(ids[lo - first]): (int(lo), int(hi)) for lo, hi in zip(edges, edges[1:]) if lo < hi
-        }
-        return _Layout(norms, sq_prefix, buckets)
-
-    def _unit_cov(self, t: int) -> np.ndarray:
-        tau = math.ldexp(1.0, t)
-        # each column over max(||x||, tau): clipped at tau and rescaled, it
-        # lies in the unit ball whatever its norm
-        cols, norms = self._dataset.columns, self._norms
-        total = np.zeros((self.dim, self.dim))
-        for start, stop in _blocks(self.count, _CHUNK_COLUMNS):
-            block = cols[:, start:stop] / np.maximum(norms[start:stop], tau)
-            total += block @ block.T
-            del block  # freed before the next block is built
-        total /= self.count
-        return _symmetrize(total)

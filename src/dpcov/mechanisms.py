@@ -16,15 +16,16 @@ symmetric Wigner noise matrix.  Separate (``separate_cov`` /
 vector on the exact spectrum, used as produced: no projection, no
 re-sorting) and to the eigenvectors (the eigenbasis of the
 noise-matrix-perturbed covariance), reassembled as P diag(lambda) P^T.
-The unit ball is checked once, on the sketch a plain or separate mechanism
-reads.  ``clip_mechanism`` wraps either body: clip columns to radius
-tau (a power of two), run it on the (1/tau)-rescaled data, and scale the
-estimate back by tau^2.
+The unit ball is checked once, on the largest norm of the dataset a plain
+or separate mechanism reads.  ``clip_mechanism`` wraps either body: clip
+columns to radius tau (a power of two), run it on the (1/tau)-rescaled data,
+and scale the estimate back by tau^2.
 
-Every mechanism takes a :class:`Dataset` or its :class:`CovSketch` and reads
-only the sketch: callers that run many mechanisms on one dataset should
-build the sketch once and pass it.  All outputs are exactly symmetric and,
-for a fixed stream, deterministic functions of the inputs.
+Every mechanism takes a :class:`Dataset` and reads only the summaries it
+keeps (its Grams, spectra and norms; see :class:`~dpcov.linalg.Dataset`),
+so repeated calls on one dataset do not rebuild them.  All outputs are
+exactly symmetric and, for a fixed stream, deterministic functions of the
+inputs.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .bounds import (
     slw_op_bound,
     upsilon,
 )
-from .linalg import CovSketch, Dataset, _is_symmetric, eig_sym, reconstruct
+from .linalg import Dataset, _is_symmetric, eig_sym, reconstruct
 from .privacy import PrivacyBudget, compose, gaussian_scale, laplace_scale
 from .randomness import (
     RandomStream,
@@ -108,7 +109,11 @@ class NoiseFamily:
     adaptive: str
     split: tuple[tuple[str, float], ...]
 
+    @functools.lru_cache(maxsize=64, typed=True)
     def budget(self, value: float) -> PrivacyBudget:
+        """The family's budget of ``value``, built and checked once per
+        (family, value).  An invalid value is not kept, so it raises
+        ValueError on every call."""
         return PrivacyBudget(self.kind, value)
 
     @functools.lru_cache(maxsize=64, typed=True)
@@ -231,19 +236,19 @@ class MechanismReport:
             raise ValueError("mechanism estimate must be exactly symmetric")
 
 
-def gauss_cov(x: Dataset | CovSketch, rho: float, stream: RandomStream) -> MechanismReport:
+def gauss_cov(x: Dataset, rho: float, stream: RandomStream) -> MechanismReport:
     """Covariance plus a symmetric Gaussian Wigner matrix scaled by
     1/(sqrt(rho) * n)."""
     return _release(GAUSSIAN, GAUSSIAN.plain, x, rho, stream)
 
 
-def lap_cov(x: Dataset | CovSketch, eps: float, stream: RandomStream) -> MechanismReport:
+def lap_cov(x: Dataset, eps: float, stream: RandomStream) -> MechanismReport:
     """Covariance plus a symmetric Laplace Wigner matrix scaled by
     sqrt(2)*d/(eps*n)."""
     return _release(LAPLACE, LAPLACE.plain, x, eps, stream)
 
 
-def separate_cov(x: Dataset | CovSketch, rho: float, stream: RandomStream) -> MechanismReport:
+def separate_cov(x: Dataset, rho: float, stream: RandomStream) -> MechanismReport:
     """Privatize eigenvalues and eigenvectors separately, rho/2 each.
 
     Eigenvalue noise is an i.i.d. Gaussian vector calibrated to the
@@ -253,7 +258,7 @@ def separate_cov(x: Dataset | CovSketch, rho: float, stream: RandomStream) -> Me
     return _release(GAUSSIAN, GAUSSIAN.separate, x, rho, stream)
 
 
-def separate_cov_pure(x: Dataset | CovSketch, eps: float, stream: RandomStream) -> MechanismReport:
+def separate_cov_pure(x: Dataset, eps: float, stream: RandomStream) -> MechanismReport:
     """Pure-DP variant of the eigenvalue/eigenvector split, eps/2 each.
 
     Eigenvalues get Laplace noise calibrated to their 2/n l1-sensitivity;
@@ -264,38 +269,37 @@ def separate_cov_pure(x: Dataset | CovSketch, eps: float, stream: RandomStream) 
 
 def _release(family, base, x, value, stream) -> MechanismReport:
     """The public form of ``base``: on a unit-ball dataset, one report."""
-    sketch = CovSketch.of(x)
-    if sketch.max_norm > 1.0 + _NORM_RTOL:
-        raise ValueError(f"norms exceed 1 (max norm {sketch.max_norm})")
+    if x.max_norm > 1.0 + _NORM_RTOL:
+        raise ValueError(f"norms exceed 1 (max norm {x.max_norm})")
     budget = family.budget(value)  # validate before drawing
-    estimate = _body(family, base, sketch, None, value, stream)
+    estimate = _body(family, base, x, None, value, stream)
     return MechanismReport(estimate, budget, base)
 
 
-def _body(family, base, sketch, tau, value, stream) -> np.ndarray:
+def _body(family, base, x, tau, value, stream) -> np.ndarray:
     """The estimate of the family's plain or separate mechanism (``base``)
-    on ``sketch.gram(tau)``, the covariance of data in the unit ball."""
-    cov, d, n = sketch.gram(tau), sketch.dim, sketch.count
+    on ``x.gram(tau)``, the covariance of data in the unit ball."""
+    cov, d, n = x.gram(tau), x.dim, x.count
     if base == family.plain:
         return cov + family.matrix_noise(stream, d, n, value)
-    lam_noisy = sketch.spectrum(tau) + family.vector_noise(stream, d, n, value / 2)
+    lam_noisy = x.spectrum(tau) + family.vector_noise(stream, d, n, value / 2)
     basis = eig_sym(cov + family.matrix_noise(stream, d, n, value / 2)).basis
     return reconstruct(basis, lam_noisy)
 
 
-def _clipped(family, base, sketch: CovSketch, value, tau, stream) -> np.ndarray:
+def _clipped(family, base, x: Dataset, value, tau, stream) -> np.ndarray:
     """``base`` on the columns clipped to tau and rescaled to the unit ball,
     scaled back by tau^2.  The caller checks tau, base and budget."""
-    return tau * tau * _body(family, base, sketch, tau, value, stream)
+    return tau * tau * _body(family, base, x, tau, value, stream)
 
 
 def clip_mechanism(
-    x: Dataset | CovSketch, budget: PrivacyBudget, tau: float, stream: RandomStream, base: str
+    x: Dataset, budget: PrivacyBudget, tau: float, stream: RandomStream, base: str
 ) -> MechanismReport:
     """Run a base mechanism (a family's plain or separate name) on columns
     clipped to radius tau, a power of two in (0, 1], and rescaled to the
     unit ball, then scale the estimate back by tau^2.  Any other tau raises
-    ``ValueError`` (a non power of two from :meth:`CovSketch.gram`, before
+    ``ValueError`` (a non power of two from :meth:`Dataset.gram`, before
     any noise is drawn)."""
     if not 0.0 < tau <= 1.0:
         raise ValueError("clip threshold must lie in (0, 1]")
@@ -304,10 +308,10 @@ def clip_mechanism(
         raise ValueError(f"unknown base mechanism {base!r}")
     if budget.kind != family.kind:
         raise ValueError(f"base mechanism {base!r} needs a {family.kind} budget")
-    estimate = _clipped(family, base, CovSketch.of(x), budget.value, tau, stream)
+    estimate = _clipped(family, base, x, budget.value, tau, stream)
     return MechanismReport(estimate, budget, base, clip_threshold=tau)
 
 
-def zero_cov(x: Dataset | CovSketch) -> MechanismReport:
+def zero_cov(x: Dataset) -> MechanismReport:
     """The trivial trace-sensitive baseline: a zero matrix, zero budget."""
     return MechanismReport(np.zeros((x.dim, x.dim)), None, ZERO)

@@ -28,7 +28,6 @@ from dpcov.bounds import (
 from dpcov.datagen import SynthSpec, synth
 from dpcov.harness import ExperimentPlan, run_plan, write_results
 from dpcov.linalg import (
-    CovSketch,
     Dataset,
     clip_dataset,
     covariance,
@@ -160,7 +159,7 @@ def test_criterion_04_worst_case_scaling(capsys):
     dims = (16, 64, 256, 1024)
     gauss_means, sep_means = [], []
     for d in dims:
-        x = CovSketch(synth(SynthSpec(n=n, d=d, bins=1, seed=1400 + d)))
+        x = synth(SynthSpec(n=n, d=d, bins=1, seed=1400 + d))
         sigma = x.gram()
         ge = [
             frobenius_dist(
@@ -220,8 +219,9 @@ def test_criterion_06_trace_sensitivity(capsys):
     bins = (1, 2, 4, 8)
     means = {"gauss": [], "separate": [], "adaptive": []}
     for n_bins in bins:
-        # one pass over the data; the three mechanisms and every rep read the sketch
-        x = CovSketch(synth(SynthSpec(n=n, d=d, bins=n_bins, seed=1600 + n_bins)))
+        # one pass over the data; the three mechanisms and every rep read the
+        # Grams and norm tables the dataset keeps
+        x = synth(SynthSpec(n=n, d=d, bins=n_bins, seed=1600 + n_bins))
         sigma = x.gram()
         errs = {"gauss": [], "separate": [], "adaptive": []}
         for r in range(reps):
@@ -265,20 +265,19 @@ def test_criterion_07_adaptive_optimality(capsys):
     started = time.perf_counter()
     n, rho, beta, runs = 4096, 0.1, 0.05, 50
     x = skewed_dataset(n, seed=1700, heavy=5)
-    sketch = CovSketch(x)
     d = x.dim
-    sigma = sketch.gram()
+    sigma = x.gram()
     tr = trace_stat(x)
 
     adaptive_errors = [
         frobenius_dist(
-            adaptive_cov(sketch, rho, beta, RandomStream(1701).child(f"r{i}")).estimate, sigma
+            adaptive_cov(x, rho, beta, RandomStream(1701).child(f"r{i}")).estimate, sigma
         )
         for i in range(runs)
     ]
     plain_errors = [
         frobenius_dist(
-            separate_cov(sketch, rho, RandomStream(1702).child(f"r{i}")).estimate, sigma
+            separate_cov(x, rho, RandomStream(1702).child(f"r{i}")).estimate, sigma
         )
         for i in range(runs)
     ]
@@ -301,7 +300,7 @@ def test_criterion_07_adaptive_optimality(capsys):
             runs_e = [
                 frobenius_dist(
                     clip_mechanism(
-                        sketch, zcdp(rho), tau, RandomStream(1703).child(f"{tau}/{branch}/{i}"), branch
+                        x, zcdp(rho), tau, RandomStream(1703).child(f"{tau}/{branch}/{i}"), branch
                     ).estimate,
                     sigma,
                 )

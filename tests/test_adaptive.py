@@ -37,7 +37,6 @@ from dpcov.adaptive import (
 from dpcov.bounds import eta
 from dpcov.datagen import SynthSpec, synth
 from dpcov.linalg import (
-    CovSketch,
     Dataset,
     clip_dataset,
     covariance,
@@ -208,7 +207,7 @@ def radius_svt_call(x, eps, beta, b):
 
 
 class TestRadiusCounts:
-    """priv_radius reads each level's count off the sketch's dyadic
+    """priv_radius reads each level's count off the dataset's dyadic
     histogram, and hands the SVT exactly the counts |{i : ||X_i|| > 2^-j}|."""
 
     @settings(max_examples=60, deadline=None)
@@ -232,7 +231,7 @@ class TestRadiusCounts:
 
 class TestRadiusSvtPrivacyLoss:
     """The exact privacy loss of priv_radius's SVT (AboveThreshold, Dwork and
-    Roth 2014, section 3.6) on the count vectors of neighbouring sketches,
+    Roth 2014, section 3.6) on the count vectors of neighbouring datasets,
     which differ in one column: the index distributions are integrated, not
     sampled.
 
@@ -312,16 +311,15 @@ class TestRadiusSvtPrivacyLoss:
 def threshold_svt_queries(family, x, value, beta, r_tilde, tr_hat):
     """The queries ``_adaptive`` hands the threshold SVT, listed, given the
     radius and trace bound the earlier stages released."""
-    sketch = CovSketch.of(x)
-    d, n = sketch.dim, sketch.count
+    d, n = x.dim, x.count
     bounds = family.noise_bounds(family.ledger(value)["mechanism"], beta / 2, d, n)
-    query = threshold_query(bounds, sketch, tr_hat, r_tilde)
+    query = threshold_query(bounds, x, tr_hat, r_tilde)
     start, end = int(math.log2(r_tilde)), max(-d * n, -1020)
     return [query(t) for t in range(start, end - 1, -1)]
 
 
 class TestThresholdSvtPrivacyLoss:
-    """The exact privacy loss of the threshold SVT on neighbouring sketches,
+    """The exact privacy loss of the threshold SVT on neighbouring datasets,
     with the released r and tr_hat held fixed across each pair.
 
     One column adds at most r^2 - tau^2 to n * bias (its clipped norm lies in
@@ -376,7 +374,7 @@ class TestThresholdSvtPrivacyLoss:
     def test_neighbours_within_eps(self, family, r_tilde):
         value = 1.0
         eps = family.svt_eps(family.ledger(value)["svt"])
-        tr_hat = CovSketch(dataset_from_norms(self.BASE, 2, seed=0)).trace(r_tilde)
+        tr_hat = dataset_from_norms(self.BASE, 2, seed=0).trace(r_tilde)
         q = np.array(self.queries(family, value, self.BASE, r_tilde, tr_hat))
         assert len(q) <= 41 and q.min() < 0.0 < q.max()  # the SVT can fire inside the grid
         for i, norm in self.MOVES:
@@ -398,7 +396,7 @@ class TestThresholdSvtPrivacyLoss:
         # above, and 2 eps at k = 16
         value = 1.0
         eps = family.svt_eps(family.ledger(value)["svt"])
-        tr_hat = CovSketch(dataset_from_norms(self.BASE, 2, seed=0)).trace(1.0)
+        tr_hat = dataset_from_norms(self.BASE, 2, seed=0).trace(1.0)
         q = self.queries(family, value, self.BASE, 1.0, tr_hat)
         neighbour = self.BASE[:12] + [1.0] + self.BASE[13:]
         q_prime = self.queries(family, value, neighbour, 1.0, tr_hat)
@@ -615,7 +613,7 @@ class TestNoiseBounds:
                 mechanisms, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a)
             )
         norms = np.concatenate([np.full(8, 0.9), np.full(404, 0.01)])
-        x = CovSketch(dataset_with_norms(norms, d=16))
+        x = dataset_with_norms(norms, d=16)
         first = adaptive_cov(x, 0.5, 0.05, RandomStream(3))
         again = adaptive_cov(x, 0.5, 0.05, RandomStream(3))
         assert sorted(calls) == ["eta", "omega", "upsilon"]
@@ -678,23 +676,22 @@ class TestPrivateTrace:
             r = math.ldexp(1.0, int(rng.integers(-40, 1)))
             x = Dataset(rng.uniform(0.0, 2 * r, size=(1, n)))
             budget = (zcdp, pure)[i % 2](float(rng.uniform(0.01, 2.0)))
-            sketch = CovSketch(x)
             draw, offset = FAMILIES[budget.kind].scalar_noise(
                 RandomStream(i), r * r / n, budget.value, 0.05 / 8
             )
-            want = min(sketch.trace(r) + draw + offset, r * r)
-            assert private_trace_ub(sketch, r, budget, 0.05, RandomStream(i)) == want
+            want = min(x.trace(r) + draw + offset, r * r)
+            assert private_trace_ub(x, r, budget, 0.05, RandomStream(i)) == want
 
     def test_noised_where_r_squared_over_n_underflows(self):
         # r^2/n = 2^-1076 is 0 in float64 while the clipped trace, about
         # 4.3e-320, is not: the release must still be noised
         n, r = 2**16, 2.0**-530
         norms = np.repeat([2.0**-530, 2.0**-532], n // 2)
-        sketch = CovSketch(Dataset(norms.reshape(1, -1)))
-        tr = sketch.trace(r)
+        x = Dataset(norms.reshape(1, -1))
+        tr = x.trace(r)
         assert r * r / n == 0.0 and tr > 0.0
         stream = RandomStream(20)
-        released = [private_trace_ub(sketch, r, zcdp(1e-6), 0.05, stream) for _ in range(20)]
+        released = [private_trace_ub(x, r, zcdp(1e-6), 0.05, stream) for _ in range(20)]
         assert len(set(released)) == 20 and tr not in released
         assert all(v <= r * r for v in released)
 
@@ -713,7 +710,7 @@ class TestDiffQuery:
         rng = np.random.default_rng(17)
         for _ in range(25):
             norms = rng.uniform(0.0, 1.0, size=60)
-            x = CovSketch(dataset_with_norms(norms, seed=int(rng.integers(1 << 31))))
+            x = dataset_with_norms(norms, seed=int(rng.integers(1 << 31)))
             for family in FAMILIES.values():
                 bounds = family.noise_bounds(0.1, 0.05, x.dim, x.count)
                 query = threshold_query(bounds, x, 0.7, 1.0)
@@ -746,8 +743,8 @@ class TestDiffQuery:
         # for bit (tr_hat = 1/8 stays exact at both scales)
         k, n = 530, 50
         norms = np.linspace(0.01, 0.5, n)
-        x = CovSketch(Dataset(norms.reshape(1, -1)))
-        x_tiny = CovSketch(Dataset(np.ldexp(norms, -k).reshape(1, -1)))
+        x = Dataset(norms.reshape(1, -1))
+        x_tiny = Dataset(np.ldexp(norms, -k).reshape(1, -1))
         assert build_histogram(x_tiny) == {s - k: c for s, c in build_histogram(x).items()}
         for family in FAMILIES.values():
             bounds = family.noise_bounds(0.1, 0.05, 4, n)
@@ -904,11 +901,11 @@ class TestFinalStage:
     def test_matches_clip_mechanism(self):
         branches = set()
         for run, family, data, value in self.CASES:
-            sketch = CovSketch(data())
-            rep = run(sketch, value, 0.05, RandomStream(0))
+            x = data()
+            rep = run(x, value, 0.05, RandomStream(0))
             budget = family.budget(family.ledger(value)["mechanism"])
             mech = RandomStream(0).child("mech")
-            want = clip_mechanism(sketch, budget, rep.details["tau"], mech, rep.details["branch"])
+            want = clip_mechanism(x, budget, rep.details["tau"], mech, rep.details["branch"])
             assert np.array_equal(rep.estimate, want.estimate)
             assert rep.clip_threshold == want.clip_threshold and rep.variant == want.variant
             branches.add(rep.variant)

@@ -9,7 +9,7 @@ from oracle_utils import save_csv, synth_oneshot
 import dpcov.datagen
 import dpcov.linalg
 from dpcov.datagen import SynthSpec, load_csv, rescale_radius, synth, zipf_bin_counts
-from dpcov.linalg import _CHUNK_FLOATS, CovSketch, Dataset, clip_dataset, radius, trace_stat
+from dpcov.linalg import _CHUNK_FLOATS, Dataset, clip_dataset, radius, trace_stat
 
 
 def largest_remainder_oracle(n, bins, skew):
@@ -171,7 +171,7 @@ class TestStreamedBuild:
         tracemalloc.start()
         try:
             x = synth(SynthSpec(n=n, d=d, bins=4, seed=1))
-            CovSketch(x).gram()
+            x.gram()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -200,7 +200,7 @@ class TestStreamedBuild:
         monkeypatch.setattr(dpcov.linalg, "column_norms", counting)
         monkeypatch.setattr(dpcov.datagen, "column_norms", counting)
         x = synth(SynthSpec(n=3000, d=6, bins=4, seed=9))
-        CovSketch(x).gram()
+        x.gram()
         radius(x)
         # once before scaling, once on the final data
         assert scanned == [(6, 3000), (6, 3000)]

@@ -26,7 +26,7 @@ from dpcov.harness import (
     summarize,
     write_results,
 )
-from dpcov.linalg import CovSketch, frobenius_dist
+from dpcov.linalg import frobenius_dist
 from dpcov.privacy import pure, zcdp
 from dpcov.randomness import RandomStream
 
@@ -187,10 +187,10 @@ class TestRunPlan:
         )
         rows, _ = run_plan(plan)
         assert loads == [str(path)]
-        # every config reads the one sketch; each row is what a sketch of
-        # its own would give
+        # every config reads the one dataset; each row is what a fresh
+        # dataset of its own would give
         root = RandomStream(plan.master_seed)
-        fresh = CovSketch(rescale_radius(real_load(path)))
+        fresh = rescale_radius(real_load(path))
         for row in rows:
             i = plan.sweep_values.index(row.budget_value)
             stream = root.child(f"run/{i}/{row.mechanism}/{row.rep}")
@@ -223,12 +223,12 @@ class TestPerRunCost:
     def test_generators_built_per_run(self, name, monkeypatch):
         assert set(GENERATORS_PER_RUN) == set(MECHANISMS)
         plan = small_plan(mechanisms=(name,), budget=BUDGETS[MECHANISMS[name][0] or "zcdp"])
-        sketch = CovSketch(synth(SynthSpec(n=200, d=6, bins=2, seed=3)))
+        x = synth(SynthSpec(n=200, d=6, bins=2, seed=3))
         built = count_generators(monkeypatch)
         root = RandomStream(plan.master_seed)
         for rep in range(3):
             stream = root.child(f"run/0/{name}/{rep}")
-            MECHANISMS[name][1](sketch, plan.budget.value, plan, stream)
+            MECHANISMS[name][1](x, plan.budget.value, plan, stream)
             assert len(built) == (rep + 1) * GENERATORS_PER_RUN[name]
             if name.startswith("adaptive"):
                 assert stream._gen is None  # its stages draw from children

@@ -8,7 +8,6 @@ from oracle_utils import sensitivity_probe
 from dpcov.adaptive import adaptive_cov, adaptive_cov_pure
 from dpcov.bounds import eta, lap_vec_bound, omega, slw_frob_bound, slw_op_bound, upsilon
 from dpcov.linalg import (
-    CovSketch,
     Dataset,
     clip_dataset,
     covariance,
@@ -19,6 +18,7 @@ from dpcov.linalg import (
 )
 from dpcov.mechanisms import (
     GAUSSIAN,
+    LAPLACE,
     MechanismReport,
     clip_mechanism,
     gauss_cov,
@@ -27,7 +27,7 @@ from dpcov.mechanisms import (
     separate_cov_pure,
     zero_cov,
 )
-from dpcov.privacy import pure, zcdp
+from dpcov.privacy import PrivacyBudget, pure, zcdp
 from dpcov.randomness import RandomStream, gaussian_vector
 
 
@@ -221,13 +221,13 @@ class TestClipMechanism:
         assert rep.variant == "separate"
 
     def test_invalid_tau(self):
-        # thresholds are powers of two in (0, 1]; the sketch also takes 2^t > 1
+        # thresholds are powers of two in (0, 1]; the dataset's Grams also
+        # take 2^t > 1
         x = ball_dataset(3, 6, seed=25)
         for bad in (0.0, -0.5, 1.5, 0.3, 0.75, math.nan):
             with pytest.raises(ValueError):
                 clip_mechanism(x, zcdp(1.0), bad, RandomStream(0), "gauss")
-        sketch = CovSketch(x)
-        for read in (sketch.gram, sketch.spectrum):
+        for read in (x.gram, x.spectrum):
             with pytest.raises(ValueError, match="not a power of two"):
                 read(0.3)
 
@@ -371,6 +371,63 @@ class TestOneReportPerCall:
             original(report)
 
         monkeypatch.setattr(MechanismReport, "__post_init__", counted)
-        x = CovSketch(ball_dataset(5, 40, seed=31))
+        x = ball_dataset(5, 40, seed=31)
         report = self.CALLS[name](x, RandomStream(32))
         assert checks == [report.variant]
+
+
+def count_budgets(monkeypatch) -> list:
+    """A spy on ``PrivacyBudget.__post_init__``: every budget built (or
+    rejected) is appended to the returned list."""
+    built = []
+    original = PrivacyBudget.__post_init__
+    monkeypatch.setattr(PrivacyBudget, "__post_init__", lambda b: built.append(b) or original(b))
+    return built
+
+
+class TestOneBudgetPerValue:
+    """A family builds and checks its budget of a value once
+    (``NoiseFamily.budget``), as it does its ledger: repeated calls at one
+    value build no ``PrivacyBudget``, and an invalid value, which is not
+    kept, is checked again on every call."""
+
+    CLIP_ZCDP, CLIP_PURE = zcdp(0.5), pure(0.5)
+    CALLS = {
+        **TestOneReportPerCall.CALLS,
+        "clip-gauss": lambda x, s: clip_mechanism(
+            x, TestOneBudgetPerValue.CLIP_ZCDP, 0.25, s, "gauss"
+        ),
+        "clip-separate-pure": lambda x, s: clip_mechanism(
+            x, TestOneBudgetPerValue.CLIP_PURE, 0.5, s, "separate-pure"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_repeated_calls_build_no_budget(self, name, monkeypatch):
+        built = count_budgets(monkeypatch)
+        x = ball_dataset(5, 40, seed=33)
+        self.CALLS[name](x, RandomStream(34))
+        first = len(built)
+        for i in range(3):
+            self.CALLS[name](x, RandomStream(35 + i))
+        assert len(built) == first
+
+    def test_kept_per_family_and_value(self):
+        assert GAUSSIAN.budget(0.7) is GAUSSIAN.budget(0.7) == zcdp(0.7)
+        assert LAPLACE.budget(0.7) is LAPLACE.budget(0.7) == pure(0.7)
+        assert type(GAUSSIAN.budget(2).value) is int and type(GAUSSIAN.budget(2.0).value) is float
+
+    def test_invalid_value_raises_every_call(self, monkeypatch):
+        built = count_budgets(monkeypatch)
+        x = ball_dataset(3, 10, seed=36)
+        for family in (GAUSSIAN, LAPLACE):
+            for bad in (0.0, -1.0, math.inf, math.nan):
+                for _ in range(3):
+                    with pytest.raises(ValueError, match="positive and finite"):
+                        family.budget(bad)
+        assert len(built) == 2 * 4 * 3
+        for _ in range(3):
+            with pytest.raises(ValueError, match="positive and finite"):
+                gauss_cov(x, -0.5, RandomStream(0))
+            with pytest.raises(ValueError, match="positive and finite"):
+                adaptive_cov_pure(x, 0.0, 0.05, RandomStream(0))

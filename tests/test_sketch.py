@@ -1,16 +1,21 @@
-"""CovSketch against the Dataset path it replaces.
+"""The summaries a Dataset keeps against the columns they summarise.
 
-Every statistic the mechanisms read from a sketch is recomputed here from the
+Every statistic the mechanisms read from a dataset's kept summaries (its
+Grams, spectra, sorted norms and dyadic buckets) is recomputed here from the
 columns (``covariance(clip_dataset(...))``, per-vector norm loops), on
 generated datasets whose norms span several dyadic buckets and on the
 degenerate shapes: zero columns, n=1, d=1, norms exactly 2^k, and columns
-whose norms underflow.
+whose norms underflow.  Then what is kept, and for how long: each summary is
+built once, a clipped Gram only for the last exponent asked for, and nothing
+kept refers back to the dataset.
 """
 
+import gc
 import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,9 +24,10 @@ from hypothesis import given, settings
 from oracle_utils import bucket_exponent, dataset_from_norms, datasets
 
 import dpcov.adaptive as adaptive
+import dpcov.linalg as linalg
 from dpcov.adaptive import adaptive_cov, adaptive_cov_pure, build_histogram, threshold_query
 from dpcov.datagen import SynthSpec, synth
-from dpcov.linalg import CovSketch, Dataset, clip_dataset, covariance, eig_sym, trace_stat
+from dpcov.linalg import Dataset, clip_dataset, covariance, eig_sym, trace_stat
 from dpcov.mechanisms import (
     GAUSSIAN,
     LAPLACE,
@@ -63,32 +69,31 @@ def clip_exponents(x):
 
 
 def check_against_dataset_path(x):
-    sketch = CovSketch(x)
-    assert np.array_equal(sketch.gram(), covariance(x))
-    assert sketch.max_norm == float(np.max(x.norms()))
+    assert np.array_equal(x.gram(), covariance(x))
+    assert x.max_norm == float(np.max(x.norms()))
     norms = x.norms()
     for j in range(0, 14):
         level = math.ldexp(1.0, -j)
-        assert sketch.count_above(level) == int(np.sum(norms > level))
-    assert build_histogram(sketch) == bucket_counts(norms)
+        assert x.count_above(level) == int(np.sum(norms > level))
+    assert build_histogram(x) == bucket_counts(norms)
     for t in clip_exponents(x):
         tau = math.ldexp(1.0, t)
         clipped = clip_dataset(x, tau)
         want = covariance(clipped)
-        gram = sketch.gram(tau)
+        gram = x.gram(tau)
         assert rel_fro(gram * tau * tau, want) <= 1e-12
         assert np.array_equal(gram, gram.T) and not gram.flags.writeable
-        check_spectrum(sketch, tau, gram)
+        check_spectrum(x, tau, gram)
         tr = trace_stat(clipped)
-        assert abs(sketch.trace(tau) - tr) <= 1e-12 * max(tr, 1e-300)
+        assert abs(x.trace(tau) - tr) <= 1e-12 * max(tr, 1e-300)
         # clipped norms are min(||x||, tau) exactly
         exact = np.minimum(norms, tau)
-        assert min(sketch.max_norm, tau) == float(np.max(exact))
+        assert min(x.max_norm, tau) == float(np.max(exact))
         for j in range(0, 14):
             level = math.ldexp(1.0, -j)
-            above = sketch.count_above(level) if level < tau else 0
+            above = x.count_above(level) if level < tau else 0
             assert above == int(np.sum(exact > level))
-        hist = build_histogram(sketch, tau)
+        hist = build_histogram(x, tau)
         assert hist == bucket_counts(exact)
         # the Dataset path recomputes clipped norms, which may land an ulp on
         # either side of tau; away from that boundary the counts agree
@@ -101,18 +106,18 @@ def check_against_dataset_path(x):
     # thresholds at or above every norm (at it when the largest norm is 2^k),
     # and far below every norm: compared in unit-ball form, where tau^2 would
     # underflow
-    top = bucket_exponent(sketch.max_norm) + 1 if sketch.max_norm > 0 else 0
+    top = bucket_exponent(x.max_norm) + 1 if x.max_norm > 0 else 0
     for t in (top, top + 3, -1000):
         tau = math.ldexp(1.0, t)
         want = covariance(Dataset(clip_dataset(x, tau).columns / tau))
-        assert rel_fro(sketch.gram(tau), want) <= 1e-12
-        check_spectrum(sketch, tau, want)
+        assert rel_fro(x.gram(tau), want) <= 1e-12
+        check_spectrum(x, tau, want)
 
 
-def check_spectrum(sketch, tau, want):
+def check_spectrum(x, tau, want):
     """``spectrum(tau)`` is read-only, descending, and within 1e-12 (relative
     to ``want``'s Frobenius norm) of the eigenvalues of ``want``."""
-    spectrum = sketch.spectrum(tau)
+    spectrum = x.spectrum(tau)
     assert not spectrum.flags.writeable and np.all(np.diff(spectrum) <= 0)
     gap = np.max(np.abs(spectrum - np.linalg.eigvalsh(want)[::-1]))
     assert gap <= 1e-12 * max(np.linalg.norm(want), 1e-300)
@@ -133,9 +138,8 @@ class TestDegenerate:
     def test_all_zero_columns(self):
         x = Dataset(np.zeros((3, 5)))
         check_against_dataset_path(x)
-        sketch = CovSketch(x)
-        assert sketch.max_norm == 0.0 and sketch.trace() == 0.0
-        assert build_histogram(sketch) == {}
+        assert x.max_norm == 0.0 and x.trace() == 0.0
+        assert build_histogram(x) == {}
 
     def test_some_zero_columns(self):
         check_against_dataset_path(dataset_from_norms([0.0, 0.3, 0.0, 0.9, 0.05], d=3, seed=1))
@@ -155,14 +159,14 @@ class TestDegenerate:
         assert set(x.norms()) == {1.0, 0.5, 0.125, 2.0**-6}
         check_against_dataset_path(x)
         # a norm equal to the threshold is not clipped and sits in the bucket below it
-        assert CovSketch(x).count_above(0.25) == 3
+        assert x.count_above(0.25) == 3
         assert build_histogram(x, 0.5) == {-2: 3, -4: 1, -7: 2}
 
     def test_underflowing_norms(self):
         # squares of these entries underflow, so a plain sum of squares gives
         # norms of 0 (subnormal entries) or coarse ones; the norm scan
-        # rescales such columns, and the sketch must agree with the Dataset
-        # path
+        # rescales such columns, and the kept summaries must agree with the
+        # Dataset path
         cols = np.array([[5e-324, 1e-310, 3e-160, 0.5], [0.0, 2e-309, 0.0, 0.25]])
         x = Dataset(cols)
         check_against_dataset_path(x)
@@ -172,11 +176,12 @@ class TestDegenerate:
 
 
 class TestMechanismsOnSketch:
-    """A dataset becomes a sketch on entry: passing either gives the same bytes."""
+    """A dataset builds its summaries on first need: a dataset that has built
+    them gives the bytes of a fresh one."""
 
     def test_same_bytes_as_dataset(self):
-        x = synth(SynthSpec(n=500, d=10, bins=3, seed=7))
-        sketch = CovSketch(x)
+        spec = SynthSpec(n=500, d=10, bins=3, seed=7)
+        warm = synth(spec)
         calls = (
             lambda v, s: gauss_cov(v, 0.3, s),
             lambda v, s: lap_cov(v, 1.0, s),
@@ -188,75 +193,155 @@ class TestMechanismsOnSketch:
             lambda v, s: clip_mechanism(v, pure(1.0), 0.25, s, "lap"),
         )
         for i, call in enumerate(calls):
-            a = call(x, RandomStream(8).child(str(i)))
-            b = call(sketch, RandomStream(8).child(str(i)))
+            call(warm, RandomStream(9).child(str(i)))
+        for i, call in enumerate(calls):
+            a = call(synth(spec), RandomStream(8).child(str(i)))
+            b = call(warm, RandomStream(8).child(str(i)))
             assert np.array_equal(a.estimate, b.estimate)
             assert a.details == b.details
 
     def test_spectrum_is_memoised_and_exact(self):
         x = synth(SynthSpec(n=400, d=9, bins=2, seed=9))
-        sketch = CovSketch(x)
-        separate_cov(sketch, 0.5, RandomStream(1))
-        first = sketch.spectrum()
-        separate_cov_pure(sketch, 1.0, RandomStream(2))
-        assert sketch.spectrum() is first
+        separate_cov(x, 0.5, RandomStream(1))
+        first = x.spectrum()
+        separate_cov_pure(x, 1.0, RandomStream(2))
+        assert x.spectrum() is first
         assert np.max(np.abs(first - eig_sym(covariance(x)).values)) <= 1e-14
-        clipped = sketch.gram(0.25)
-        assert sketch.gram(0.25) is clipped
-        assert sketch.spectrum(0.25) is sketch.spectrum(0.25)
+        clipped = x.gram(0.25)
+        assert x.gram(0.25) is clipped
+        assert x.spectrum(0.25) is x.spectrum(0.25)
 
     def test_ball_check_reads_clipped_norms(self):
         x = Dataset(2.0 * np.eye(3))
         with pytest.raises(ValueError, match="norms exceed 1"):
-            gauss_cov(CovSketch(x), 1.0, RandomStream(0))
+            gauss_cov(x, 1.0, RandomStream(0))
 
     def test_bucket_grams_never_copy_the_data(self):
         d, n = 32, 40_000
         x = synth(SynthSpec(n=n, d=d, bins=4, seed=11))
-        sketch = CovSketch(x)
         tracemalloc.start()
         try:
-            sketch.gram(2.0**-3)
+            x.gram(2.0**-3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * d * n / 4
 
-    def test_retains_one_gram_per_exponent(self):
-        # a clipped Gram is built straight from the columns: nothing per
-        # bucket outlives it, so the sketch keeps one d x d Gram per exponent
-        # asked for, the unclipped Gram (which a threshold at or above every
-        # norm reads) and O(n) for the sorted norms
+
+def count_gram_builds(monkeypatch) -> tuple[list, list, list]:
+    """Spies on the builds of the unclipped Gram (``covariance``, which
+    ``Dataset.gram`` calls), of clipped Grams (their exponents) and of
+    spectra."""
+    grams, clipped, spectra = [], [], []
+    covariance_, unit_cov, eigvalsh = linalg.covariance, Dataset._unit_cov, np.linalg.eigvalsh
+    monkeypatch.setattr(linalg, "covariance", lambda x: grams.append(1) or covariance_(x))
+    monkeypatch.setattr(Dataset, "_unit_cov", lambda x, t: clipped.append(t) or unit_cov(x, t))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(1) or eigvalsh(a))
+    return grams, clipped, spectra
+
+
+PUBLIC_CALLS = {
+    "gauss": lambda x, s: gauss_cov(x, 0.3, s),
+    "lap": lambda x, s: lap_cov(x, 1.0, s),
+    "separate": lambda x, s: separate_cov(x, 0.3, s),
+    "separate-pure": lambda x, s: separate_cov_pure(x, 1.0, s),
+    "clip-gauss": lambda x, s: clip_mechanism(x, zcdp(0.3), 0.25, s, "gauss"),
+    "clip-separate-pure": lambda x, s: clip_mechanism(x, pure(1.0), 0.25, s, "separate-pure"),
+    "adaptive": lambda x, s: adaptive_cov(x, 0.3, 0.05, s),
+    "adaptive-pure": lambda x, s: adaptive_cov_pure(x, 1.0, 0.05, s),
+}
+
+
+class TestLifetime:
+    """What a dataset keeps, and for how long: each summary is built on
+    first need and kept; of the clipped Grams only the last exponent's; and
+    nothing kept refers back to the dataset, so it is freed with its last
+    reference."""
+
+    @pytest.mark.parametrize("name", sorted(PUBLIC_CALLS))
+    def test_repeated_calls_build_each_gram_once(self, name, monkeypatch):
+        x = synth(SynthSpec(n=600, d=7, bins=3, seed=21))
+        grams, clipped, spectra = count_gram_builds(monkeypatch)
+        call = PUBLIC_CALLS[name]
+        taus = [call(x, RandomStream(22).child(str(i))).clip_threshold for i in range(6)]
+        reads_spectrum = "separate" in name
+        if taus[0] is None:  # plain or separate: the unclipped Gram
+            assert (len(grams), clipped, len(spectra)) == (1, [], int(reads_spectrum))
+            return
+        # clipped: one build per run of calls at one exponent, and the
+        # unclipped Gram never
+        runs = [t for i, t in enumerate(taus) if i == 0 or taus[i - 1] != t]
+        assert grams == [] and clipped == [int(math.log2(t)) for t in runs]
+        if name.startswith("clip"):
+            assert len(runs) == 1 and len(spectra) == int(reads_spectrum)
+
+    def test_keeps_the_last_exponents_gram(self):
+        # asking for t1 and then t2 drops t1's Gram and spectrum, with no
+        # gc.collect(); the unclipped Gram and t2's stay
         d, n = 64, 4000
         x = synth(SynthSpec(n=n, d=d, bins=8, seed=1))
         buckets = occupied_buckets(x)
         assert len(buckets) == 8
-        sketch = CovSketch(x)
+        gram = x.gram()
+        first = [weakref.ref(x.gram(0.5)), weakref.ref(x.spectrum(0.5))]
+        second = x.gram(0.25), x.spectrum(0.25)
+        assert [ref() for ref in first] == [None, None]
+        assert x.gram() is gram
+        assert x.gram(0.25) is second[0] and x.spectrum(0.25) is second[1]
+        # the same, by bytes held: every exponent asked for in turn leaves
+        # two d x d Grams and two spectra
         exponents = range(buckets[-1] + 1, buckets[0] - 1, -1)
+        del gram, second
+        x = synth(SynthSpec(n=n, d=d, bins=8, seed=1))
         tracemalloc.start()
         try:
+            x.spectrum()
             for t in exponents:
-                sketch.gram(math.ldexp(1.0, t))
+                x.spectrum(math.ldexp(1.0, t))
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert retained <= 8 * (d * d * (1 + len(exponents)) + 4 * n)
+        assert retained <= 8 * (2 * d * d + 2 * d) + 4096
+
+    def test_freed_with_its_last_reference(self):
+        x = synth(SynthSpec(n=800, d=6, bins=4, seed=23))
+        for i, call in enumerate(PUBLIC_CALLS.values()):
+            call(x, RandomStream(24).child(str(i)))
+        x.spectrum()
+        bounds = GAUSSIAN.noise_bounds(0.05, 0.025, x.dim, x.count)
+        threshold_query(bounds, x, 0.1, 0.5)(-3)
+        assert {"layout", "gram", "spectrum", "clipped"} <= set(x._cache)
+        ref = weakref.ref(x)
+        enabled = gc.isenabled()
+        gc.disable()  # so no automatic collection can free a cycle
+        try:
+            del x
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestSharedAcrossThreads:
     def test_lazy_parts_are_built_once(self, monkeypatch):
-        # more threads than cores, switching often: every thread must get the
-        # one cached Gram and spectrum per key, never a second build
-        sketch = CovSketch(synth(SynthSpec(n=3000, d=12, bins=4, seed=13)))
+        # more threads than cores, switching often, all asking for one
+        # threshold at a time: every thread must get the one cached Gram and
+        # spectrum per key, never a second build
+        x = synth(SynthSpec(n=3000, d=12, bins=4, seed=13))
         taus = [None] + [math.ldexp(1.0, t) for t in range(0, -6, -1)]
         seen = [None] * 8
         errors = []
         eigvalsh, solves = np.linalg.eigvalsh, []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
+        step = threading.Barrier(len(seen))
 
         def work(i):
             try:
-                seen[i] = [(sketch.gram(tau), sketch.spectrum(tau)) for tau in taus]
+                got = []
+                for tau in taus:
+                    step.wait(timeout=60)
+                    got.append((x.gram(tau), x.spectrum(tau)))
+                seen[i] = got
             except Exception as exc:  # reported below; a thread must not die silently
                 errors.append(exc)
 
@@ -275,17 +360,49 @@ class TestSharedAcrossThreads:
             assert all(g is h and a is b for (g, a), (h, b) in zip(got, seen[0]))
         assert len(solves) == len(taus)
 
+    def test_mixed_exponents_each_get_their_own_gram(self):
+        # threads asking for different thresholds at once evict each other's
+        # clipped Gram: each must still get its own threshold's bytes
+        x = synth(SynthSpec(n=3000, d=12, bins=4, seed=15))
+        taus = [None] + [math.ldexp(1.0, t) for t in range(0, -6, -1)]
+        fresh = synth(SynthSpec(n=3000, d=12, bins=4, seed=15))
+        want = {tau: (fresh.gram(tau).copy(), fresh.spectrum(tau).copy()) for tau in taus}
+        errors, wrong = [], []
+
+        def work(i):
+            try:
+                for k in range(20):
+                    tau = taus[(i + k) % len(taus)]
+                    got = x.gram(tau), x.spectrum(tau)
+                    if not all(map(np.array_equal, got, want[tau])):
+                        wrong.append((i, k, tau))
+            except Exception as exc:  # reported below; a thread must not die silently
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert wrong == []
+
     def test_adaptive_tables_are_built_once(self, monkeypatch):
         # the radius counts, clipped traces and histograms, and threshold
         # bias tables: one build per key across eight threads, and every
         # thread gets the same object
-        sketch = CovSketch(synth(SynthSpec(n=3000, d=12, bins=4, seed=14)))
+        x = synth(SynthSpec(n=3000, d=12, bins=4, seed=14))
         radii = [math.ldexp(1.0, t) for t in range(0, -6, -1)]
-        bounds = GAUSSIAN.noise_bounds(0.05, 0.025, sketch.dim, sketch.count)
+        bounds = GAUSSIAN.noise_bounds(0.05, 0.025, x.dim, x.count)
         builds = []
         for owner, name in (
-            (CovSketch, "_clipped_trace"),
-            (CovSketch, "_clipped_histogram"),
+            (Dataset, "_clipped_trace"),
+            (Dataset, "_clipped_histogram"),
             (adaptive, "_level_counts"),
             (adaptive, "_bias_suffixes"),
         ):
@@ -299,12 +416,12 @@ class TestSharedAcrossThreads:
         def work(i):
             try:
                 stream = RandomStream(i)
-                adaptive.priv_radius(sketch, 1.0, 0.1, 2.0**-30, stream)
-                tables = [sketch._cache[("level counts", 30)]]
+                adaptive.priv_radius(x, 1.0, 0.1, 2.0**-30, stream)
+                tables = [x._cache[("level counts", 30)]]
                 for r in radii:
-                    tables += [sketch.trace(r), sketch.histogram(r)]
-                    threshold_query(bounds, sketch, 0.5 * r * r, r)(-7)
-                    tables.append(sketch._cache[("bias suffixes", int(math.log2(r)))])
+                    tables += [x.trace(r), x.histogram(r)]
+                    threshold_query(bounds, x, 0.5 * r * r, r)(-7)
+                    tables.append(x._cache[("bias suffixes", int(math.log2(r)))])
                 seen[i] = tables
             except Exception as exc:  # reported below; a thread must not die silently
                 errors.append(exc)
@@ -331,20 +448,20 @@ class TestSharedAcrossThreads:
 
 
 class TestReadOnlyTables:
-    """What the sketch and the noise families keep is handed out read-only,
+    """What a dataset and the noise families keep is handed out read-only,
     so a caller that writes to it raises and the next call is unchanged."""
 
     def test_histogram(self):
         x = dataset_from_norms([0.9, 0.6, 0.3, 0.1, 0.0], 3, seed=1)
-        sketch = CovSketch(x)
         want = bucket_counts(np.minimum(x.norms(), 0.5))
-        hist = build_histogram(sketch, 0.5)
+        hist = build_histogram(x, 0.5)
         assert hist == want
         with pytest.raises(TypeError):
             hist[-1] = 99
         with pytest.raises(AttributeError):
             hist.clear()
-        assert build_histogram(sketch, 0.5) == want == build_histogram(CovSketch(x), 0.5)
+        fresh = dataset_from_norms([0.9, 0.6, 0.3, 0.1, 0.0], 3, seed=1)
+        assert build_histogram(x, 0.5) == want == build_histogram(fresh, 0.5)
 
     def test_ledger(self):
         for family, value, want in (
@@ -358,11 +475,10 @@ class TestReadOnlyTables:
 
     def test_ledger_in_a_report(self):
         x = dataset_from_norms(np.linspace(0.1, 1.0, 64), 4, seed=2)
-        sketch = CovSketch(x)
-        first = adaptive_cov(sketch, 0.8, 0.05, RandomStream(20))
+        first = adaptive_cov(x, 0.8, 0.05, RandomStream(20))
         with pytest.raises(TypeError):
             first.details["ledger"]["mechanism"] = 0.8
-        again = adaptive_cov(sketch, 0.8, 0.05, RandomStream(20))
+        again = adaptive_cov(x, 0.8, 0.05, RandomStream(20))
         assert np.array_equal(again.estimate, first.estimate)
         want = {"radius": 0.1, "trace": 0.1, "svt": 0.2, "mechanism": 0.4}
         assert again.details["ledger"] == want
@@ -381,8 +497,8 @@ class TestTinyRadiusRegression:
         assert np.array_equal(rep.estimate, rep.estimate.T)
 
     def test_every_stream_succeeds(self):
-        sketch = CovSketch(synth(SynthSpec(n=256, d=8, bins=4, seed=5)))
+        x = synth(SynthSpec(n=256, d=8, bins=4, seed=5))
         for i in range(400):
-            rep = adaptive_cov(sketch, 0.1, 0.05, RandomStream(5).child(f"bench/adaptive/{i}"))
+            rep = adaptive_cov(x, 0.1, 0.05, RandomStream(5).child(f"bench/adaptive/{i}"))
             assert np.all(np.isfinite(rep.estimate))
             assert np.array_equal(rep.estimate, rep.estimate.T)
