@@ -6,39 +6,17 @@ separate-spectrum mechanism that privatizes eigenvalues and eigenvectors
 independently, and an adaptive mechanism that privately picks a clipping
 threshold from the data's norm distribution.  All mechanisms come in zCDP
 and pure-DP flavours, with a reproducible benchmark harness and CLI on top.
+
+The package exports the mechanisms, the dataset and what runs a plan; the
+samplers, norm bounds, adaptive stages and budget arithmetic live in their
+modules (``dpcov.randomness``, ``dpcov.bounds``, ``dpcov.adaptive``,
+``dpcov.privacy``, ...).
 """
 
-from .adaptive import (
-    adaptive_cov,
-    adaptive_cov_pure,
-    build_histogram,
-    priv_radius,
-    private_trace_ub,
-    svt,
-    threshold_query,
-)
-from .bounds import (
-    eta,
-    lap_vec_bound,
-    omega,
-    slw_frob_bound,
-    slw_op_bound,
-    upsilon,
-)
-from .datagen import SynthSpec, load_csv, rescale_radius, synth
-from .harness import ExperimentPlan, ResultRow, SummaryRow, run_plan, summarize, write_results
-from .linalg import (
-    Dataset,
-    EigenDecomp,
-    clip_dataset,
-    covariance,
-    eig_sym,
-    frobenius_dist,
-    radius,
-    reconstruct,
-    tail_gamma,
-    trace_stat,
-)
+from .adaptive import adaptive_cov, adaptive_cov_pure, svt
+from .datagen import SynthSpec, load_csv, synth
+from .harness import ExperimentPlan, ResultRow, SummaryRow, run_plan, write_results
+from .linalg import Dataset, clip_dataset, covariance, frobenius_dist
 from .mechanisms import (
     GAUSSIAN,
     LAPLACE,
@@ -50,22 +28,7 @@ from .mechanisms import (
     separate_cov_pure,
     zero_cov,
 )
-from .privacy import (
-    PrivacyBudget,
-    compose,
-    gaussian_scale,
-    laplace_scale,
-    pure,
-    zcdp,
-    zcdp_to_approx,
-)
-from .randomness import (
-    RandomStream,
-    gaussian_vector,
-    laplace_scalar,
-    laplace_vector,
-    sgw_matrix,
-    slw_matrix,
-)
+from .privacy import PrivacyBudget, pure, zcdp
+from .randomness import RandomStream
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import _CHUNK_FLOATS, Dataset, _blocks, column_norms, radius
+from .linalg import _CHUNK_FLOATS, Dataset, _blocks, column_norms
 from .randomness import RandomStream
 
 __all__ = ["SynthSpec", "synth", "zipf_bin_counts", "rescale_radius", "load_csv"]
@@ -106,7 +106,7 @@ def synth(spec: SynthSpec) -> Dataset:
 def rescale_radius(x: Dataset) -> Dataset:
     """Divide all columns by 2^ceil(log2 rad(X)), landing the radius in
     (0.5, 1]; identity when it is already there."""
-    r = radius(x)
+    r = x.max_norm
     if r == 0.0:
         raise ValueError("degenerate dataset: all columns are zero")
     exponent = math.ceil(math.log2(r))

@@ -165,13 +165,6 @@ class SummaryRow(NamedTuple):
     runs: int
 
 
-@dataclass(frozen=True)
-class _Config:
-    index: int
-    synth_spec: SynthSpec | None
-    budget: PrivacyBudget
-
-
 def _sub_seed(master: int, label: str) -> int:
     digest = hashlib.blake2b(
         int(master).to_bytes(8, "little") + label.encode("utf-8"), digest_size=8
@@ -179,33 +172,29 @@ def _sub_seed(master: int, label: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _expand_configs(plan: ExperimentPlan) -> list[_Config]:
-    if plan.sweep_axis is None:
-        return [_Config(0, plan.synth_spec, plan.budget)]
+def _configs(plan: ExperimentPlan):
+    """Yield (index, synthetic spec or None, budget, dataset) for each
+    configuration in turn.  Every configuration is checked before any data is
+    read or drawn.  A CSV is loaded once and shared by every configuration (a
+    sweep over it can only sweep the budget); each synthetic configuration
+    draws its own data when its turn comes, so a sweep need hold only one
+    synthetic dataset."""
+    field = SWEEP_AXES[plan.sweep_axis] if plan.sweep_axis else None
     configs = []
-    for i, value in enumerate(plan.sweep_values):
-        spec, budget, field = plan.synth_spec, plan.budget, SWEEP_AXES[plan.sweep_axis]
+    for value in plan.sweep_values or (None,):
+        spec, budget = plan.synth_spec, plan.budget
         if field:
             spec = dataclasses.replace(spec, **{field: int(value)})
-        else:
+        elif plan.sweep_axis:
             budget = PrivacyBudget(budget.kind, float(value))
-        configs.append(_Config(i, spec, budget))
-    return configs
-
-
-def _datasets(plan: ExperimentPlan, configs: list[_Config]):
-    """Yield (config, its dataset) for each config in turn.  A CSV is loaded
-    once and shared by every config (a sweep over it can only sweep the
-    budget); each synthetic config draws its own data when its turn comes,
-    so a sweep need hold only one synthetic dataset."""
-    if plan.csv_path is not None:
-        shared = rescale_radius(load_csv(plan.csv_path))
-        for c in configs:
-            yield c, shared
-        return
-    for c in configs:
-        seed = _sub_seed(plan.master_seed, f"data/{c.index}")
-        yield c, synth(dataclasses.replace(c.synth_spec, seed=seed))
+        configs.append((spec, budget))
+    shared = None if plan.csv_path is None else rescale_radius(load_csv(plan.csv_path))
+    for index, (spec, budget) in enumerate(configs):
+        if shared is None:
+            seed = _sub_seed(plan.master_seed, f"data/{index}")
+            yield index, spec, budget, synth(dataclasses.replace(spec, seed=seed))
+        else:
+            yield index, spec, budget, shared
 
 
 def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
@@ -217,15 +206,15 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
     the next config starts."""
     root = RandomStream(plan.master_seed, zero_noise=plan.zero_noise)
 
-    def config_runs(config: _Config, x: Dataset):
+    def config_runs(index: int, spec: SynthSpec | None, budget: PrivacyBudget, x: Dataset):
         """The run of one (mechanism, repetition) on this config: one stream,
         one distance to the exact covariance, whose finiteness is the one
         check, and one row, with everything the config fixes read once,
         here."""
         sigma, d, n = x.gram(), x.dim, x.count
-        bins = config.synth_spec.bins if config.synth_spec else None
-        kind, value = config.budget.kind, config.budget.value
-        prefix = f"run/{config.index}/"
+        bins = spec.bins if spec else None
+        kind, value = budget.kind, budget.value
+        prefix = f"run/{index}/"
 
         def one_run(mech: str, rep: int) -> ResultRow:
             stream = root.child(f"{prefix}{mech}/{rep}")
@@ -269,8 +258,8 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[ResultRow], list[SummaryRow]]:
 
             map_runs = stack.enter_context(ThreadPoolExecutor(max_workers=plan.workers)).map
         rows = []
-        for config, x in _datasets(plan, _expand_configs(plan)):
-            rows += map_runs(config_runs(config, x), mechs, reps)
+        for index, spec, budget, x in _configs(plan):
+            rows += map_runs(config_runs(index, spec, budget, x), mechs, reps)
             del x  # dropped before the next config's data is drawn
     return rows, summarize(rows)
 

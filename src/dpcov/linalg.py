@@ -27,9 +27,6 @@ __all__ = [
     "reconstruct",
     "frobenius_dist",
     "clip_dataset",
-    "trace_stat",
-    "tail_gamma",
-    "radius",
     "column_norms",
 ]
 
@@ -148,10 +145,11 @@ def _rescaled_norms(cols: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(cols)):
         raise ValueError("dataset contains non-finite entries")
     _, exponent = np.frexp(np.max(np.abs(cols), axis=0))
-    return np.ldexp(np.linalg.norm(np.ldexp(cols, -exponent), axis=0), exponent)
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return np.ldexp(np.linalg.norm(np.ldexp(cols, -exponent), axis=0), exponent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A d x n collection of column vectors, one column per individual, and
     the summaries the covariance mechanisms read off it.
@@ -185,13 +183,14 @@ class Dataset:
     may share a dataset.  ``columns`` must not be mutated once the dataset
     is built: what it keeps describes the columns as they were.  Whether the
     columns lie in the unit ball is checked where a mechanism reads them.
+    Datasets compare and hash by identity, like what they keep.
     """
 
     columns: np.ndarray
-    _norms: np.ndarray = field(init=False, repr=False, compare=False)
-    max_norm: float = field(init=False, repr=False, compare=False)
-    _cache: dict = field(init=False, repr=False, compare=False)
-    _lock: threading.RLock = field(init=False, repr=False, compare=False)
+    _norms: np.ndarray = field(init=False, repr=False)
+    max_norm: float = field(init=False, repr=False)
+    _cache: dict = field(init=False, repr=False)
+    _lock: threading.RLock = field(init=False, repr=False)
 
     def __post_init__(self):
         cols = np.asarray(self.columns, dtype=float)
@@ -355,8 +354,9 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 
 def covariance(x: Dataset) -> np.ndarray:
     """Empirical second-moment matrix (1/n) * sum_i X_i X_i^T."""
-    cols = x.columns
-    return _symmetrize(cols @ cols.T / x.count)
+    gram = x.columns @ x.columns.T
+    gram /= x.count
+    return _symmetrize(gram)
 
 
 def eig_sym(a: np.ndarray) -> EigenDecomp:
@@ -404,7 +404,7 @@ def frobenius_dist(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan, as in numpy
         diff = (a - b).ravel()
         # np.linalg.norm's own computation, without its dispatch
         dist = math.sqrt(diff.dot(diff))
@@ -413,6 +413,11 @@ def frobenius_dist(a: np.ndarray, b: np.ndarray) -> float:
     if _TINY_NORM <= dist < math.inf or diff.size == 0 or not np.all(np.isfinite(diff)):
         return dist
     return float(_rescaled_norms(diff[:, None])[0])
+
+
+# Dataset-level oracles: no mechanism calls these.  The tests check what a
+# Dataset keeps against them, and the benchmark's tracer and zero-noise gate
+# use them.
 
 
 def clip_dataset(x: Dataset, tau: float) -> Dataset:

@@ -171,6 +171,14 @@ class TestRunPlan:
         rows, _ = run_plan(plan)
         assert all(r.frobenius_error == 0.0 for r in rows)
 
+    def test_sweep_checks_every_config_before_drawing_data(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(harness, "synth", lambda spec: drawn.append(spec))
+        plan = small_plan(synth_spec=SynthSpec(n=40, d=3, bins=4), sweep_axis="n", sweep_values=(40, 2))
+        with pytest.raises(ValueError, match="cannot populate bins"):
+            run_plan(plan)
+        assert drawn == []
+
     def test_csv_budget_sweep_loads_once(self, tmp_path, monkeypatch):
         path = tmp_path / "in.csv"
         save_csv(synth(SynthSpec(n=40, d=3, bins=2, seed=5)), path)

@@ -46,6 +46,12 @@ class TestDataset:
             with pytest.raises(ValueError, match="non-finite"):
                 Dataset(cols)
 
+    def test_compares_and_hashes_by_identity(self):
+        x = random_ball_dataset(2, 5)
+        assert x == x
+        assert x != Dataset(x.columns)
+        assert {x: 1}[x] == 1
+
     def test_norms_are_memoised_and_read_only(self):
         x = random_ball_dataset(3, 40)
         norms = x.norms()
@@ -302,6 +308,30 @@ class TestFrobeniusDist:
             assert frobenius_dist(b, a) == 2.0**-600
         a = np.array([[2.0**1000, 3 * 2.0**-1074]])
         assert frobenius_dist(a, np.array([[2.0**1000, 0.0]])) == 3 * 2.0**-1074
+
+    @pytest.mark.parametrize("d", [1, 16, 200])
+    def test_matches_numpy_with_no_warning(self, d):
+        # pyproject turns RuntimeWarnings into errors, so none may escape
+        rng = np.random.default_rng(d)
+        a, b = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+        huge = a / np.max(np.abs(a)) * 1e308  # entries near 1e308
+        specials = [(a, b), (huge, -huge[::-1]), (huge, huge * (1 - 2**-40))]
+        specials.append((2.0**-1070 * np.round(4 * a), 2.0**-1070 * np.round(4 * b)))
+        for bad in (math.inf, -math.inf, math.nan):
+            u, v = a.copy(), a.copy()
+            u[0, -1] = v[0, -1] = bad
+            specials += [(u, b), (u, v)]  # the second has inf - inf, or nan - nan
+        for u, v in specials:
+            got = frobenius_dist(u, v)
+            with np.errstate(all="ignore"):
+                diff = u - v
+                want = float(np.linalg.norm(diff))
+            if 2.0**-500 <= want < math.inf:
+                assert got == want
+            elif not np.isfinite(diff).all():
+                assert got == want or (math.isnan(got) and math.isnan(want))
+            else:  # squares overflowed or lost bits: the rescaled distance
+                assert got == pytest.approx(math.hypot(*diff.ravel()), rel=1e-14)
 
     def test_distance_past_the_float_range(self):
         a = np.full((2, 2), 1.5 * 2.0**1023)

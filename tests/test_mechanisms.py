@@ -27,8 +27,8 @@ from dpcov.mechanisms import (
     separate_cov_pure,
     zero_cov,
 )
-from dpcov.privacy import PrivacyBudget, pure, zcdp
-from dpcov.randomness import RandomStream, gaussian_vector
+from dpcov.privacy import PrivacyBudget, gaussian_scale, laplace_scale, pure, zcdp
+from dpcov.randomness import RandomStream, gaussian_vector, sgw_matrix, slw_matrix
 
 
 def ball_dataset(d, n, seed, norm_groups=None):
@@ -251,6 +251,40 @@ class TestClipMechanism:
             for _ in range(100)
         )
         assert hits >= 95
+
+
+class TestNoiseBuiltInPlace:
+    """The noise is scaled, the Gram added and tau^2 applied in place; the
+    bits are those of the out-of-place expressions."""
+
+    @staticmethod
+    def bits(a):
+        return a.view(np.uint64)
+
+    @pytest.mark.parametrize("d", [16, 1024])
+    def test_same_bits_as_out_of_place(self, d):
+        n, rho, eps, tau = 64, 0.5, 1.0, 0.25
+        x = ball_dataset(d, n, seed=d)
+
+        def stream():
+            return RandomStream(31).child("noise")
+
+        gauss = gaussian_scale(math.sqrt(2.0) / n, zcdp(rho)) * sgw_matrix(stream(), d)
+        lap = laplace_scale(math.sqrt(2.0) * d / n, pure(eps)) * slw_matrix(stream(), d)
+        cases = [
+            (gauss_cov(x, rho, stream()), x.gram() + gauss),
+            (lap_cov(x, eps, stream()), x.gram() + lap),
+            (
+                clip_mechanism(x, zcdp(rho), tau, stream(), "gauss"),
+                tau * tau * (x.gram(tau) + gauss),
+            ),
+            (
+                clip_mechanism(x, pure(eps), tau, stream(), "lap"),
+                tau * tau * (x.gram(tau) + lap),
+            ),
+        ]
+        for report, want in cases:
+            assert np.array_equal(self.bits(report.estimate), self.bits(want))
 
 
 class TestZeroCov:
