@@ -48,7 +48,7 @@ from .mechanisms import (
     MechanismReport,
     NoiseBounds,
     NoiseFamily,
-    _clipped,
+    _body,
 )
 from .privacy import PrivacyBudget
 from .randomness import RandomStream, laplace_sampler, laplace_scalar
@@ -126,11 +126,9 @@ def priv_radius(x: Dataset, eps: float, beta: float, b: float, stream: RandomStr
 
 def _level_counts(x: Dataset, levels: int) -> tuple[int, ...]:
     """|{i : ||X_i|| > 2^-j}| for j = 0..levels."""
-    # the count above 2^0 sums every bucket s >= 0; each level after it adds
-    # one bucket
-    hist = x.histogram()
-    at_one = sum(c for s, c in hist.items() if s >= 0)
-    return tuple(accumulate((hist.get(-j, 0) for j in range(1, levels + 1)), initial=at_one))
+    hist = x.histogram()  # each level after 2^0 adds one bucket
+    steps = (hist.get(-j, 0) for j in range(1, levels + 1))
+    return tuple(accumulate(steps, initial=x.count_above(1.0)))
 
 
 def build_histogram(x: Dataset, r: float = math.inf) -> Mapping[int, int]:
@@ -260,6 +258,6 @@ def _adaptive(
     plain, separate = bounds(tr_hat, tau)
     branch = family.plain if separate >= plain else family.separate
     # tau lies in (0, r] with r <= 1, and branch is one of the family's bodies
-    estimate = _clipped(family, branch, x, ledger["mechanism"], tau, stream.child("mech"))
+    estimate = _body(family, branch, x, tau, ledger["mechanism"], stream.child("mech"))
     details = dict(r_tilde=r_tilde, tr_hat=tr_hat, tau=tau, branch=branch, ledger=ledger)
     return MechanismReport(estimate, budget, branch, clip_threshold=tau, details=details)

@@ -106,10 +106,13 @@ def synth(spec: SynthSpec) -> Dataset:
 def rescale_radius(x: Dataset) -> Dataset:
     """Divide all columns by 2^ceil(log2 rad(X)), landing the radius in
     (0.5, 1]; identity when it is already there."""
-    r = x.max_norm
+    r, unit = x.max_norm, 0
     if r == 0.0:
         raise ValueError("degenerate dataset: all columns are zero")
-    exponent = math.ceil(math.log2(r))
+    if r == math.inf:  # past the float range: measured in units of the largest entry
+        _, unit = np.frexp(np.max(np.abs(x.columns)))
+        r = float(np.max(np.linalg.norm(np.ldexp(x.columns, -unit), axis=0)))
+    exponent = int(unit) + math.ceil(math.log2(r))
     if exponent == 0:
         return x
     # np.ldexp, not a division by 2^exponent: that is 2^1024 for radii above

@@ -158,27 +158,28 @@ class Dataset:
     checks that every entry is finite), and :meth:`norms` returns them
     after.  The rest is built on first need and kept:
 
-    * the norms sorted, with prefix sums of their squares, and the dyadic
-      buckets s (norms in (2^s, 2^(s+1)]) as runs of the sorted norms;
+    * per dyadic bucket s (norms in (2^s, 2^(s+1)]), the count of its norms
+      and the sum of their squares;
     * ``gram()``, which is ``covariance(x)`` bit for bit, and its spectrum;
     * for the last clip threshold tau = 2^t asked for, ``gram(tau)``, the
       unit-ball Gram of the columns clipped at tau, (1/n) sum_i X_i X_i^T /
       max(||X_i||, tau)^2, and its spectrum (``spectrum(tau)``); asking for
       another t drops them.
 
-    The data clipped at a radius r is summarised from the sorted norms
-    without touching the columns: counts above a level and the clipped trace
-    (``trace(r)``) by binary search, and the dyadic histogram of the clipped
-    norms min(||x||, r) (``histogram(r)``) from the buckets, each kept per r
-    (read-only), as are the adaptive pipeline's tables derived from them
-    (:mod:`dpcov.adaptive`).  A clipped Gram is one pass over the columns in
-    blocks of ``_CHUNK_COLUMNS``, each column divided by max(||x||, tau), so
-    every term lies in the unit ball and no second d x n array is ever held.
+    The data clipped at a radius r = 2^t is summarised from the buckets
+    without touching the columns, as a norm above r lies in a bucket s >= t
+    and is clipped to the top of bucket t-1: the counts above a level, the
+    clipped trace (``trace(r)``) and the dyadic histogram of the clipped
+    norms min(||x||, r) (``histogram(r)``), each kept per r (read-only), as
+    are the adaptive pipeline's tables derived from them
+    (:mod:`dpcov.adaptive`).  A clipped Gram is one pass over the columns
+    in blocks of ``_CHUNK_COLUMNS``, each column divided by max(||x||, tau),
+    so every term lies in the unit ball and no second d x n array is held.
 
     Memory beyond the columns: 2 d^2 floats for the two Grams, d per
-    spectrum, 3n for the norms, the sorted norms and their prefix sums, and
-    O(buckets) per radius.  What is kept refers to the columns and norms,
-    never to the dataset, so a dataset is freed with its last reference.
+    spectrum, n for the norms, and O(buckets) for the bucket table and per
+    radius.  What is kept refers to the columns and norms, never to the
+    dataset, so a dataset is freed with its last reference.
     Every lazy part is built once, under the dataset's one lock, so threads
     may share a dataset.  ``columns`` must not be mutated once the dataset
     is built: what it keeps describes the columns as they were.  Whether the
@@ -223,21 +224,21 @@ class Dataset:
         return self._norms
 
     def count_above(self, level: float) -> int:
-        """Number of column norms strictly above ``level``, which must be
-        positive: one binary search of the sorted norms."""
-        if not level > 0:
-            raise ValueError("levels and clip radii must be positive")
-        return self.count - int(np.searchsorted(self._layout().norms, level, side="right"))
+        """Number of column norms strictly above ``level``, a power of two
+        2^t: the counts of the buckets s >= t."""
+        t = _pow2_exponent(level)
+        return sum(count for s, (count, _) in self._buckets().items() if s >= t)
 
     def trace(self, r: float = math.inf) -> float:
         """(1/n) sum_i min(||X_i||, r)^2, the trace of the covariance of the
-        columns clipped to norm at most r; built once per r."""
+        columns clipped to norm at most r (a power of two, or inf); built
+        once per r."""
         return self._cached(("trace", r), lambda: self._clipped_trace(r))
 
     def histogram(self, r: float = math.inf) -> Mapping[int, int]:
-        """Dyadic counts of the clipped norms min(||X_i||, r): bucket s holds
-        the norms in (2^s, 2^(s+1)]; zero norms are in no bucket.  Read-only,
-        built once per r."""
+        """Dyadic counts of the clipped norms min(||X_i||, r), r a power of
+        two or inf: bucket s holds the norms in (2^s, 2^(s+1)]; zero norms
+        are in no bucket.  Read-only, built once per r."""
         return self._cached(("histogram", r), lambda: self._clipped_histogram(r))
 
     def gram(self, tau: float | None = None) -> np.ndarray:
@@ -283,36 +284,33 @@ class Dataset:
             return kept[key]
 
     def _clipped_trace(self, r: float) -> float:
-        clipped = self.count_above(r)
-        total = self._layout().sq_prefix[self.count - clipped]
+        t, table = _clip_exponent(r), self._buckets().items()
+        total = math.fsum(squares for s, (_, squares) in table if s < t)
+        clipped = sum(count for s, (count, _) in table if s >= t)
         if clipped:
             total += clipped * r * r
-        return float(total / self.count)
+        return total / self.count
 
     def _clipped_histogram(self, r: float) -> Mapping[int, int]:
-        clipped = self.count_above(r)
-        kept = self.count - clipped
-        buckets = self._layout().buckets
-        counts = {s: min(hi, kept) - lo for s, (lo, hi) in buckets.items() if lo < kept}
-        if clipped:
-            top = int(_norm_bucket(np.float64(r)))
-            counts[top] = counts.get(top, 0) + clipped
+        top, counts = _clip_exponent(r) - 1, {}
+        for s, (count, _) in self._buckets().items():
+            counts[min(s, top)] = counts.get(min(s, top), 0) + count
         return MappingProxyType(counts)
 
-    def _layout(self) -> _Layout:
-        return self._cached("layout", self._sort_norms)
+    def _buckets(self) -> Mapping[int, tuple[int, float]]:
+        """{s: (count, sum of squares)} of the norms in each dyadic bucket
+        (2^s, 2^(s+1)], ascending in s; zero norms join none."""
+        def build():
+            norms = self._norms[self._norms > 0]
+            ids = _norm_bucket(norms)
+            low = int(ids.min(initial=0))
+            counts = np.bincount(ids - low).tolist()
+            with np.errstate(over="ignore"):  # a square past the float range is inf
+                squares = np.bincount(ids - low, weights=norms * norms).tolist()
+            table = {low + s: (c, q) for s, (c, q) in enumerate(zip(counts, squares)) if c}
+            return MappingProxyType(table)
 
-    def _sort_norms(self) -> _Layout:
-        norms = np.sort(self._norms)
-        sq_prefix = np.concatenate(([0.0], np.cumsum(norms * norms)))
-        # buckets are runs of the sorted norms; zero columns lead and join none
-        first = int(np.searchsorted(norms, 0.0, side="right"))
-        ids = _norm_bucket(norms[first:])
-        edges = [first, *(np.flatnonzero(np.diff(ids)) + first + 1), self.count]
-        buckets = {
-            int(ids[lo - first]): (int(lo), int(hi)) for lo, hi in zip(edges, edges[1:]) if lo < hi
-        }
-        return _Layout(norms, sq_prefix, buckets)
+        return self._cached("buckets", build)
 
     def _unit_cov(self, t: int) -> np.ndarray:
         tau = math.ldexp(1.0, t)
@@ -465,6 +463,11 @@ def _pow2_exponent(value: float) -> int:
     return exp - 1
 
 
+def _clip_exponent(r: float) -> float:
+    """The t with r == 2^t, or inf for r = inf (no clipping)."""
+    return math.inf if r == math.inf else _pow2_exponent(r)
+
+
 def _norm_bucket(norms: np.ndarray) -> np.ndarray:
     """The dyadic bucket s with norm in (2^s, 2^(s+1)] of each positive norm.
 
@@ -473,11 +476,3 @@ def _norm_bucket(norms: np.ndarray) -> np.ndarray:
     """
     mantissa, exponent = np.frexp(norms)
     return np.where(mantissa == 0.5, exponent - 2, exponent - 1)
-
-
-class _Layout(NamedTuple):
-    """The column norms sorted ascending, with what is read off them."""
-
-    norms: np.ndarray  # sorted norms
-    sq_prefix: np.ndarray  # sq_prefix[k] = sum of the k smallest squared norms
-    buckets: dict[int, tuple[int, int]]  # s -> sorted positions [lo, hi)

@@ -282,29 +282,25 @@ def _release(family, base, x, value, stream) -> MechanismReport:
 
 def _body(family, base, x, tau, value, stream) -> np.ndarray:
     """The estimate of the family's plain or separate mechanism (``base``)
-    on ``x.gram(tau)``, the covariance of data in the unit ball."""
+    on ``x.gram(tau)``, scaled back by tau^2 for a clip threshold tau.  The
+    caller checks tau, base and budget."""
     cov, d, n = x.gram(tau), x.dim, x.count
     # the Gram is added into the noise: addition commutes, so these are the
     # bits of cov + noise, without a second d x d array
     if base == family.plain:
-        noise = family.matrix_noise(stream, d, n, value)
+        estimate = family.matrix_noise(stream, d, n, value)
+        estimate += cov
+    else:
+        lam_noisy = x.spectrum(tau) + family.vector_noise(stream, d, n, value / 2)
+        noise = family.matrix_noise(stream, d, n, value / 2)
         noise += cov
-        return noise
-    lam_noisy = x.spectrum(tau) + family.vector_noise(stream, d, n, value / 2)
-    noise = family.matrix_noise(stream, d, n, value / 2)
-    noise += cov
-    basis = eig_sym(noise).basis
-    # freed before reconstruct's d x d temporaries: held through them, it
-    # raised the wide-spectrum benchmark's peak RSS from 148 to 172 MB
-    del noise
-    return reconstruct(basis, lam_noisy)
-
-
-def _clipped(family, base, x: Dataset, value, tau, stream) -> np.ndarray:
-    """``base`` on the columns clipped to tau and rescaled to the unit ball,
-    scaled back by tau^2.  The caller checks tau, base and budget."""
-    estimate = _body(family, base, x, tau, value, stream)
-    estimate *= tau * tau
+        basis = eig_sym(noise).basis
+        # freed before reconstruct's d x d temporaries: held through them, it
+        # raised the wide-spectrum benchmark's peak RSS from 148 to 172 MB
+        del noise
+        estimate = reconstruct(basis, lam_noisy)
+    if tau is not None:
+        estimate *= tau * tau
     return estimate
 
 
@@ -323,7 +319,7 @@ def clip_mechanism(
         raise ValueError(f"unknown base mechanism {base!r}")
     if budget.kind != family.kind:
         raise ValueError(f"base mechanism {base!r} needs a {family.kind} budget")
-    estimate = _clipped(family, base, x, budget.value, tau, stream)
+    estimate = _body(family, base, x, tau, budget.value, stream)
     return MechanismReport(estimate, budget, base, clip_threshold=tau)
 
 

@@ -82,7 +82,7 @@ def test_criterion_02_sensitivity_suite(capsys):
     started = time.perf_counter()
     rng = np.random.default_rng(1002)
     slack = 1e-9
-    worst = 0.0
+    worst = -math.inf
     ok = True
     for _ in range(10_000):
         d = int(rng.integers(2, 33))

@@ -240,6 +240,19 @@ class TestRescaleRadius:
             r = radius(rescale_radius(x))
             assert 0.5 < r <= 1.0
 
+    def test_norm_past_the_float_range(self):
+        # the norm is inf, so the scale is read in units of the largest entry
+        for cols, exponent in (
+            ([[1.5e308, 0.1], [1.5e308, 0.2]], 1025),
+            ([[1.7e308] * 3] * 16, 1026),
+            ([[-1e308, 5e-324], [1.7e308, 0.0]], 1025),
+        ):
+            x = Dataset(np.array(cols))
+            assert x.max_norm == math.inf
+            rescaled = rescale_radius(x)
+            assert 0.5 < rescaled.max_norm <= 1.0
+            assert np.array_equal(rescaled.columns, np.ldexp(x.columns, -exponent))
+
     def test_scaling_is_the_division_by_a_power_of_two(self):
         rng = np.random.default_rng(8)
         for exponent in (-1070, -600, -3, 5, 700, 1022):

@@ -17,7 +17,7 @@ from oracle_utils import save_csv
 import dpcov
 from dpcov import cli, harness
 from dpcov.cli import main
-from dpcov.datagen import SynthSpec, rescale_radius, synth
+from dpcov.datagen import SynthSpec, load_csv, rescale_radius, synth
 from dpcov.harness import (
     MECHANISMS,
     ExperimentPlan,
@@ -478,6 +478,17 @@ class TestCli:
         path.write_text("1e308,1e308\n1,2\n")
         argv = ["run", "--mechanism", "gauss", "--input", str(path), "--rho", "0.1", "--reps", "1"]
         assert main(argv) == 0
+
+    def test_csv_norm_past_the_float_range(self, tmp_path):
+        # the largest norm, about 2.1e308, is inf in floats: the rescaling
+        # reads it in units of the largest entry
+        path = tmp_path / "big.csv"
+        path.write_text("1.5e308,1.5e308\n0.1,0.2\n")
+        out = tmp_path / "out.csv"
+        argv = ["run", "--mechanism", "gauss", "--input", str(path), "--rho", "1", "--reps", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert 0.5 < rescale_radius(load_csv(path)).max_norm <= 1.0
+        assert json.loads((tmp_path / "out.meta.json").read_text())["non_private"] is True
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_uint64_is_input_error(self, seed, capsys):

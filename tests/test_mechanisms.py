@@ -319,6 +319,26 @@ class TestSensitivityProbe:
             assert probe["sigma_l1"] <= math.sqrt(2) * d / n + slack
             assert probe["lambda_l1"] <= 2.0 / n + slack
 
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_worst_pair_reaches_bounds(self, d):
+        # columns [x, x, x] against [y, x, x] for orthonormal x, y: the
+        # covariances differ by (y y^T - x x^T) / n and the spectra by
+        # (1/3, -1/3, 0, ...), so the three calibrations below are met exactly
+        n = 3
+        q, _ = np.linalg.qr(np.random.default_rng(50 + d).standard_normal((d, 2)))
+        x, y = q[:, 0], q[:, 1]
+        probe = sensitivity_probe(
+            Dataset(np.column_stack([x, x, x])), Dataset(np.column_stack([y, x, x]))
+        )
+        for key, calibration in (
+            ("sigma_fro", math.sqrt(2) / n),
+            ("lambda_fro", math.sqrt(2) / n),
+            ("lambda_l1", 2.0 / n),
+        ):
+            assert abs(probe[key] - calibration) <= 1e-9 * calibration, key
+            # positive control: the pair exceeds a calibration 1% too small
+            assert probe[key] > calibration / 1.01, key
+
 
 class TestPureCalibrationMargin:
     """lap_cov adds Laplace noise to the upper triangle of the covariance,

@@ -1,8 +1,8 @@
 """The summaries a Dataset keeps against the columns they summarise.
 
 Every statistic the mechanisms read from a dataset's kept summaries (its
-Grams, spectra, sorted norms and dyadic buckets) is recomputed here from the
-columns (``covariance(clip_dataset(...))``, per-vector norm loops), on
+Grams, spectra and dyadic buckets) is recomputed here from the columns
+(``covariance(clip_dataset(...))``, per-vector norm loops), on
 generated datasets whose norms span several dyadic buckets and on the
 degenerate shapes: zero columns, n=1, d=1, norms exactly 2^k, and columns
 whose norms underflow.  Then what is kept, and for how long: each summary is
@@ -16,6 +16,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -174,6 +175,26 @@ class TestDegenerate:
         assert np.array_equal(gauss_cov(x, 1.0, stream).estimate, covariance(x))
         assert np.all(np.isfinite(adaptive_cov(x, 1.0, 0.05, RandomStream(4)).estimate))
 
+    def test_norms_whose_squares_overflow(self):
+        # 1e200^2 is past the float range: the unclipped trace is inf, as a
+        # float sum of the squares is, and no overflow warning escapes
+        x = Dataset(np.array([[1e200, 0.5, 0.0], [0.0, 0.0, 0.25]]))
+        assert x.count_above(1.0) == 1 and x.trace() == math.inf
+        assert x.trace(1.0) == (1.0 + 0.25 + 0.0625) / 3
+        assert x.histogram() == {664: 1, -2: 1, -3: 1}
+        assert x.histogram(1.0) == {-1: 1, -2: 1, -3: 1}
+
+    def test_radius_not_a_power_of_two_raises(self):
+        # the bucket table answers only at bucket edges, r = 2^t
+        x = dataset_from_norms([0.9, 0.3, 0.1, 0.0], d=3, seed=4)
+        for ask in (x.count_above, x.trace, x.histogram):
+            for r in (0.3, 0.0, -0.5):
+                with pytest.raises(ValueError, match="power of two"):
+                    ask(r)
+        with pytest.raises(ValueError, match="power of two"):
+            x.count_above(math.inf)
+        assert x.trace(math.inf) == x.trace() and x.histogram(math.inf) == x.histogram()
+
 
 class TestMechanismsOnSketch:
     """A dataset builds its summaries on first need: a dataset that has built
@@ -303,6 +324,26 @@ class TestLifetime:
             tracemalloc.stop()
         assert retained <= 8 * (2 * d * d + 2 * d) + 4096
 
+    def test_keeps_no_array_of_length_n(self):
+        # the norms are the one array of n entries: the radius, trace and
+        # histogram tables are per dyadic bucket, not per column
+        x = synth(SynthSpec(n=700, d=6, bins=4, seed=29))
+        adaptive_cov(x, 0.5, 0.05, RandomStream(30))
+        adaptive_cov_pure(x, 1.0, 0.05, RandomStream(31))
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, Mapping):
+                for v in value.values():
+                    yield from arrays(v)
+            elif isinstance(value, (tuple, list)):
+                for v in value:
+                    yield from arrays(v)
+
+        kept = list(arrays(x._cache))
+        assert kept and all(x.count not in a.shape for a in kept)
+
     def test_freed_with_its_last_reference(self):
         x = synth(SynthSpec(n=800, d=6, bins=4, seed=23))
         for i, call in enumerate(PUBLIC_CALLS.values()):
@@ -310,7 +351,7 @@ class TestLifetime:
         x.spectrum()
         bounds = GAUSSIAN.noise_bounds(0.05, 0.025, x.dim, x.count)
         threshold_query(bounds, x, 0.1, 0.5)(-3)
-        assert {"layout", "gram", "spectrum", "clipped"} <= set(x._cache)
+        assert {"buckets", "gram", "spectrum", "clipped"} <= set(x._cache)
         ref = weakref.ref(x)
         enabled = gc.isenabled()
         gc.disable()  # so no automatic collection can free a cycle
