@@ -111,7 +111,7 @@ def rescale_radius(x: Dataset) -> Dataset:
         raise ValueError("degenerate dataset: all columns are zero")
     if r == math.inf:  # past the float range: measured in units of the largest entry
         _, unit = np.frexp(np.max(np.abs(x.columns)))
-        r = float(np.max(np.linalg.norm(np.ldexp(x.columns, -unit), axis=0)))
+        r = float(np.max(column_norms(np.ldexp(x.columns, -unit))))  # as the result measures it
     exponent = int(unit) + math.ceil(math.log2(r))
     if exponent == 0:
         return x

@@ -225,8 +225,8 @@ class Dataset:
 
     def count_above(self, level: float) -> int:
         """Number of column norms strictly above ``level``, a power of two
-        2^t: the counts of the buckets s >= t."""
-        t = _pow2_exponent(level)
+        2^t or inf: the counts of the buckets s >= t."""
+        t = _clip_exponent(level)
         return sum(count for s, (count, _) in self._buckets().items() if s >= t)
 
     def trace(self, r: float = math.inf) -> float:
@@ -284,9 +284,8 @@ class Dataset:
             return kept[key]
 
     def _clipped_trace(self, r: float) -> float:
-        t, table = _clip_exponent(r), self._buckets().items()
-        total = math.fsum(squares for s, (_, squares) in table if s < t)
-        clipped = sum(count for s, (count, _) in table if s >= t)
+        t, clipped = _clip_exponent(r), self.count_above(r)
+        total = math.fsum(squares for s, (_, squares) in self._buckets().items() if s < t)
         if clipped:
             total += clipped * r * r
         return total / self.count
@@ -472,7 +471,8 @@ def _norm_bucket(norms: np.ndarray) -> np.ndarray:
     """The dyadic bucket s with norm in (2^s, 2^(s+1)] of each positive norm.
 
     frexp gives norm = m * 2^e with m in [0.5, 1), so s = e-1 except exactly
-    at powers of two (m == 0.5), where s = e-2.
+    at powers of two (m == 0.5), where s = e-2.  An inf norm (frexp: e = 0)
+    goes to bucket 1024, above every finite norm's.
     """
     mantissa, exponent = np.frexp(norms)
-    return np.where(mantissa == 0.5, exponent - 2, exponent - 1)
+    return np.where(np.isinf(norms), 1024, exponent - 1 - (mantissa == 0.5))

@@ -246,6 +246,7 @@ class TestRescaleRadius:
             ([[1.5e308, 0.1], [1.5e308, 0.2]], 1025),
             ([[1.7e308] * 3] * 16, 1026),
             ([[-1e308, 5e-324], [1.7e308, 0.0]], 1025),
+            ([[2.0**1023]] * 4, 1024),  # rescaled norm exactly 1
         ):
             x = Dataset(np.array(cols))
             assert x.max_norm == math.inf

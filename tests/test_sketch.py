@@ -184,6 +184,23 @@ class TestDegenerate:
         assert x.histogram() == {664: 1, -2: 1, -3: 1}
         assert x.histogram(1.0) == {-1: 1, -2: 1, -3: 1}
 
+    def test_norm_past_the_float_range(self):
+        # the first norm is inf: it lies above every finite radius, so it is
+        # counted and clipped at each, and the clipped trace stays finite
+        x = Dataset(np.array([[1.5e308, 1e200, 0.5, 0.0], [1.5e308, 0.0, 0.0, 0.25]]))
+        assert x.norms()[0] == math.inf and x.count_above(math.inf) == 0
+        for t in (0, 700, 1023):
+            r = math.ldexp(1.0, t)
+            assert x.count_above(r) == int(np.sum(x.norms() > r)) == (1 if t > 664 else 2)
+        assert x.count_above(1.0) == 2 and x.trace() == math.inf
+        assert x.trace(1.0) == (1.0 + 1.0 + 0.25 + 0.0625) / 4
+        assert x.histogram(1.0) == {-1: 2, -2: 1, -3: 1}
+        assert x.histogram() == {1024: 1, 664: 1, -2: 1, -3: 1}
+        # the trace stage's noise is calibrated to r^2/n: one inf column
+        # moves the clipped trace by at most that
+        y = Dataset(x.columns[:, 1:])
+        assert abs(x.trace(1.0) * 4 - y.trace(1.0) * 3) <= 1.0
+
     def test_radius_not_a_power_of_two_raises(self):
         # the bucket table answers only at bucket edges, r = 2^t
         x = dataset_from_norms([0.9, 0.3, 0.1, 0.0], d=3, seed=4)
@@ -191,8 +208,7 @@ class TestDegenerate:
             for r in (0.3, 0.0, -0.5):
                 with pytest.raises(ValueError, match="power of two"):
                     ask(r)
-        with pytest.raises(ValueError, match="power of two"):
-            x.count_above(math.inf)
+        assert x.count_above(math.inf) == 0
         assert x.trace(math.inf) == x.trace() and x.histogram(math.inf) == x.histogram()
 
 
