@@ -19,12 +19,12 @@ composed with :func:`~dpcov.privacy.compose` and checked once per (family,
 B), and a split that does not add up to exactly B raises ValueError; the
 check also runs under ``python -O``.
 
-What depends only on the data is built once per dataset and kept there
-(see :class:`~dpcov.linalg.Dataset`): the radius search's count at every
-level, the clipped trace and histogram at each radius r, the threshold
-queries' bias tables at each r, and the clipped Gram of the last threshold
-chosen.  Repeated runs on one dataset then pay for their draws and their
-d x d algebra.
+Stages 1-3 are :func:`_select`: no d x d work, and what they release is
+returned as a :class:`~dpcov.mechanisms.Selection`, the report's
+``selection``.  What depends only on the data is kept on the dataset (see
+:class:`~dpcov.linalg.Dataset`): its bucket table, which both SVT stages
+walk lazily, one bucket per query pulled, the clipped trace and histogram
+per radius, and the clipped Gram of the last threshold chosen.
 
 Every stage after the radius reads the unclipped data and clips it to r
 itself, so no stage can be handed data that was not clipped.  The bias/noise
@@ -36,9 +36,8 @@ then Lap(8 r^2/(n eps)) / Lap(16 r^2/(n eps)) for the SVT's eps.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from itertools import accumulate
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .linalg import Dataset, _pow2_exponent
 from .mechanisms import (
@@ -48,6 +47,7 @@ from .mechanisms import (
     MechanismReport,
     NoiseBounds,
     NoiseFamily,
+    Selection,
     _body,
 )
 from .privacy import PrivacyBudget
@@ -58,7 +58,7 @@ __all__ = [
     "priv_radius",
     "build_histogram",
     "private_trace_ub",
-    "threshold_query",
+    "threshold_queries",
     "adaptive_cov",
     "adaptive_cov_pure",
 ]
@@ -106,10 +106,9 @@ def priv_radius(x: Dataset, eps: float, beta: float, b: float, stream: RandomStr
     j = 0..ceil(log2(1/b)) against the threshold (6/eps)*log(2(J+1)/beta),
     and returns twice the radius at the triggering index (capped at 1), or b
     if nothing triggers.  The count at 2^-j sums the dataset's dyadic
-    histogram over the buckets s >= -j; the counts at every level are summed
-    once per dataset and number of levels, and kept on the dataset.  With
-    probability at least 1-beta the result is at most 2*rad(X)+b and clips
-    at most (12/eps)*log(2(J+1)/beta) columns.
+    histogram over the buckets s >= -j, one bucket added per query the SVT
+    pulls.  With probability at least 1-beta the result is at most
+    2*rad(X)+b and clips at most (12/eps)*log(2(J+1)/beta) columns.
     """
     if not 0.0 < b < 1.0:
         raise ValueError("additive offset b must lie in (0, 1)")
@@ -117,18 +116,12 @@ def priv_radius(x: Dataset, eps: float, beta: float, b: float, stream: RandomStr
         raise ValueError("beta must lie in (0, 1)")
     levels = math.ceil(-math.log2(b))  # 1/b overflows for subnormal b
     threshold = (6.0 / eps) * math.log(2.0 * (levels + 1) / beta)
-    counts = x._cached(("level counts", levels), lambda: _level_counts(x, levels))
-    k = svt(counts, 1.0, threshold, eps, stream)
+    hist = x.histogram()  # each level after 2^0 adds one bucket
+    steps = (hist.get(-j, 0) for j in range(1, levels + 1))
+    k = svt(accumulate(steps, initial=x.count_above(1.0)), 1.0, threshold, eps, stream)
     if k <= levels + 1:
         return min(1.0, math.ldexp(1.0, 2 - k))
     return b
-
-
-def _level_counts(x: Dataset, levels: int) -> tuple[int, ...]:
-    """|{i : ||X_i|| > 2^-j}| for j = 0..levels."""
-    hist = x.histogram()  # each level after 2^0 adds one bucket
-    steps = (hist.get(-j, 0) for j in range(1, levels + 1))
-    return tuple(accumulate(steps, initial=x.count_above(1.0)))
 
 
 def build_histogram(x: Dataset, r: float = math.inf) -> Mapping[int, int]:
@@ -149,6 +142,8 @@ def private_trace_ub(
     probability at least 1 - beta/8, then caps at r^2, which always
     dominates the clipped trace.
     """
+    if not 0.0 < beta < 1.0:
+        raise ValueError("beta must lie in (0, 1)")
     # noised in units of 2^e, where r / 2^e lies in [1/2, 1), so the
     # sensitivity r^2/n cannot underflow to 0 however small r is; the
     # rescaling is exact wherever the direct form is
@@ -160,22 +155,22 @@ def private_trace_ub(
     return math.ldexp(min(tr + draw + offset, cap), 2 * e)
 
 
-def threshold_query(
-    bounds: NoiseBounds, x: Dataset, tr_hat: float, r_tilde: float
-) -> Callable[[int], float]:
-    """The threshold SVT's query at tau = 2^t, as a function of t:
+def threshold_queries(
+    bounds: NoiseBounds, x: Dataset, tr_hat: float, r_tilde: float, end: int
+) -> Iterator[float]:
+    """The threshold SVT's queries at tau = 2^t for t = log2 r, ..., end:
 
         (n / (4 r^2)) * (bias - min(bounds(tr_hat, tau))),
         bias = (1/n) * sum_{t <= s < log2 r} Count_s * (2^(2s+2) - tau^2),
 
     for a private radius r > 0 and the dyadic counts Count_s of the
-    r-clipped norms of ``x`` (:func:`build_histogram`); the suffix sums of
-    the bias weights are built once per dataset and r.  bias bounds the
-    clipping bias at tau from above.  A column adds 2^(2s+2) - tau^2 < r^2
-    to n*bias (s < log2 r), so one column change moves the query by at most
-    1/4, all queries the same way; the SVT runs at sensitivity 1, as
-    calibrated in the paper.
-    Nondecreasing as tau walks down the dyadic grid.
+    r-clipped norms of ``x`` (:func:`build_histogram`).  The sums run down
+    the grid with it, one bucket added per query pulled, so nothing past
+    the last query pulled is read.  bias bounds the clipping bias at tau
+    from above.  A column adds 2^(2s+2) - tau^2 < r^2 to n*bias
+    (s < log2 r), so one column change moves each query by at most 1/4, all
+    queries the same way; the SVT runs at sensitivity 1, as calibrated in
+    the paper.  Nondecreasing as tau walks down the dyadic grid.
 
     Bias and noise are evaluated in units of r, at tau/r and tr_hat/r^2,
     times n/4.  r is a power of two, so this equals the direct form wherever
@@ -183,32 +178,17 @@ def threshold_query(
     overflows (r below about 2^-512).
     """
     unit = _pow2_exponent(r_tilde)
-    neg, suffix_weight, suffix_count = x._cached(
-        ("bias suffixes", unit), lambda: _bias_suffixes(x.histogram(r_tilde), unit)
-    )
-    n = x.count
+    counts, n = x.histogram(r_tilde), x.count
     tr_unit = math.ldexp(tr_hat, -2 * unit)
-
-    def query(t: int) -> float:
-        s = t - unit
-        idx = bisect_left(neg, s)
+    weight, tally = 0.0, 0
+    for s in range(0, end - unit - 1, -1):  # s = t - log2 r
+        count = counts.get(s + unit)
+        if count:
+            weight += count * math.ldexp(1.0, 2 * s + 2)
+            tally += count
         tau_sq = math.ldexp(1.0, 2 * s)  # 0.0 on underflow; the bound only loosens
-        bias = max(0.0, (suffix_weight[idx] - tau_sq * suffix_count[idx]) / n)
-        return n / 4.0 * (bias - min(bounds(tr_unit, math.ldexp(1.0, s))))
-
-    return query
-
-
-def _bias_suffixes(counts: Mapping[int, int], unit: int) -> tuple[tuple, tuple, tuple]:
-    """The buckets below 2^unit, shifted into units of r = 2^unit and sorted,
-    with the suffix sums of their bias weights Count_s * 2^(2s+2) and of
-    their counts."""
-    neg = sorted(s - unit for s in counts if s < unit)
-    weights = (counts[s + unit] * math.ldexp(1.0, 2 * s + 2) for s in reversed(neg))
-    tallies = (counts[s + unit] for s in reversed(neg))
-    suffix_weight = tuple(accumulate(weights, initial=0.0))[::-1]
-    suffix_count = tuple(accumulate(tallies, initial=0))[::-1]
-    return tuple(neg), suffix_weight, suffix_count
+        bias = max(0.0, (weight - tau_sq * tally) / n)
+        yield n / 4.0 * (bias - min(bounds(tr_unit, math.ldexp(1.0, s))))
 
 
 def adaptive_cov(x: Dataset, rho: float, beta: float, stream: RandomStream) -> MechanismReport:
@@ -216,8 +196,8 @@ def adaptive_cov(x: Dataset, rho: float, beta: float, stream: RandomStream) -> M
 
     Budget split: rho/8 radius, rho/8 trace, rho/4 threshold SVT, rho/2
     final clipped mechanism.  The returned report's variant names the branch
-    that actually ran ('gauss' or 'separate'); the selected threshold,
-    radius, trace bound, and ledger are in ``details``.
+    that actually ran ('gauss' or 'separate'); its ``selection`` holds the
+    private radius, trace bound, threshold and branch.
     """
     return _adaptive(GAUSSIAN, x, rho, beta, stream)
 
@@ -236,8 +216,20 @@ def _adaptive(
     family: NoiseFamily, x: Dataset, value: float, beta: float, stream: RandomStream
 ) -> MechanismReport:
     budget = family.budget(value)
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
+    selected = _select(family, x, value, beta, stream)
+    mechanism = family.ledger(value)["mechanism"]
+    # tau lies in (0, r] with r <= 1, and branch is one of the family's bodies
+    estimate = _body(family, selected.branch, x, selected.tau, mechanism, stream.child("mech"))
+    return MechanismReport(estimate, budget, selected.branch, selected.tau, selection=selected)
+
+
+def _select(
+    family: NoiseFamily, x: Dataset, value: float, beta: float, stream: RandomStream
+) -> Selection:
+    """Stages 1-3 on the "radius", "trace" and "svt" children of ``stream``:
+    the private radius, trace bound and threshold, and the branch with the
+    smaller noise bound there.  Reads the dataset's norm tables, no Gram;
+    the radius and trace stages check beta."""
     ledger = family.ledger(value)
     d, n = x.dim, x.count
 
@@ -245,19 +237,13 @@ def _adaptive(
     r_tilde = priv_radius(x, family.svt_eps(ledger["radius"]), beta / 8, b, stream.child("radius"))
     trace_budget = family.budget(ledger["trace"])
     tr_hat = private_trace_ub(x, r_tilde, trace_budget, beta, stream.child("trace"))
-
     bounds = family.noise_bounds(ledger["mechanism"], beta / 2, d, n)
     # SVT down the dyadic grid r, r/2, ..., 2^end, then one level back up
-    query = threshold_query(bounds, x, tr_hat, r_tilde)
     start, end = _pow2_exponent(r_tilde), max(-d * n, _MIN_FLOAT_EXPONENT)
-    queries = (query(t) for t in range(start, end - 1, -1))
+    queries = threshold_queries(bounds, x, tr_hat, r_tilde, end)
     k = svt(queries, 1.0, 0.0, family.svt_eps(ledger["svt"]), stream.child("svt"))
     # the k-th query is at 2^(start+1-k), so tau >= min(2^end, r)
     tau = min(math.ldexp(1.0, start + 2 - k), r_tilde)
 
     plain, separate = bounds(tr_hat, tau)
-    branch = family.plain if separate >= plain else family.separate
-    # tau lies in (0, r] with r <= 1, and branch is one of the family's bodies
-    estimate = _body(family, branch, x, tau, ledger["mechanism"], stream.child("mech"))
-    details = dict(r_tilde=r_tilde, tr_hat=tr_hat, tau=tau, branch=branch, ledger=ledger)
-    return MechanismReport(estimate, budget, branch, clip_threshold=tau, details=details)
+    return Selection(r_tilde, tr_hat, tau, family.plain if separate >= plain else family.separate)

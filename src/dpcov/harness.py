@@ -124,6 +124,8 @@ class ExperimentPlan:
                 raise ValueError(f"repeated value in sweep {self.sweep_values}")
             if SWEEP_AXES[self.sweep_axis] and self.synth_spec is None:
                 raise ValueError(f"sweeping {self.sweep_axis} requires synthetic data")
+            if SWEEP_AXES[self.sweep_axis] and any(float(v) % 1 for v in self.sweep_values):
+                raise ValueError(f"{self.sweep_axis} takes whole numbers, not {self.sweep_values}")
             if self.sweep_axis == "rho" and self.budget.kind != "zcdp":
                 raise ValueError("sweeping rho requires a zCDP budget")
             if self.sweep_axis == "eps" and self.budget.kind != "pure":

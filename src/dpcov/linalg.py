@@ -170,11 +170,11 @@ class Dataset:
     without touching the columns, as a norm above r lies in a bucket s >= t
     and is clipped to the top of bucket t-1: the counts above a level, the
     clipped trace (``trace(r)``) and the dyadic histogram of the clipped
-    norms min(||x||, r) (``histogram(r)``), each kept per r (read-only), as
-    are the adaptive pipeline's tables derived from them
-    (:mod:`dpcov.adaptive`).  A clipped Gram is one pass over the columns
-    in blocks of ``_CHUNK_COLUMNS``, each column divided by max(||x||, tau),
-    so every term lies in the unit ball and no second d x n array is held.
+    norms min(||x||, r) (``histogram(r)``), each kept per r (read-only);
+    the adaptive pipeline's SVT stages walk these a bucket at a time.  A
+    clipped Gram is one pass over the columns in blocks of
+    ``_CHUNK_COLUMNS``, each column divided by max(||x||, tau), so every
+    term lies in the unit ball and no second d x n array is held.
 
     Memory beyond the columns: 2 d^2 floats for the two Grams, d per
     spectrum, n for the norms, and O(buckets) for the bucket table and per

@@ -34,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -64,6 +64,7 @@ __all__ = [
     "FAMILIES",
     "ZERO",
     "MechanismReport",
+    "Selection",
     "gauss_cov",
     "lap_cov",
     "separate_cov",
@@ -214,21 +215,31 @@ ZERO = "zero"
 _VARIANTS = {ZERO} | {name for f in FAMILIES.values() for name in (f.plain, f.separate)}
 
 
+class Selection(NamedTuple):
+    """What the adaptive mechanism's private stages released: the radius, the
+    clipped-trace bound, the clip threshold and the branch run there."""
+
+    r_tilde: float
+    tr_hat: float
+    tau: float
+    branch: str
+
+
 @dataclass(frozen=True)
 class MechanismReport:
     """What a mechanism returned and what it cost.
 
     ``budget_spent`` is None only for the zero mechanism, which consumes no
     budget.  ``clip_threshold`` is set when the estimate came from clipped
-    data.  ``details`` carries mechanism-specific diagnostics (the adaptive
-    mechanism records its internal ledger there).
+    data.  ``selection`` is set by the adaptive mechanisms alone; the budget
+    per stage they spent is ``family.ledger(value)``.
     """
 
     estimate: np.ndarray
     budget_spent: PrivacyBudget | None
     variant: str
     clip_threshold: float | None = None
-    details: dict | None = None
+    selection: Selection | None = None
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:

@@ -37,6 +37,7 @@ from dpcov.linalg import (
 )
 from dpcov.mechanisms import (
     GAUSSIAN,
+    LAPLACE,
     clip_mechanism,
     gauss_cov,
     lap_cov,
@@ -349,7 +350,7 @@ def test_criterion_08_zero_noise_exactness(capsys):
         rho = float(rng.choice([1.0, 4.0]))
         rep = adaptive_cov(data, rho, 0.05, RandomStream(0, zero_noise=True))
         r_oracle, tau_oracle = zero_noise_tau_oracle(data, rho, 0.05)
-        matches += rep.details["r_tilde"] == r_oracle and rep.details["tau"] == tau_oracle
+        matches += rep.selection.r_tilde == r_oracle and rep.selection.tau == tau_oracle
     report(
         capsys, 8, "zero-noise-exactness", exact and matches == 100,
         f"mechanisms exact; adaptive threshold matched the grid oracle on {matches}/100 datasets",
@@ -384,11 +385,11 @@ def test_criterion_10_budget_ledger(capsys):
     ok = True
     for rho in (0.1, 0.3, 0.7, 1.0, 2.5):
         rep = adaptive_cov(x, rho, 0.05, RandomStream(2001))
-        ok = ok and sum(rep.details["ledger"].values()) == rho
+        ok = ok and sum(GAUSSIAN.ledger(rho).values()) == rho
         ok = ok and rep.budget_spent.value == rho
     for eps in (0.25, 1.0, 3.0):
         rep = adaptive_cov_pure(x, eps, 0.05, RandomStream(2002))
-        ok = ok and sum(rep.details["ledger"].values()) == eps
+        ok = ok and sum(LAPLACE.ledger(eps).values()) == eps
         ok = ok and rep.budget_spent.value == eps
     report(
         capsys, 10, "budget-ledger", ok,

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -32,7 +33,7 @@ from dpcov.adaptive import (
     priv_radius,
     private_trace_ub,
     svt,
-    threshold_query,
+    threshold_queries,
 )
 from dpcov.bounds import eta
 from dpcov.datagen import SynthSpec, synth
@@ -45,7 +46,19 @@ from dpcov.linalg import (
     tail_gamma,
     trace_stat,
 )
-from dpcov.mechanisms import FAMILIES, GAUSSIAN, LAPLACE, clip_mechanism, separate_cov_pure
+from dpcov.mechanisms import (
+    FAMILIES,
+    GAUSSIAN,
+    LAPLACE,
+    MechanismReport,
+    Selection,
+    clip_mechanism,
+    gauss_cov,
+    lap_cov,
+    separate_cov,
+    separate_cov_pure,
+    zero_cov,
+)
 from dpcov.privacy import pure, zcdp
 from dpcov.randomness import RandomStream
 
@@ -313,9 +326,7 @@ def threshold_svt_queries(family, x, value, beta, r_tilde, tr_hat):
     radius and trace bound the earlier stages released."""
     d, n = x.dim, x.count
     bounds = family.noise_bounds(family.ledger(value)["mechanism"], beta / 2, d, n)
-    query = threshold_query(bounds, x, tr_hat, r_tilde)
-    start, end = int(math.log2(r_tilde)), max(-d * n, -1020)
-    return [query(t) for t in range(start, end - 1, -1)]
+    return list(threshold_queries(bounds, x, tr_hat, r_tilde, max(-d * n, -1020)))
 
 
 class TestThresholdSvtPrivacyLoss:
@@ -365,8 +376,8 @@ class TestThresholdSvtPrivacyLoss:
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(adaptive, "svt", recording_svt)
-                details = adaptive._adaptive(family, x, value, self.BETA, RandomStream(3)).details
-            r_tilde, tr_hat = details["r_tilde"], details["tr_hat"]
+                rep = adaptive._adaptive(family, x, value, self.BETA, RandomStream(3))
+            r_tilde, tr_hat = rep.selection.r_tilde, rep.selection.tr_hat
             assert seen[1] == threshold_svt_queries(family, x, value, self.BETA, r_tilde, tr_hat)
 
     @pytest.mark.parametrize("family", [GAUSSIAN, LAPLACE], ids=lambda f: f.kind)
@@ -455,15 +466,20 @@ def zero_noise_bounds(tr_hat, tau):
     return (0.0, 0.0)
 
 
+def query_at(bounds, x, tr_hat, r, t):
+    """The threshold SVT's query at tau = 2^t: the last of the queries down
+    to t."""
+    return list(threshold_queries(bounds, x, tr_hat, r, t))[-1]
+
+
 def bias_bound(x, tau):
     """The bias term of the threshold query at a dyadic tau <= 1: the query
     at r = 1 with zero noise bounds, over n/4."""
-    query = threshold_query(zero_noise_bounds, x, 0.0, 1.0)
-    return query(int(math.log2(tau))) * 4.0 / x.count
+    return query_at(zero_noise_bounds, x, 0.0, 1.0, int(math.log2(tau))) * 4.0 / x.count
 
 
 class TestBiasHat:
-    """The clipping-bias bound inside threshold_query,
+    """The clipping-bias bound inside threshold_queries,
 
         (1/n) * sum_{t <= s < 0} Count_s * (2^(2s+2) - tau^2)  at tau = 2^t,
 
@@ -493,11 +509,11 @@ class TestBiasHat:
         # at r = 2^-k, on norms down to 2^-1074, the zero-noise query is n/4
         # times the bias bound of the r-clipped norms measured in units of r
         r, n = math.ldexp(1.0, -k), x.count
-        query = threshold_query(zero_noise_bounds, x, 0.0, r)
+        queries = threshold_queries(zero_noise_bounds, x, 0.0, r, -k - 39)
         in_units = np.minimum(x.norms(), r) / r
-        for t in range(-k, -k - 40, -1):
+        for t, query in zip(range(-k, -k - 40, -1), queries, strict=True):
             want = n / 4.0 * bias_direct(in_units, math.ldexp(1.0, t + k), n)
-            assert abs(query(t) - want) <= 1e-12 * n
+            assert abs(query - want) <= 1e-12 * n
 
     def test_sandwiched_between_true_bias_and_tail(self):
         # the bias bound must dominate the actual covariance shift from
@@ -523,7 +539,7 @@ class TestBiasHat:
         x = dataset_with_norms([0.5])
         for bad in (0.3, 0.0, -0.5, math.inf):
             with pytest.raises(ValueError):
-                threshold_query(zero_noise_bounds, x, 0.0, bad)
+                next(threshold_queries(zero_noise_bounds, x, 0.0, bad, -3))
 
 
 class TestNoiseBounds:
@@ -592,13 +608,14 @@ class TestNoiseBounds:
                 mechanisms, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a)
             )
         queries = []
-        real_query = adaptive.threshold_query
+        real_queries = adaptive.threshold_queries
 
         def counting(*args):
-            query = real_query(*args)
-            return lambda t: queries.append(t) or query(t)
+            for query in real_queries(*args):
+                queries.append(query)
+                yield query
 
-        monkeypatch.setattr(adaptive, "threshold_query", counting)
+        monkeypatch.setattr(adaptive, "threshold_queries", counting)
         x = dataset_with_norms(np.concatenate([np.full(8, 0.9), np.full(400, 0.01)]), d=16)
         adaptive_cov(x, 0.5, 0.05, RandomStream(3))
         assert len(queries) > 1
@@ -682,6 +699,17 @@ class TestPrivateTrace:
             want = min(x.trace(r) + draw + offset, r * r)
             assert private_trace_ub(x, r, budget, 0.05, RandomStream(i)) == want
 
+    @pytest.mark.parametrize("budget", [zcdp(1.0), pure(1.0)], ids=["zcdp", "pure"])
+    @pytest.mark.parametrize("beta", [16.0, 1.0, 0.0, -0.5, math.nan])
+    def test_beta_outside_unit_interval_rejected(self, budget, beta):
+        # at beta = 16 the offset log(8/beta) is negative, so the zero-noise
+        # "upper bound" read 0.986 on data of clipped trace 1.0; at beta <= 0
+        # the offset's logarithm raised a bare math domain error
+        x = dataset_with_norms(np.ones(8), seed=12)
+        assert x.trace(1.0) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="beta"):
+            private_trace_ub(x, 1.0, budget, beta, RandomStream(0, zero_noise=True))
+
     def test_noised_where_r_squared_over_n_underflows(self):
         # r^2/n = 2^-1076 is 0 in float64 while the clipped trace, about
         # 4.3e-320, is not: the release must still be noised
@@ -697,14 +725,14 @@ class TestPrivateTrace:
 
 
 class TestDiffQuery:
-    """The threshold SVT's query, threshold_query(bounds, x, tr_hat, r)(t)
-    at tau = 2^t."""
+    """The threshold SVT's queries, threshold_queries(bounds, x, tr_hat, r,
+    end) at tau = r, r/2, ..., 2^end."""
 
     def test_negative_when_no_bias(self):
         x = dataset_with_norms(np.full(30, 0.4), seed=16)
         for family in FAMILIES.values():
             bounds = family.noise_bounds(0.1, 0.05, x.dim, x.count)
-            assert threshold_query(bounds, x, 0.16, 0.5)(-1) < 0.0
+            assert query_at(bounds, x, 0.16, 0.5, -1) < 0.0
 
     def test_nondecreasing_down_the_grid(self):
         rng = np.random.default_rng(17)
@@ -713,8 +741,8 @@ class TestDiffQuery:
             x = dataset_with_norms(norms, seed=int(rng.integers(1 << 31)))
             for family in FAMILIES.values():
                 bounds = family.noise_bounds(0.1, 0.05, x.dim, x.count)
-                query = threshold_query(bounds, x, 0.7, 1.0)
-                values = [query(t) for t in range(0, -24, -1)]
+                values = list(threshold_queries(bounds, x, 0.7, 1.0, -23))
+                assert len(values) == 24
                 assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_sensitivity_at_most_one(self):
@@ -731,10 +759,11 @@ class TestDiffQuery:
             xb = Dataset(primed.reshape(1, -1))
             tr_hat = r * r / 2
             bounds = GAUSSIAN.noise_bounds(0.1, 0.05, 4, n)
-            qa = threshold_query(bounds, xa, tr_hat, r)
-            qb = threshold_query(bounds, xb, tr_hat, r)
-            for t in range(int(math.log2(r)), int(math.log2(r)) - 8, -1):
-                assert abs(qa(t) - qb(t)) <= 1.0 + slack
+            end = int(math.log2(r)) - 7
+            qa = threshold_queries(bounds, xa, tr_hat, r, end)
+            qb = threshold_queries(bounds, xb, tr_hat, r, end)
+            for a, b in zip(qa, qb, strict=True):
+                assert abs(a - b) <= 1.0 + slack
 
     def test_tiny_radius_is_scale_invariant(self):
         # scaling every norm by 2^-k, r by 2^-k and tr_hat by 4^-k leaves the
@@ -748,11 +777,11 @@ class TestDiffQuery:
         assert build_histogram(x_tiny) == {s - k: c for s, c in build_histogram(x).items()}
         for family in FAMILIES.values():
             bounds = family.noise_bounds(0.1, 0.05, 4, n)
-            query = threshold_query(bounds, x, 0.125, 0.5)
-            tiny = threshold_query(bounds, x_tiny, math.ldexp(0.125, -2 * k), 2.0 ** (-1 - k))
-            for t in range(-1, -40, -1):
-                assert math.isfinite(tiny(t - k))
-                assert tiny(t - k) == query(t)
+            queries = list(threshold_queries(bounds, x, 0.125, 0.5, -39))
+            tr_tiny, r_tiny = math.ldexp(0.125, -2 * k), 2.0 ** (-1 - k)
+            tiny = list(threshold_queries(bounds, x_tiny, tr_tiny, r_tiny, -39 - k))
+            assert len(queries) == 39 and all(math.isfinite(q) for q in tiny)
+            assert tiny == queries
 
     @pytest.mark.parametrize(
         "run, budget, label, r_tilde",
@@ -768,18 +797,19 @@ class TestDiffQuery:
         # these streams draw a radius at which n/(4 r^2) overflows; every
         # query the threshold search evaluates must stay finite
         seen = []
-        real_query = adaptive.threshold_query
+        real_queries = adaptive.threshold_queries
 
         def recording(*args):
-            query = real_query(*args)
             values = []
             seen.append(values)
-            return lambda t: values.append(query(t)) or values[-1]
+            for query in real_queries(*args):
+                values.append(query)
+                yield query
 
-        monkeypatch.setattr(adaptive, "threshold_query", recording)
+        monkeypatch.setattr(adaptive, "threshold_queries", recording)
         x = synth(SynthSpec(n=256, d=8, bins=4, seed=5))
         rep = run(x, budget, 0.05, RandomStream(5).child(label))
-        assert rep.details["r_tilde"] == r_tilde
+        assert rep.selection.r_tilde == r_tilde
         (values,) = seen
         assert values and all(math.isfinite(v) for v in values)
         assert all(b >= a for a, b in zip(values, values[1:]))
@@ -795,7 +825,7 @@ class TestAdaptiveCov:
         x = dataset_with_norms(np.linspace(0.1, 1.0, 64), seed=19)
         for rho in (0.1, 0.25, 0.7, 3.0):
             rep = adaptive_cov(x, rho, 0.05, RandomStream(20))
-            assert sum(rep.details["ledger"].values()) == rho
+            assert sum(GAUSSIAN.ledger(rho).values()) == rho
             assert rep.budget_spent == zcdp(rho)
 
     def test_zero_noise_threshold_matches_grid_oracle_interior(self):
@@ -806,9 +836,9 @@ class TestAdaptiveCov:
         rho, beta = 4.0, 0.05
         rep = adaptive_cov(x, rho, beta, RandomStream(0, zero_noise=True))
         r_oracle, tau_oracle = zero_noise_tau_oracle(x, rho, beta)
-        assert rep.details["r_tilde"] == r_oracle
-        assert rep.details["tau"] == tau_oracle
-        assert rep.details["tau"] < r_oracle  # interior selection, not degenerate
+        assert rep.selection.r_tilde == r_oracle
+        assert rep.selection.tau == tau_oracle
+        assert rep.selection.tau < r_oracle  # interior selection, not degenerate
 
     def test_zero_noise_threshold_matches_grid_oracle_radius_capped(self):
         # few heavy outliers: the radius stage clips them and the threshold
@@ -818,29 +848,29 @@ class TestAdaptiveCov:
         rho, beta = 4.0, 0.05
         rep = adaptive_cov(x, rho, beta, RandomStream(0, zero_noise=True))
         r_oracle, tau_oracle = zero_noise_tau_oracle(x, rho, beta)
-        assert rep.details["r_tilde"] == r_oracle
-        assert rep.details["tau"] == tau_oracle
+        assert rep.selection.r_tilde == r_oracle
+        assert rep.selection.tau == tau_oracle
 
     def test_deterministic_given_seed(self):
         x = dataset_with_norms(np.linspace(0.05, 1.0, 128), seed=22)
         a = adaptive_cov(x, 0.5, 0.05, RandomStream(23))
         b = adaptive_cov(x, 0.5, 0.05, RandomStream(23))
         assert np.array_equal(a.estimate, b.estimate)
-        assert a.details == b.details
+        assert a.selection == b.selection
 
     def test_variant_names_dispatched_branch(self):
         x = dataset_with_norms(np.ones(4000), d=8, seed=24)
         rep = adaptive_cov(x, 0.5, 0.05, RandomStream(25))
         assert rep.variant in ("gauss", "separate")
-        assert rep.clip_threshold == rep.details["tau"]
+        assert rep.clip_threshold == rep.selection.tau
 
     def test_unit_norm_data_keeps_full_radius(self):
         # dense unit-norm data: the radius search tops out at 1 and the
         # threshold search keeps tau at the radius
         x = dataset_with_norms(np.ones(4000), d=8, seed=26)
         rep = adaptive_cov(x, 1.0, 0.05, RandomStream(0, zero_noise=True))
-        assert rep.details["r_tilde"] == 1.0
-        assert rep.details["tau"] == 1.0
+        assert rep.selection.r_tilde == 1.0
+        assert rep.selection.tau == 1.0
 
 
     def test_threshold_grid_stops_at_float_floor(self, monkeypatch):
@@ -848,25 +878,22 @@ class TestAdaptiveCov:
         # triggering, the search walks the whole grid, which must stop at
         # 2^-1020, the smallest threshold it may return
         evaluated = []
-        real_query = adaptive.threshold_query
+        real_queries = adaptive.threshold_queries
 
-        def never_triggers(*args):
-            query = real_query(*args)
-
-            def recorded(t):
+        def never_triggers(bounds, x, tr_hat, r_tilde, end):
+            grid = itertools.count(int(math.log2(r_tilde)), -1)
+            # each query evaluated as in a real run, then hidden from the SVT
+            for t, _ in zip(grid, real_queries(bounds, x, tr_hat, r_tilde, end)):
                 evaluated.append(t)
-                query(t)  # evaluated as in a real run, then hidden from the SVT
-                return -math.inf
+                yield -math.inf
 
-            return recorded
-
-        monkeypatch.setattr(adaptive, "threshold_query", never_triggers)
+        monkeypatch.setattr(adaptive, "threshold_queries", never_triggers)
         x = dataset_with_norms(np.full(600, 0.5), d=2, seed=27)
         for run, budget in ((adaptive_cov, 0.5), (adaptive_cov_pure, 1.0)):
             evaluated.clear()
             rep = run(x, budget, 0.05, RandomStream(0, zero_noise=True))
             assert min(evaluated) == -1020
-            assert rep.details["tau"] == 2.0**-1020
+            assert rep.selection.tau == 2.0**-1020
 
     def test_radius_whose_square_underflows(self):
         # every norm is 2^-600, so r~^2 underflows to 0; the threshold search
@@ -877,14 +904,70 @@ class TestAdaptiveCov:
         for run, family, value in cases:
             for seed in range(20):
                 rep = run(x, value, 0.05, RandomStream(seed))
-                r_tilde, tau = rep.details["r_tilde"], rep.details["tau"]
+                r_tilde, tau = rep.selection.r_tilde, rep.selection.tau
                 assert r_tilde * r_tilde == 0.0
                 assert 2.0**-1020 <= tau <= r_tilde
                 assert np.all(np.isfinite(rep.estimate))
                 assert np.array_equal(rep.estimate, rep.estimate.T)
                 assert not rep.estimate.any()
-                assert sum(rep.details["ledger"].values()) == value
+                assert sum(family.ledger(value).values()) == value
                 assert rep.budget_spent == family.budget(value)
+
+
+class TestSelection:
+    """What the adaptive mechanisms selected, as a typed record on the report."""
+
+    def test_report_fields(self):
+        names = [f.name for f in dataclasses.fields(MechanismReport)]
+        assert names == ["estimate", "budget_spent", "variant", "clip_threshold", "selection"]
+        assert Selection._fields == ("r_tilde", "tr_hat", "tau", "branch")
+
+    def test_adaptive_reports_its_selection(self):
+        x = synth(SynthSpec(n=500, d=6, bins=4, seed=2))
+        for run, value in ((adaptive_cov, 0.5), (adaptive_cov_pure, 1.0)):
+            for seed in range(5):
+                rep = run(x, value, 0.05, RandomStream(seed))
+                assert type(rep.selection) is Selection
+                assert rep.selection.tau == rep.clip_threshold
+                assert rep.selection.branch == rep.variant
+                assert 0.0 < rep.selection.tau <= rep.selection.r_tilde <= 1.0
+                assert 0.0 <= rep.selection.tr_hat <= rep.selection.r_tilde**2
+
+    def test_other_mechanisms_select_nothing(self):
+        x = synth(SynthSpec(n=200, d=4, bins=2, seed=3))
+        stream = RandomStream(4)
+        reports = [
+            gauss_cov(x, 0.5, stream),
+            lap_cov(x, 1.0, stream),
+            separate_cov(x, 0.5, stream),
+            separate_cov_pure(x, 1.0, stream),
+            clip_mechanism(x, zcdp(0.5), 0.5, stream, "separate"),
+            clip_mechanism(x, pure(1.0), 0.25, stream, "lap"),
+            zero_cov(x),
+        ]
+        assert all(rep.selection is None for rep in reports)
+
+    @pytest.mark.parametrize("run, family, value", [
+        (adaptive_cov, GAUSSIAN, 0.5), (adaptive_cov_pure, LAPLACE, 1.0),
+    ], ids=["zcdp", "pure"])  # fmt: skip
+    def test_select_does_no_matrix_work(self, run, family, value, monkeypatch):
+        # _select reads the norm tables only: no Gram, no spectrum and no
+        # final stage, and it selects what the full run reports
+        norms = np.concatenate([np.full(40, 0.9), np.linspace(0.01, 0.3, 2000)])
+        x = dataset_with_norms(norms, d=8)
+        calls = []
+        for owner, name in ((Dataset, "gram"), (Dataset, "spectrum"), (adaptive, "_body")):
+            real = getattr(owner, name)
+            spy = lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a)  # noqa: E731
+            monkeypatch.setattr(owner, name, spy)
+        streams = [RandomStream(7).child(str(i)) for i in range(20)]
+        selections = [adaptive._select(family, x, value, 0.05, s) for s in streams]
+        assert calls == []
+        monkeypatch.undo()
+        for i, selected in enumerate(selections):
+            # a fresh stream: _select drew from the children of the one above
+            assert run(x, value, 0.05, RandomStream(7).child(str(i))).selection == selected
+        assert len(set(selections)) == len(selections)  # each stream draws its own
 
 
 class TestFinalStage:
@@ -905,7 +988,7 @@ class TestFinalStage:
             rep = run(x, value, 0.05, RandomStream(0))
             budget = family.budget(family.ledger(value)["mechanism"])
             mech = RandomStream(0).child("mech")
-            want = clip_mechanism(x, budget, rep.details["tau"], mech, rep.details["branch"])
+            want = clip_mechanism(x, budget, rep.selection.tau, mech, rep.selection.branch)
             assert np.array_equal(rep.estimate, want.estimate)
             assert rep.clip_threshold == want.clip_threshold and rep.variant == want.variant
             branches.add(rep.variant)
@@ -922,7 +1005,7 @@ class TestAdaptiveCovPure:
         x = dataset_with_norms(np.linspace(0.1, 1.0, 64), seed=27)
         for eps in (0.5, 1.0, 3.0):
             rep = adaptive_cov_pure(x, eps, 0.05, RandomStream(28))
-            assert sum(rep.details["ledger"].values()) == eps
+            assert sum(LAPLACE.ledger(eps).values()) == eps
             assert rep.budget_spent == pure(eps)
             assert rep.variant in ("lap", "separate-pure")
 
@@ -975,10 +1058,16 @@ class TestEndToEndRegression:
 class TestBudgetLedger:
     def test_ledger_is_the_family_split(self):
         x = dataset_with_norms(np.linspace(0.1, 1.0, 64), seed=19)
-        rep = adaptive_cov(x, 0.8, 0.05, RandomStream(20))
-        assert rep.details["ledger"] == {"radius": 0.1, "trace": 0.1, "svt": 0.2, "mechanism": 0.4}
-        rep = adaptive_cov_pure(x, 2.0, 0.05, RandomStream(20))
-        assert rep.details["ledger"] == {"radius": 0.5, "trace": 0.5, "svt": 0.5, "mechanism": 0.5}
+        # the run spends the family's ledger; the report keeps no copy
+        zcdp_split = {"radius": 0.1, "trace": 0.1, "svt": 0.2, "mechanism": 0.4}
+        pure_split = {"radius": 0.5, "trace": 0.5, "svt": 0.5, "mechanism": 0.5}
+        for run, family, value, want in (
+            (adaptive_cov, GAUSSIAN, 0.8, zcdp_split),
+            (adaptive_cov_pure, LAPLACE, 2.0, pure_split),
+        ):
+            rep = run(x, value, 0.05, RandomStream(20))
+            assert family.ledger(value) == want
+            assert rep.budget_spent == family.budget(value)
 
     def test_composed_once_per_value(self, monkeypatch):
         composed = []

@@ -72,6 +72,16 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="'gauss' is named twice"):
             small_plan(mechanisms=("gauss", "zero", "gauss"))
 
+    @pytest.mark.parametrize("axis", ["d", "n", "N"])
+    def test_integer_axis_takes_whole_numbers(self, axis):
+        # int() would run 4.2 and 4.7 both at 4 and merge their rows into
+        # one summary row of twice the runs
+        for values in ((4.2, 4.7), (4, 8.5), (4, math.inf), (4, math.nan)):
+            with pytest.raises(ValueError, match="whole numbers"):
+                small_plan(sweep_axis=axis, sweep_values=values)
+        assert small_plan(sweep_axis=axis, sweep_values=(4.0, 8)).sweep_values == (4.0, 8)
+        assert small_plan(sweep_axis="rho", sweep_values=(0.15, 0.25)).sweep_values
+
     def test_repeated_sweep_value(self):
         # a repeat would merge two different datasets into one summary row
         with pytest.raises(ValueError, match="repeated value"):
@@ -301,7 +311,7 @@ class TestNumericalFailure:
             object.__setattr__(rep, "budget_spent", plan.budget)
             object.__setattr__(rep, "variant", "gauss")
             object.__setattr__(rep, "clip_threshold", None)
-            object.__setattr__(rep, "details", None)
+            object.__setattr__(rep, "selection", None)
             return rep
 
         monkeypatch.setitem(harness.MECHANISMS, "gauss", ("zcdp", poisoned))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
 
 from oracle_utils import sensitivity_probe
 
@@ -300,7 +302,59 @@ class TestZeroCov:
         assert zero_cov(x).budget_spent is None
 
 
+@st.composite
+def neighbour_pairs(draw):
+    """Two d x n datasets in the unit ball, d in 1..8 and n in 1..6, that
+    differ in column 0.  Norms are spread, dyadic, 1 or 0, other columns may
+    copy column 0, and its replacement is a fresh column, one orthogonal to
+    it, or zero."""
+    d, n = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    directions = rng.standard_normal((d, n + 1))
+    directions /= np.linalg.norm(directions, axis=0)
+
+    def norm():
+        kind = draw(st.sampled_from(["spread", "dyadic", "unit", "zero"]))
+        exponent = draw(st.integers(-9, 0))
+        if kind == "spread":
+            return math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), exponent)
+        return {"dyadic": math.ldexp(1.0, exponent), "unit": 1.0, "zero": 0.0}[kind]
+
+    cols = np.column_stack([directions[:, i] * norm() for i in range(n)])
+    for i in range(1, n):
+        if draw(st.booleans()):
+            cols[:, i] = cols[:, 0]
+    replacement = draw(st.sampled_from(["fresh", "orthogonal", "zero"]))
+    if replacement == "orthogonal" and d > 1:
+        # the fresh direction less its component along column 0's
+        u, v = directions[:, 0], directions[:, n]
+        w = v - (u @ v) * u
+        new = w / np.linalg.norm(w) * norm()
+    elif replacement == "fresh":
+        new = directions[:, n] * norm()
+    else:  # zero, or orthogonal at d = 1, where only 0 is
+        new = np.zeros(d)
+    primed = cols.copy()
+    primed[:, 0] = new
+    return Dataset(cols), Dataset(primed)
+
+
 class TestSensitivityProbe:
+    @settings(max_examples=300, deadline=None)
+    @given(neighbour_pairs())
+    def test_search_never_exceeds_calibrations(self, pair):
+        x, x_prime = pair
+        d, n = x.dim, x.count
+        probe = sensitivity_probe(x, x_prime)
+        for key, calibration in (
+            ("sigma_fro", math.sqrt(2) / n),
+            ("lambda_fro", math.sqrt(2) / n),
+            ("sigma_l1", math.sqrt(2) * d / n),
+            ("lambda_l1", 2.0 / n),
+        ):
+            target(probe[key] / calibration, label=key)  # steer the search up to the bound
+            assert probe[key] <= calibration * (1 + 1e-12), key
+
     def test_random_neighbor_pairs_respect_bounds(self):
         rng = np.random.default_rng(32)
         slack = 1e-9

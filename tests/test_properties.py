@@ -26,7 +26,7 @@ def is_power_of_two(value: float) -> bool:
 def check_report(rep):
     assert np.all(np.isfinite(rep.estimate))
     assert np.array_equal(rep.estimate, rep.estimate.T)
-    r, tau = rep.details["r_tilde"], rep.details["tau"]
+    r, tau = rep.selection.r_tilde, rep.selection.tau
     assert is_power_of_two(r) and is_power_of_two(tau)
     assert 2.0**-1020 <= tau <= r <= 1.0
 

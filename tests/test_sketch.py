@@ -26,7 +26,7 @@ from oracle_utils import bucket_exponent, dataset_from_norms, datasets
 
 import dpcov.adaptive as adaptive
 import dpcov.linalg as linalg
-from dpcov.adaptive import adaptive_cov, adaptive_cov_pure, build_histogram, threshold_query
+from dpcov.adaptive import adaptive_cov, adaptive_cov_pure, build_histogram, threshold_queries
 from dpcov.datagen import SynthSpec, synth
 from dpcov.linalg import Dataset, clip_dataset, covariance, eig_sym, trace_stat
 from dpcov.mechanisms import (
@@ -235,7 +235,7 @@ class TestMechanismsOnSketch:
             a = call(synth(spec), RandomStream(8).child(str(i)))
             b = call(warm, RandomStream(8).child(str(i)))
             assert np.array_equal(a.estimate, b.estimate)
-            assert a.details == b.details
+            assert a.selection == b.selection
 
     def test_spectrum_is_memoised_and_exact(self):
         x = synth(SynthSpec(n=400, d=9, bins=2, seed=9))
@@ -366,7 +366,7 @@ class TestLifetime:
             call(x, RandomStream(24).child(str(i)))
         x.spectrum()
         bounds = GAUSSIAN.noise_bounds(0.05, 0.025, x.dim, x.count)
-        threshold_query(bounds, x, 0.1, 0.5)(-3)
+        list(threshold_queries(bounds, x, 0.1, 0.5, -3))
         assert {"buckets", "gram", "spectrum", "clipped"} <= set(x._cache)
         ref = weakref.ref(x)
         enabled = gc.isenabled()
@@ -450,9 +450,9 @@ class TestSharedAcrossThreads:
         assert wrong == []
 
     def test_adaptive_tables_are_built_once(self, monkeypatch):
-        # the radius counts, clipped traces and histograms, and threshold
-        # bias tables: one build per key across eight threads, and every
-        # thread gets the same object
+        # the clipped traces and histograms that both SVT stages walk: one
+        # build per key across eight threads, and every thread gets the same
+        # object
         x = synth(SynthSpec(n=3000, d=12, bins=4, seed=14))
         radii = [math.ldexp(1.0, t) for t in range(0, -6, -1)]
         bounds = GAUSSIAN.noise_bounds(0.05, 0.025, x.dim, x.count)
@@ -460,8 +460,6 @@ class TestSharedAcrossThreads:
         for owner, name in (
             (Dataset, "_clipped_trace"),
             (Dataset, "_clipped_histogram"),
-            (adaptive, "_level_counts"),
-            (adaptive, "_bias_suffixes"),
         ):
             real = getattr(owner, name)
             monkeypatch.setattr(
@@ -474,11 +472,10 @@ class TestSharedAcrossThreads:
             try:
                 stream = RandomStream(i)
                 adaptive.priv_radius(x, 1.0, 0.1, 2.0**-30, stream)
-                tables = [x._cache[("level counts", 30)]]
+                tables = [x.histogram()]
                 for r in radii:
+                    list(threshold_queries(bounds, x, 0.5 * r * r, r, -7))
                     tables += [x.trace(r), x.histogram(r)]
-                    threshold_query(bounds, x, 0.5 * r * r, r)(-7)
-                    tables.append(x._cache[("bias suffixes", int(math.log2(r)))])
                 seen[i] = tables
             except Exception as exc:  # reported below; a thread must not die silently
                 errors.append(exc)
@@ -497,10 +494,10 @@ class TestSharedAcrossThreads:
         for got in seen[1:]:
             assert all(a is b for a, b in zip(got, seen[0]))
         assert len(builds) == len(set(builds))
-        # the histogram at r = inf feeds the radius counts
+        # the histogram at r = inf feeds the radius counts, and the one at r
+        # the threshold queries
         assert sorted(n for n, _ in builds) == sorted(
-            ["_level_counts", "_clipped_histogram"]
-            + ["_clipped_trace", "_clipped_histogram", "_bias_suffixes"] * len(radii)
+            ["_clipped_histogram"] + ["_clipped_trace", "_clipped_histogram"] * len(radii)
         )
 
 
@@ -531,14 +528,18 @@ class TestReadOnlyTables:
             assert family.ledger(value) == want
 
     def test_ledger_in_a_report(self):
+        # a report keeps no copy of the ledger: the run spent the family's
+        # kept one, which a caller cannot change between runs
         x = dataset_from_norms(np.linspace(0.1, 1.0, 64), 4, seed=2)
         first = adaptive_cov(x, 0.8, 0.05, RandomStream(20))
+        assert not hasattr(first, "details")
         with pytest.raises(TypeError):
-            first.details["ledger"]["mechanism"] = 0.8
+            GAUSSIAN.ledger(0.8)["mechanism"] = 0.8
         again = adaptive_cov(x, 0.8, 0.05, RandomStream(20))
         assert np.array_equal(again.estimate, first.estimate)
+        assert again.selection == first.selection
         want = {"radius": 0.1, "trace": 0.1, "svt": 0.2, "mechanism": 0.4}
-        assert again.details["ledger"] == want
+        assert GAUSSIAN.ledger(0.8) == want
 
 
 class TestTinyRadiusRegression:
@@ -549,7 +550,7 @@ class TestTinyRadiusRegression:
     def test_reported_stream(self):
         x = synth(SynthSpec(n=256, d=8, bins=4, seed=5))
         rep = adaptive_cov(x, 0.1, 0.05, RandomStream(5).child("bench/adaptive/11"))
-        assert rep.details["r_tilde"] == 2.0**-525
+        assert rep.selection.r_tilde == 2.0**-525
         assert np.all(np.isfinite(rep.estimate))
         assert np.array_equal(rep.estimate, rep.estimate.T)
 
