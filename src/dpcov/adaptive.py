@@ -22,9 +22,9 @@ check also runs under ``python -O``.
 Stages 1-3 are :func:`_select`: no d x d work, and what they release is
 returned as a :class:`~dpcov.mechanisms.Selection`, the report's
 ``selection``.  What depends only on the data is kept on the dataset (see
-:class:`~dpcov.linalg.Dataset`): its bucket table, which both SVT stages
-walk lazily, one bucket per query pulled, the clipped trace and histogram
-per radius, and the clipped Gram of the last threshold chosen.
+:class:`~dpcov.linalg.Dataset`): its bucket table, built with the norms,
+which both SVT stages walk lazily, one bucket per query pulled, and the
+clipped Gram of the last threshold chosen; nothing is kept per radius.
 
 Every stage after the radius reads the unclipped data and clips it to r
 itself, so no stage can be handed data that was not clipped.  The bias/noise
@@ -127,7 +127,7 @@ def priv_radius(x: Dataset, eps: float, beta: float, b: float, stream: RandomStr
 def build_histogram(x: Dataset, r: float = math.inf) -> Mapping[int, int]:
     """Dyadic counts of the column norms of a dataset clipped to radius r,
     min(||X_i||, r): bucket s holds the norms in (2^s, 2^(s+1)]; zero norms
-    are in no bucket.  Read-only: the dataset's own table."""
+    are in no bucket.  Read-only: read off the dataset's bucket table."""
     return x.histogram(r)
 
 

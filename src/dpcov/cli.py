@@ -118,43 +118,34 @@ def main(argv=None) -> int:
         # checked before the runs, so a mistyped directory costs none of them
         if args.out and not Path(args.out).parent.is_dir():
             raise ValueError(f"--out {args.out!r}: its directory does not exist")
-    except (ValueError, OSError) as exc:
-        print(f"dpcov: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
         rows, summaries = run_plan(plan)
+        if args.verbose:
+            family, v = FAMILIES[plan.budget.kind], plan.budget.value
+            if family.adaptive in plan.mechanisms:
+                parts = ", ".join(f"{k}={s:.6g}" for k, s in family.ledger(v).items())
+                print(f"{family.adaptive} budget ledger ({plan.budget.kind}={v:.6g}): {parts}")
+            for row in rows:
+                extra = ""
+                if row.chosen_tau is not None:
+                    extra = f" tau={row.chosen_tau:.6g} branch={row.chosen_branch}"
+                print(
+                    f"{row.mechanism} d={row.d} n={row.n} N={row.bins} "
+                    f"{row.budget_kind}={row.budget_value:.6g} rep={row.rep} "
+                    f"err={row.frobenius_error:.6g} ({row.elapsed_ms:.1f} ms){extra}"
+                )
+        for s in summaries:
+            print(
+                f"{s.mechanism} d={s.d} n={s.n} N={s.bins} {s.budget_kind}={s.budget_value:.6g}: "
+                f"mean={s.mean_error:.6g} std={s.std_error:.6g} ({s.runs} runs)"
+            )
+        if args.out:
+            write_results(rows, summaries, plan, args.out)
     except NumericalFailure as exc:
         print(f"dpcov: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"dpcov: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-    if args.verbose:
-        family, v = FAMILIES[plan.budget.kind], plan.budget.value
-        if family.adaptive in plan.mechanisms:
-            parts = ", ".join(f"{k}={s:.6g}" for k, s in family.ledger(v).items())
-            print(f"{family.adaptive} budget ledger ({plan.budget.kind}={v:.6g}): {parts}")
-        for row in rows:
-            extra = ""
-            if row.chosen_tau is not None:
-                extra = f" tau={row.chosen_tau:.6g} branch={row.chosen_branch}"
-            print(
-                f"{row.mechanism} d={row.d} n={row.n} N={row.bins} "
-                f"{row.budget_kind}={row.budget_value:.6g} rep={row.rep} "
-                f"err={row.frobenius_error:.6g} ({row.elapsed_ms:.1f} ms){extra}"
-            )
-    for s in summaries:
-        print(
-            f"{s.mechanism} d={s.d} n={s.n} N={s.bins} {s.budget_kind}={s.budget_value:.6g}: "
-            f"mean={s.mean_error:.6g} std={s.std_error:.6g} ({s.runs} runs)"
-        )
-    if args.out:
-        try:
-            write_results(rows, summaries, plan, args.out)
-        except OSError as exc:
-            print(f"dpcov: input error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
     return EXIT_OK
 
 

@@ -143,11 +143,12 @@ def load_csv(path: str | Path) -> Dataset:
                 data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
         except ValueError as exc:
             _raise_located(path, header, exc)
-    if not np.all(np.isfinite(data)):
-        _raise_located(path, header, None)
     if data.size == 0:
         raise ValueError(f"{path}: empty file (header only)")
-    return Dataset(data.T)
+    try:
+        return Dataset(data.T)
+    except ValueError as exc:  # the one error of a non-empty 2-D array: a non-finite cell
+        _raise_located(path, header, exc)
 
 
 def _cell_value(cell: str) -> float | None:
@@ -160,10 +161,10 @@ def _cell_value(cell: str) -> float | None:
         return None
 
 
-def _raise_located(path: Path, header: bool, exc: ValueError | None):
+def _raise_located(path: Path, header: bool, exc: ValueError):
     """Raise the error of the first ragged row or bad cell of a CSV file
-    that numpy rejected (``exc``) or read with a non-finite value.  Rows
-    are counted without blank lines, header included."""
+    that numpy rejected, or read with a non-finite value (``exc``, what was
+    raised).  Rows are counted without blank lines, header included."""
     with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = enumerate((row for row in csv.reader(fh) if row), start=1)
         width = None

@@ -154,44 +154,45 @@ class Dataset:
     """A d x n collection of column vectors, one column per individual, and
     the summaries the covariance mechanisms read off it.
 
-    The column norms are computed once, at construction (the same scan
-    checks that every entry is finite), and :meth:`norms` returns them
-    after.  The rest is built on first need and kept:
+    Fixed at construction: the column norms (the scan that computes them
+    checks that every entry is finite), which :meth:`norms` returns, and
+    the table of their dyadic buckets s (norms in (2^s, 2^(s+1)]), per
+    bucket the count of its norms and the sum of their squares.  Built on
+    first need and kept under their clip exponent: ``gram()``, which is
+    ``covariance(x)`` bit for bit, and its spectrum, for good; and for the
+    last clip threshold tau = 2^t asked for, ``gram(tau)``, the unit-ball
+    Gram of the columns clipped at tau, (1/n) sum_i X_i X_i^T /
+    max(||X_i||, tau)^2, and ``spectrum(tau)``; asking for another t drops
+    them before its Gram is built.
 
-    * per dyadic bucket s (norms in (2^s, 2^(s+1)]), the count of its norms
-      and the sum of their squares;
-    * ``gram()``, which is ``covariance(x)`` bit for bit, and its spectrum;
-    * for the last clip threshold tau = 2^t asked for, ``gram(tau)``, the
-      unit-ball Gram of the columns clipped at tau, (1/n) sum_i X_i X_i^T /
-      max(||X_i||, tau)^2, and its spectrum (``spectrum(tau)``); asking for
-      another t drops them.
-
-    The data clipped at a radius r = 2^t is summarised from the buckets
-    without touching the columns, as a norm above r lies in a bucket s >= t
-    and is clipped to the top of bucket t-1: the counts above a level, the
-    clipped trace (``trace(r)``) and the dyadic histogram of the clipped
-    norms min(||x||, r) (``histogram(r)``), each kept per r (read-only);
-    the adaptive pipeline's SVT stages walk these a bucket at a time.  A
+    The data clipped at a radius r = 2^t is summarised from the bucket
+    table on every call, without touching the columns, as a norm above r
+    lies in a bucket s >= t and is clipped to the top of bucket t-1: the
+    counts above a level, the clipped trace (``trace(r)``) and the dyadic
+    histogram of the clipped norms min(||x||, r) (``histogram(r)``); the
+    adaptive pipeline's SVT stages walk these a bucket at a time.  A
     clipped Gram is one pass over the columns in blocks of
     ``_CHUNK_COLUMNS``, each column divided by max(||x||, tau), so every
     term lies in the unit ball and no second d x n array is held.
 
     Memory beyond the columns: 2 d^2 floats for the two Grams, d per
-    spectrum, n for the norms, and O(buckets) for the bucket table and per
-    radius.  What is kept refers to the columns and norms, never to the
-    dataset, so a dataset is freed with its last reference.
-    Every lazy part is built once, under the dataset's one lock, so threads
-    may share a dataset.  ``columns`` must not be mutated once the dataset
-    is built: what it keeps describes the columns as they were.  Whether the
-    columns lie in the unit ball is checked where a mechanism reads them.
-    Datasets compare and hash by identity, like what they keep.
+    spectrum, n for the norms, and O(buckets) for the bucket table.  What is
+    kept refers to the columns and norms, never to the dataset, so a dataset
+    is freed with its last reference.  Grams and spectra are built once,
+    under the dataset's one lock, so threads may share a dataset.
+    ``columns`` must not be mutated once the dataset is built: what it keeps
+    describes the columns as they were.  Whether the columns lie in the unit
+    ball is checked where a mechanism reads them.  Datasets compare and hash
+    by identity, like what they keep.
     """
 
     columns: np.ndarray
     _norms: np.ndarray = field(init=False, repr=False)
     max_norm: float = field(init=False, repr=False)
-    _cache: dict = field(init=False, repr=False)
-    _lock: threading.RLock = field(init=False, repr=False)
+    _counts: Mapping[int, int] = field(init=False, repr=False)
+    _squares: Mapping[int, float] = field(init=False, repr=False)
+    _slots: dict = field(init=False, repr=False)
+    _lock: threading.Lock = field(init=False, repr=False)
 
     def __post_init__(self):
         cols = np.asarray(self.columns, dtype=float)
@@ -202,13 +203,16 @@ class Dataset:
         if cols.shape[0] == 0:
             raise ValueError("dataset dimension must be at least 1")
         norms = _frozen(column_norms(cols))
+        counts, squares = _bucket_table(norms)
         # frozen: the fields are set through the instance dict
         vars(self).update(
             columns=cols,
             _norms=norms,
             max_norm=float(np.max(norms)),
-            _cache={},
-            _lock=threading.RLock(),
+            _counts=counts,
+            _squares=squares,
+            _slots={},
+            _lock=threading.Lock(),
         )
 
     @property
@@ -227,19 +231,28 @@ class Dataset:
         """Number of column norms strictly above ``level``, a power of two
         2^t or inf: the counts of the buckets s >= t."""
         t = _clip_exponent(level)
-        return sum(count for s, (count, _) in self._buckets().items() if s >= t)
+        return sum(count for s, count in self._counts.items() if s >= t)
 
     def trace(self, r: float = math.inf) -> float:
         """(1/n) sum_i min(||X_i||, r)^2, the trace of the covariance of the
-        columns clipped to norm at most r (a power of two, or inf); built
-        once per r."""
-        return self._cached(("trace", r), lambda: self._clipped_trace(r))
+        columns clipped to norm at most r (a power of two, or inf)."""
+        t, clipped = _clip_exponent(r), self.count_above(r)
+        total = math.fsum(squares for s, squares in self._squares.items() if s < t)
+        if clipped:
+            total += clipped * r * r
+        return total / self.count
 
     def histogram(self, r: float = math.inf) -> Mapping[int, int]:
         """Dyadic counts of the clipped norms min(||X_i||, r), r a power of
         two or inf: bucket s holds the norms in (2^s, 2^(s+1)]; zero norms
-        are in no bucket.  Read-only, built once per r."""
-        return self._cached(("histogram", r), lambda: self._clipped_histogram(r))
+        are in no bucket.  Read-only; at r = inf, the kept bucket counts."""
+        if r == math.inf:
+            return self._counts
+        top = _pow2_exponent(r) - 1  # the buckets s >= top merge into top
+        counts = {s: count for s, count in self._counts.items() if s < top}
+        if clipped := sum(count for s, count in self._counts.items() if s >= top):
+            counts[top] = clipped
+        return MappingProxyType(counts)
 
     def gram(self, tau: float | None = None) -> np.ndarray:
         """The covariance of the columns, ``covariance(x)``; with tau = 2^t,
@@ -247,69 +260,34 @@ class Dataset:
         (1/n) sum_i X_i X_i^T / max(||X_i||, tau)^2.  Read-only; the
         unclipped Gram is built once, a clipped one once per run of calls at
         its exponent.  Raises ``ValueError`` unless tau is a power of two."""
-        if tau is None:
-            return self._cached("gram", lambda: _frozen(covariance(self)))
-        t = _pow2_exponent(tau)
-        return self._at_exponent(t, "gram", lambda: _frozen(self._unit_cov(t)))
+        return self._kept(tau)[0]
 
     def spectrum(self, tau: float | None = None) -> np.ndarray:
         """Eigenvalues of ``gram(tau)`` in descending order (read-only), kept
         as long as that Gram is."""
-        def build():
-            return _frozen(np.linalg.eigvalsh(self.gram(tau))[::-1])
-
-        if tau is None:
-            return self._cached("spectrum", build)
-        return self._at_exponent(_pow2_exponent(tau), "spectrum", build)
+        return self._kept(tau, spectrum=True)[1]
 
     # -- internals --------------------------------------------------------
 
-    def _cached(self, key, build):
-        with self._lock:
-            value = self._cache.get(key)
-            if value is None:
-                value = self._cache[key] = build()
-            return value
-
-    def _at_exponent(self, t: int, key: str, build):
-        """``_cached`` for what is kept of clip exponent t: asking for
-        another exponent first drops the last one's Gram and spectrum."""
-        with self._lock:
-            kept = self._cache.get("clipped")
-            if kept is None or kept["t"] != t:
-                self._cache.pop("clipped", None)  # freed before the next Gram is built
-                kept = self._cache["clipped"] = {"t": t}
-            if key not in kept:
-                kept[key] = build()
-            return kept[key]
-
-    def _clipped_trace(self, r: float) -> float:
-        t, clipped = _clip_exponent(r), self.count_above(r)
-        total = math.fsum(squares for s, (_, squares) in self._buckets().items() if s < t)
-        if clipped:
-            total += clipped * r * r
-        return total / self.count
-
-    def _clipped_histogram(self, r: float) -> Mapping[int, int]:
-        top, counts = _clip_exponent(r) - 1, {}
-        for s, (count, _) in self._buckets().items():
-            counts[min(s, top)] = counts.get(min(s, top), 0) + count
-        return MappingProxyType(counts)
-
-    def _buckets(self) -> Mapping[int, tuple[int, float]]:
-        """{s: (count, sum of squares)} of the norms in each dyadic bucket
-        (2^s, 2^(s+1)], ascending in s; zero norms join none."""
-        def build():
-            norms = self._norms[self._norms > 0]
-            ids = _norm_bucket(norms)
-            low = int(ids.min(initial=0))
-            counts = np.bincount(ids - low).tolist()
-            with np.errstate(over="ignore"):  # a square past the float range is inf
-                squares = np.bincount(ids - low, weights=norms * norms).tolist()
-            table = {low + s: (c, q) for s, (c, q) in enumerate(zip(counts, squares)) if c}
-            return MappingProxyType(table)
-
-        return self._cached("buckets", build)
+    def _kept(self, tau: float | None, spectrum: bool = False) -> list:
+        """[Gram, spectrum or None] of clip threshold tau, kept under its
+        exponent: None's for good, a clipped exponent's until another one
+        is asked for, which drops it before the new Gram is built.  The
+        lock is taken only to build."""
+        t = None if tau is None else _pow2_exponent(tau)
+        slot = self._slots.get(t)
+        if slot is None or (spectrum and slot[1] is None):
+            with self._lock:
+                slot = self._slots.get(t)
+                if slot is None:
+                    if t is not None:  # the last exponent's, freed before this Gram is built
+                        for kept in self._slots.keys() - {None}:
+                            del self._slots[kept]
+                    gram = covariance(self) if t is None else self._unit_cov(t)
+                    slot = self._slots[t] = [_frozen(gram), None]
+                if spectrum and slot[1] is None:
+                    slot[1] = _frozen(np.linalg.eigvalsh(slot[0])[::-1])
+        return slot
 
     def _unit_cov(self, t: int) -> np.ndarray:
         tau = math.ldexp(1.0, t)
@@ -476,3 +454,19 @@ def _norm_bucket(norms: np.ndarray) -> np.ndarray:
     """
     mantissa, exponent = np.frexp(norms)
     return np.where(np.isinf(norms), 1024, exponent - 1 - (mantissa == 0.5))
+
+
+def _bucket_table(norms: np.ndarray) -> tuple[Mapping[int, int], Mapping[int, float]]:
+    """Read-only {s: count} and {s: sum of squares} of the norms in each
+    dyadic bucket (2^s, 2^(s+1)], ascending in s; zero norms join none."""
+    norms = norms[norms > 0]
+    ids = _norm_bucket(norms)
+    low = int(ids.min(initial=0))
+    counts = np.bincount(ids - low)
+    with np.errstate(over="ignore"):  # a square past the float range is inf
+        squares = np.bincount(ids - low, weights=norms * norms)
+    occupied = np.flatnonzero(counts)
+    buckets = (occupied + low).tolist()
+    return tuple(
+        MappingProxyType(dict(zip(buckets, a[occupied].tolist()))) for a in (counts, squares)
+    )

@@ -88,14 +88,12 @@ class RandomStream:
 
     __slots__ = ("seed", "zero_noise", "_key", "_gen")
 
-    def __init__(self, seed: int, *, zero_noise: bool = False, _key: int | None = None):
+    def __init__(self, seed: int, *, zero_noise: bool = False):
         if not 0 <= int(seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         self.seed = int(seed)
         self.zero_noise = zero_noise
-        self._key = _key if _key is not None else _derive_key(self.seed, "root")
-        if not 0 <= self._key < 2**128:
-            raise ValueError("stream key must fit in an unsigned 128-bit integer")
+        self._key = _derive_key(self.seed, "root")
         self._gen: np.random.Generator | None = None
 
     def child(self, label: str) -> "RandomStream":

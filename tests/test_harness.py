@@ -468,6 +468,20 @@ class TestCli:
         assert "does not exist" in captured.err
         assert not out.parent.exists()
 
+    def test_unwritable_out_is_input_error_after_the_runs(self, tmp_path, capsys, monkeypatch):
+        # --out names a directory: its parent exists, so the runs go ahead,
+        # and writing the results there fails
+        ran, real = [], cli.run_plan
+        monkeypatch.setattr(cli, "run_plan", lambda plan: ran.append(plan) or real(plan))
+        out = tmp_path / "res.csv"
+        out.mkdir()
+        argv = ["run", "--mechanism", "gauss", "--synthetic", "n=10,d=4", "--rho", "1"]
+        assert main(argv + ["--reps", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert len(ran) == 1 and "gauss" in captured.out
+        assert "dpcov: input error" in captured.err
+        assert list(out.iterdir()) == []
+
     def test_missing_file_is_input_error(self):
         assert main(["run", "--mechanism", "gauss", "--input", "no_such.csv", "--rho", "1"]) == 2
 

@@ -5,9 +5,10 @@ Grams, spectra and dyadic buckets) is recomputed here from the columns
 (``covariance(clip_dataset(...))``, per-vector norm loops), on
 generated datasets whose norms span several dyadic buckets and on the
 degenerate shapes: zero columns, n=1, d=1, norms exactly 2^k, and columns
-whose norms underflow.  Then what is kept, and for how long: each summary is
-built once, a clipped Gram only for the last exponent asked for, and nothing
-kept refers back to the dataset.
+whose norms underflow.  Then what is kept, and for how long: the bucket table
+once, at construction, each Gram and spectrum once, a clipped one only for the
+last exponent asked for, nothing per radius, and nothing that refers back to
+the dataset.
 """
 
 import gc
@@ -289,11 +290,55 @@ PUBLIC_CALLS = {
 }
 
 
+# What a Dataset keeps: its fields, set at construction, and nothing else.
+KEPT = {"columns", "_norms", "max_norm", "_counts", "_squares", "_slots", "_lock"}
+
+
 class TestLifetime:
-    """What a dataset keeps, and for how long: each summary is built on
-    first need and kept; of the clipped Grams only the last exponent's; and
-    nothing kept refers back to the dataset, so it is freed with its last
+    """What a dataset keeps, and for how long: the norms and bucket table
+    from construction; each Gram and spectrum from first need, of the
+    clipped ones only the last exponent's; nothing per radius; and nothing
+    that refers back to the dataset, so it is freed with its last
     reference."""
+
+    def test_bucket_table_built_once_at_construction(self, monkeypatch):
+        calls = []
+        norm_bucket = linalg._norm_bucket
+        monkeypatch.setattr(linalg, "_norm_bucket", lambda a: calls.append(1) or norm_bucket(a))
+        x = synth(SynthSpec(n=500, d=5, bins=4, seed=41))
+        assert len(calls) == 1
+        for r in (math.inf, 1.0, 0.25, 2.0**-6):
+            x.count_above(r), x.trace(r), x.histogram(r)
+        adaptive_cov(x, 0.5, 0.05, RandomStream(42))
+        adaptive_cov_pure(x, 1.0, 0.05, RandomStream(43))
+        assert len(calls) == 1
+        clip_dataset(x, 0.25)  # a new dataset builds its own table
+        assert len(calls) == 2
+
+    def test_unclipped_histogram_is_the_kept_counts(self):
+        x = synth(SynthSpec(n=500, d=5, bins=4, seed=44))
+        hist = x.histogram()
+        assert x.histogram() is hist and x.histogram(math.inf) is hist
+        assert build_histogram(x) is hist and hist == bucket_counts(x.norms())
+        with pytest.raises(TypeError):
+            hist[0] = 1
+
+    def test_keeps_nothing_per_radius(self):
+        # runs at several radii and two clip thresholds leave the fields
+        # set at construction and at most two Gram slots: the unclipped one
+        # and the last exponent's
+        x = synth(SynthSpec(n=600, d=6, bins=4, seed=45))
+        counts, squares = x.histogram(), dict(x._squares)
+        for i in range(4):
+            adaptive_cov(x, 0.5, 0.05, RandomStream(46).child(str(i)))
+            adaptive_cov_pure(x, 1.0, 0.05, RandomStream(47).child(str(i)))
+        for r in (1.0, 0.5, 0.125, 2.0**-9):
+            x.trace(r), x.histogram(r), x.count_above(r)
+        x.spectrum()
+        x.spectrum(0.25), x.spectrum(0.125)
+        assert set(vars(x)) == KEPT
+        assert set(x._slots) == {None, -3}
+        assert x.histogram() is counts and x._squares == squares
 
     @pytest.mark.parametrize("name", sorted(PUBLIC_CALLS))
     def test_repeated_calls_build_each_gram_once(self, name, monkeypatch):
@@ -357,7 +402,7 @@ class TestLifetime:
                 for v in value:
                     yield from arrays(v)
 
-        kept = list(arrays(x._cache))
+        kept = list(arrays([x._counts, x._squares, x._slots]))
         assert kept and all(x.count not in a.shape for a in kept)
 
     def test_freed_with_its_last_reference(self):
@@ -367,7 +412,7 @@ class TestLifetime:
         x.spectrum()
         bounds = GAUSSIAN.noise_bounds(0.05, 0.025, x.dim, x.count)
         list(threshold_queries(bounds, x, 0.1, 0.5, -3))
-        assert {"buckets", "gram", "spectrum", "clipped"} <= set(x._cache)
+        assert len(x._slots) == 2 and x._slots[None][1] is not None
         ref = weakref.ref(x)
         enabled = gc.isenabled()
         gc.disable()  # so no automatic collection can free a cycle
@@ -449,34 +494,29 @@ class TestSharedAcrossThreads:
         assert not errors and not any(t.is_alive() for t in threads)
         assert wrong == []
 
-    def test_adaptive_tables_are_built_once(self, monkeypatch):
-        # the clipped traces and histograms that both SVT stages walk: one
-        # build per key across eight threads, and every thread gets the same
-        # object
+    def test_adaptive_tables_are_equal_across_threads(self):
+        # the counts, clipped traces and histograms that both SVT stages
+        # walk, computed afresh on every call: eight threads at once read
+        # the values of a dataset that no other thread touched
         x = synth(SynthSpec(n=3000, d=12, bins=4, seed=14))
         radii = [math.ldexp(1.0, t) for t in range(0, -6, -1)]
         bounds = GAUSSIAN.noise_bounds(0.05, 0.025, x.dim, x.count)
-        builds = []
-        for owner, name in (
-            (Dataset, "_clipped_trace"),
-            (Dataset, "_clipped_histogram"),
-        ):
-            real = getattr(owner, name)
-            monkeypatch.setattr(
-                owner, name, lambda *a, _f=real, _n=name: builds.append((_n, a[-1])) or _f(*a)
-            )
+
+        def tables(v):
+            got = [dict(v.histogram()), v.count_above(1.0)]
+            for r in radii:
+                got += [list(threshold_queries(bounds, v, 0.5 * r * r, r, -7))]
+                got += [v.trace(r), dict(v.histogram(r)), v.count_above(r)]
+            return got
+
+        want = tables(synth(SynthSpec(n=3000, d=12, bins=4, seed=14)))
         seen = [None] * 8
         errors = []
 
         def work(i):
             try:
-                stream = RandomStream(i)
-                adaptive.priv_radius(x, 1.0, 0.1, 2.0**-30, stream)
-                tables = [x.histogram()]
-                for r in radii:
-                    list(threshold_queries(bounds, x, 0.5 * r * r, r, -7))
-                    tables += [x.trace(r), x.histogram(r)]
-                seen[i] = tables
+                adaptive.priv_radius(x, 1.0, 0.1, 2.0**-30, RandomStream(i))
+                seen[i] = [tables(x) for _ in range(5)]
             except Exception as exc:  # reported below; a thread must not die silently
                 errors.append(exc)
 
@@ -491,14 +531,8 @@ class TestSharedAcrossThreads:
         finally:
             sys.setswitchinterval(interval)
         assert not errors and not any(t.is_alive() for t in threads)
-        for got in seen[1:]:
-            assert all(a is b for a, b in zip(got, seen[0]))
-        assert len(builds) == len(set(builds))
-        # the histogram at r = inf feeds the radius counts, and the one at r
-        # the threshold queries
-        assert sorted(n for n, _ in builds) == sorted(
-            ["_clipped_histogram"] + ["_clipped_trace", "_clipped_histogram"] * len(radii)
-        )
+        assert all(got == want for runs in seen for got in runs)
+        assert set(vars(x)) == KEPT and x._slots == {}
 
 
 class TestReadOnlyTables:
