@@ -144,15 +144,14 @@ def private_trace_ub(
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
-    # noised in units of 2^e, where r / 2^e lies in [1/2, 1), so the
-    # sensitivity r^2/n cannot underflow to 0 however small r is; the
-    # rescaling is exact wherever the direct form is
-    _, e = math.frexp(r_tilde)
-    cap = math.ldexp(r_tilde, -e) ** 2
-    tr = math.ldexp(x.trace(r_tilde), -2 * e)
+    # noised in units of r, as threshold_queries evaluates, so the
+    # sensitivity r^2/n is 1/n however small r is; r is a power of two, so
+    # the rescaling is exact wherever the direct form is
+    unit = _pow2_exponent(r_tilde)
+    tr = math.ldexp(x.trace(r_tilde), -2 * unit)
     family = FAMILIES[budget_frag.kind]
-    draw, offset = family.scalar_noise(stream, cap / x.count, budget_frag.value, beta / 8)
-    return math.ldexp(min(tr + draw + offset, cap), 2 * e)
+    draw, offset = family.scalar_noise(stream, 1.0 / x.count, budget_frag.value, beta / 8)
+    return math.ldexp(min(tr + draw + offset, 1.0), 2 * unit)
 
 
 def threshold_queries(

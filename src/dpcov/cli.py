@@ -49,7 +49,9 @@ def _parse_sweep(text: str) -> tuple[str, tuple]:
         raise ValueError("--sweep expects AXIS=v1,v2,...")
     axis, values = text.split("=", 1)
     axis = axis.strip()
-    parsed = [float(v) if axis in ("rho", "eps") else int(v) for v in values.split(",") if v]
+    parsed = [float(v) for v in values.split(",") if v]
+    if axis not in ("rho", "eps"):  # whole values as ints; the plan rejects the rest
+        parsed = [int(v) if v.is_integer() else v for v in parsed]
     if not parsed:
         raise ValueError("--sweep got an empty value list")
     return axis, tuple(parsed)

@@ -278,8 +278,12 @@ def summarize(rows: list[ResultRow]) -> list[SummaryRow]:
     out = []
     for key, errors in groups.items():
         mech, d, n, bins, kind, value = key
-        mean = float(np.mean(errors))
-        std = float(np.std(errors, ddof=1)) if len(errors) > 1 else 0.0
+        # in units of 2^e, the largest error's binade, as frobenius_dist
+        # rescales: the squares in np.std cannot overflow
+        _, e = math.frexp(max(errors))
+        scaled = np.ldexp(errors, -e)
+        mean = math.ldexp(float(np.mean(scaled)), e)
+        std = math.ldexp(float(np.std(scaled, ddof=1)), e) if len(errors) > 1 else 0.0
         out.append(SummaryRow(mech, d, n, bins, kind, value, mean, std, len(errors)))
     return out
 

@@ -3,10 +3,9 @@ of it that the private mechanisms read, covariance, symmetric
 eigendecomposition, norm clipping and the trace/tail statistics.
 
 Matrices are plain float64 ndarrays.  Symmetric matrices are kept *exactly*
-symmetric (entry-wise equal to their transpose): the Grams are by
-construction, and the one general product, :func:`reconstruct`'s, is
-averaged with its transpose.  Datasets are column-vector collections: shape
-(d, n), one column per individual.
+symmetric (entry-wise equal to their transpose) by one rule: each is its
+upper triangle mirrored below (:func:`_mirror_upper`).  Datasets are
+column-vector collections: shape (d, n), one column per individual.
 """
 
 from __future__ import annotations
@@ -82,8 +81,7 @@ def _tile_spans(d: int) -> list[slice]:
 
 def _is_symmetric(a: np.ndarray) -> bool:
     """``np.array_equal(a, a.T)`` for a square 2-D array, a tile and its
-    mirror at a time: False on any NaN, and +0.0 equals -0.0.  Pass an
-    integer view of a float array to compare bits instead."""
+    mirror at a time: False on any NaN, and +0.0 equals -0.0."""
     spans = _tile_spans(a.shape[0])
     for i, rows in enumerate(spans):
         for cols in spans[i:]:
@@ -102,15 +100,17 @@ def _transpose_into(out: np.ndarray, a: np.ndarray) -> None:
             out[cols, rows] = a[rows, cols].T
 
 
-def _mirror_upper(w: np.ndarray) -> None:
+def _mirror_upper(w: np.ndarray) -> np.ndarray:
     """Copy the upper triangle of a square array onto its lower triangle,
-    in place and a tile at a time; the lower triangle is only written."""
+    in place and a tile at a time, and return the array; the lower triangle
+    is only written."""
     spans = _tile_spans(w.shape[0])
     for i, rows in enumerate(spans):
         diag = w[rows, rows]
         np.copyto(diag, diag.T, where=np.tri(len(diag), k=-1, dtype=bool))
         for cols in spans[i + 1 :]:
             w[cols, rows] = w[rows, cols].T
+    return w
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -300,7 +300,7 @@ class Dataset:
             total += block @ block.T
             del block  # freed before the next block is built
         total /= self.count
-        return _symmetrize(total)
+        return _mirror_upper(total)
 
 
 class EigenDecomp(NamedTuple):
@@ -310,28 +310,11 @@ class EigenDecomp(NamedTuple):
     values: np.ndarray
 
 
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    """``(m + m.T) / 2`` bit for bit, a tile and its mirror at a time, or
-    ``m`` itself when it is already symmetric bit for bit.  numpy computes
-    ``a @ a.T`` with syrk and mirrors the triangle, so the Grams pass through
-    unchanged and cannot overflow in ``m + m.T``."""
-    if _is_symmetric(m.view(np.uint64)):
-        return m
-    out = np.empty_like(m)
-    spans = _tile_spans(m.shape[0])
-    for rows in spans:
-        for cols in spans:
-            tile = out[rows, cols]
-            np.add(m[rows, cols], m[cols, rows].T, out=tile)
-            tile /= 2.0
-    return out
-
-
 def covariance(x: Dataset) -> np.ndarray:
     """Empirical second-moment matrix (1/n) * sum_i X_i X_i^T."""
     gram = x.columns @ x.columns.T
     gram /= x.count
-    return _symmetrize(gram)
+    return _mirror_upper(gram)
 
 
 def eig_sym(a: np.ndarray) -> EigenDecomp:
@@ -358,13 +341,18 @@ def eig_sym(a: np.ndarray) -> EigenDecomp:
 
 
 def reconstruct(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Assemble P diag(values) P^T, symmetrized.  Negative entries in
-    ``values`` are legal (noisy eigenvalues may dip below zero)."""
+    """Assemble P diag(values) P^T, its upper triangle mirrored below.
+    Negative entries in ``values`` are legal (noisy eigenvalues may dip
+    below zero)."""
     basis = np.asarray(basis, dtype=float)
     values = np.asarray(values, dtype=float)
     if basis.ndim != 2 or values.ndim != 1 or basis.shape[1] != values.shape[0]:
         raise ValueError("dimension mismatch between basis and values")
-    return _symmetrize((basis * values) @ basis.T)
+    # a fresh output array: mirroring matmul's own result raised the
+    # wide-spectrum benchmark's peak RSS (README, "Symmetric matrices")
+    out = np.empty((basis.shape[0], basis.shape[0]))
+    np.matmul(basis * values, basis.T, out=out)
+    return _mirror_upper(out)
 
 
 def frobenius_dist(a: np.ndarray, b: np.ndarray) -> float:

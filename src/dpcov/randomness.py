@@ -189,8 +189,7 @@ def _symmetric_wigner(stream: RandomStream, d: int, draw) -> np.ndarray:
     for i in range(d):
         w[i, i:] = draws[start : start + d - i]
         start += d - i
-    _mirror_upper(w)
-    return w
+    return _mirror_upper(w)
 
 
 def sgw_matrix(stream: RandomStream, d: int) -> np.ndarray:

@@ -11,7 +11,13 @@ from dpcov.bounds import (
     slw_op_bound,
     upsilon,
 )
-from dpcov.randomness import RandomStream, laplace_vector, sgw_matrix, slw_matrix
+from dpcov.randomness import (
+    RandomStream,
+    gaussian_vector,
+    laplace_vector,
+    sgw_matrix,
+    slw_matrix,
+)
 
 
 def upsilon_reference(d, beta):
@@ -113,3 +119,43 @@ class TestLaplaceBounds:
         for beta in (0.05, 0.2):
             assert np.mean(opnorms > slw_op_bound(d, beta)) <= beta
             assert np.mean(fronorms > slw_frob_bound(d, beta)) <= beta
+
+
+# The adaptive pipeline's shapes (tall-adaptive's d = 200; wide-spectrum's
+# d = 1024, which the Wigner samplers fill by mirroring) at the confidences
+# noise_bounds is handed for the default beta = 0.05: beta/2 and, for the
+# operator and vector bounds, beta/4.  Every draw must lie under its bound.
+@pytest.mark.parametrize("d, draws", [(200, 20), (1024, 10)])
+def test_every_draw_under_its_bound_at_the_pipeline_shapes(d, draws, capsys):
+    bounds = {
+        "eta": eta,
+        "upsilon": upsilon,
+        "omega": omega,
+        "lap_vec": lap_vec_bound,
+        "slw_op": slw_op_bound,
+        "slw_frob": slw_frob_bound,
+    }
+    norms = {name: [] for name in bounds}
+    stream = RandomStream(2400 + d)
+    for i in range(draws):
+        draw = stream.child(str(i))
+        sgw, slw = sgw_matrix(draw, d), slw_matrix(draw, d)
+        norms["eta"].append(np.linalg.norm(gaussian_vector(draw, d)))
+        norms["lap_vec"].append(np.linalg.norm(laplace_vector(draw, d)))
+        norms["upsilon"].append(np.abs(np.linalg.eigvalsh(sgw)).max())
+        norms["slw_op"].append(np.abs(np.linalg.eigvalsh(slw)).max())
+        norms["omega"].append(np.linalg.norm(sgw))
+        norms["slw_frob"].append(np.linalg.norm(slw))
+    # (bound, largest draw) per bound and confidence
+    pairs = {
+        (name, beta): (bound(d, beta), max(norms[name]))
+        for name, bound in bounds.items()
+        for beta in (0.05 / 2, 0.05 / 4)
+    }
+    (name, beta), (bound, largest) = min(pairs.items(), key=lambda item: item[1][0] / item[1][1])
+    with capsys.disabled():
+        print(
+            f"\n[bounds d={d}] smallest gap: {name} at beta={beta}, "
+            f"bound {bound:.4g} over largest draw {largest:.4g} ({bound / largest:.4f}x)"
+        )
+    assert all(bound > largest for bound, largest in pairs.values()), pairs

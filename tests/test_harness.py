@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +336,17 @@ class TestSummarize:
         (summary,) = summarize(rows)
         assert summary.mean_error == sum(range(5)) / 5
 
+    def test_large_errors_do_not_overflow(self):
+        rows = [
+            ResultRow("lap", 2, 3, 1, "pure", 1e-300, 0.05, 0, i, v, 1.0, None, None)
+            for i, v in enumerate([1e200, 3e200])
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (summary,) = summarize(rows)
+        assert summary.mean_error == 2e200
+        assert summary.std_error == math.sqrt(2) * 1e200
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nothing to summarize"):
             summarize([])
@@ -548,6 +560,22 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "d=4" in out and "d=8" in out
+
+    @pytest.mark.parametrize("axis", ["d", "n", "N"])
+    def test_non_integer_sweep_values_get_the_plan_message(self, axis, capsys):
+        argv = ["run", "--mechanism", "zero", "--synthetic", "n=30,d=4", "--rho", "0.5"]
+        assert main(argv + ["--sweep", f"{axis}=4,2.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{axis} takes whole numbers" in captured.err
+
+    def test_integer_sweep_values_stay_integers(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        argv = ["run", "--mechanism", "zero", "--synthetic", "n=30,d=4", "--rho", "0.5"]
+        assert main(argv + ["--reps", "1", "--sweep", "d=4,8", "--out", str(out)]) == 0
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        assert meta["sweep_values"] == [4, 8]
+        assert all(type(v) is int for v in meta["sweep_values"])
 
 
 def test_import_loads_neither_numpy_random_nor_concurrent_futures():

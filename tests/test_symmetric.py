@@ -1,8 +1,10 @@
 """The tiled passes that read a d x d matrix against its transpose give the
 bits of the one-shot numpy expressions they replace, at every tile edge:
-the exact-symmetry test is ``np.array_equal(m, m.T)``, ``_symmetrize`` is
-``(m + m.T) / 2``, the Wigner samplers are the ``np.triu_indices`` scatter,
-and ``eig_sym``'s basis is ``np.asfortranarray(vecs[:, ::-1])``."""
+the exact-symmetry test is ``np.array_equal(m, m.T)``, ``_mirror_upper`` is
+``np.where(triu, m, m.T)``, the Wigner samplers are the ``np.triu_indices``
+scatter, and ``eig_sym``'s basis is ``np.asfortranarray(vecs[:, ::-1])``.
+Every symmetric matrix is made so by the one mirror: the Grams, the Wigner
+matrices and ``reconstruct``'s product."""
 
 import warnings
 
@@ -15,7 +17,7 @@ from dpcov.linalg import (
     _TILE,
     Dataset,
     _is_symmetric,
-    _symmetrize,
+    _mirror_upper,
     covariance,
     eig_sym,
     reconstruct,
@@ -67,23 +69,25 @@ def test_symmetry_test_is_array_equal(d):
 
 
 @pytest.mark.parametrize("d", SIZES)
-def test_symmetrize_is_the_one_shot_average(d):
+def test_mirror_is_the_one_shot_where(d):
+    triu = np.triu(np.ones((d, d), dtype=bool))
     for name, m in cases(d).items():
-        got = _symmetrize(m)
-        assert bit_equal(got, (m + m.T) / 2.0), name
-        if np.array_equal(bits(m), bits(m.T)):
-            assert got is m, name
+        want = np.where(triu, m, m.T)
+        got = m.copy()
+        assert _mirror_upper(got) is got, name
+        assert bit_equal(got, want), name
 
 
-def test_symmetrize_returns_a_gram_unchanged():
-    # numpy computes a @ a.T with syrk and mirrors the triangle
+def test_mirror_leaves_a_gram_unchanged():
+    # numpy computes a @ a.T with syrk and mirrors the triangle, so the
+    # mirror writes back the bits it reads
     a = np.random.default_rng(5).standard_normal((300, 40))
     gram = a @ a.T
-    assert _symmetrize(gram) is gram
+    assert bit_equal(_mirror_upper(gram.copy()), gram)
 
 
 def test_covariance_does_not_overflow_a_representable_gram():
-    # every entry is 1.44e308; the old (m + m.T) / 2 overflowed to inf
+    # every entry is 1.44e308; an average (m + m.T) / 2 would overflow to inf
     x = Dataset(np.array([[1.2e154], [1.2e154]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -131,3 +135,13 @@ def test_eig_sym_basis_bytes_and_layout(d):
     assert np.array_equal(dec.values, vals[::-1])
     values = np.random.default_rng(d + 1).standard_normal(d)
     assert bit_equal(reconstruct(dec.basis, values), reconstruct(want, values))
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 33, 200, 257])
+def test_reconstruct_is_the_mirrored_product(d):
+    rng = np.random.default_rng(d + 2)
+    basis = eig_sym(covariance(Dataset(rng.standard_normal((d, 3 * d))))).basis
+    values = rng.standard_normal(d)
+    product = (basis * values) @ basis.T
+    want = np.where(np.triu(np.ones((d, d), dtype=bool)), product, product.T)
+    assert bit_equal(reconstruct(basis, values), want)
