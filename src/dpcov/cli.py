@@ -29,19 +29,28 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
+def _number(text: str, whole: bool) -> float | int:
+    """``text`` read as a float, and kept as an int where ``whole`` and it is
+    one (``1e3`` is 1000): the check that rejects the rest names the key."""
+    value = float(text)
+    return int(value) if whole and value.is_integer() else value
+
+
 def _parse_synthetic(text: str) -> SynthSpec:
-    fields = {"n": None, "d": None, "N": 1, "s": 3.0}
+    fields = {}
     for part in text.split(","):
         if "=" not in part:
             raise ValueError(f"bad --synthetic entry {part!r}; expected key=value")
         key, value = part.split("=", 1)
         key = key.strip()
-        if key not in fields:
+        if key not in ("n", "d", "N", "s"):
             raise ValueError(f"unknown --synthetic key {key!r} (use n, d, N, s)")
-        fields[key] = float(value) if key == "s" else int(value)
-    if fields["n"] is None or fields["d"] is None:
+        if key in fields:
+            raise ValueError(f"--synthetic key {key!r} is named twice")
+        fields[key] = _number(value, whole=key != "s")
+    if "n" not in fields or "d" not in fields:
         raise ValueError("--synthetic needs at least n=... and d=...")
-    return SynthSpec(n=fields["n"], d=fields["d"], bins=fields["N"], skew=fields["s"])
+    return SynthSpec(fields["n"], fields["d"], fields.get("N", 1), fields.get("s", 3.0))
 
 
 def _parse_sweep(text: str) -> tuple[str, tuple]:
@@ -49,9 +58,8 @@ def _parse_sweep(text: str) -> tuple[str, tuple]:
         raise ValueError("--sweep expects AXIS=v1,v2,...")
     axis, values = text.split("=", 1)
     axis = axis.strip()
-    parsed = [float(v) for v in values.split(",") if v]
-    if axis not in ("rho", "eps"):  # whole values as ints; the plan rejects the rest
-        parsed = [int(v) if v.is_integer() else v for v in parsed]
+    # whole values as ints on d, n and N; the plan rejects the rest
+    parsed = [_number(v, whole=axis not in ("rho", "eps")) for v in values.split(",") if v]
     if not parsed:
         raise ValueError("--sweep got an empty value list")
     return axis, tuple(parsed)

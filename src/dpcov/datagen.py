@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from itertools import islice
@@ -37,6 +38,13 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "d", "bins"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)  # ints and numpy ints; not floats, whole or not
+            except TypeError:
+                message = f"n, d and bins (N) take whole numbers, not {name}={value!r}"
+                raise ValueError(message) from None
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be positive")
         if self.bins < 1:

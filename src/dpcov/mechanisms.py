@@ -89,19 +89,20 @@ class NoiseFamily:
     For ``value`` of its budget and data of n columns in dimension d, each
     family defines:
 
-    * ``matrix_noise(stream, d, n, value)``: a symmetric noise matrix for the
-      covariance; ``vector_noise(stream, d, n, value)``: a noise vector for
-      its sorted spectrum;
+    * ``noise(d, n, value)``: ((matrix sampler, scale), (vector sampler,
+      scale)), the noise of the covariance and of its sorted spectrum:
+      ``sampler(stream, d)`` draws it at unit scale, and the mechanisms and
+      ``noise_bounds`` multiply it by the scale calibrated to its sensitivity;
+    * ``norm_bounds(d, beta)``: the matrix noise's Frobenius and operator
+      norm bounds at beta and beta/2, and the vector noise's l2 bound at beta/2;
     * ``scalar_noise(stream, sensitivity, value, p)``: a draw for a scalar of
       that sensitivity and an offset with draw + offset >= 0 with
       probability at least 1-p;
     * ``svt_eps(value)``: the pure-DP epsilon at which a stage holding
-      ``value`` runs the sparse vector technique;
-    * ``noise_bounds(value, beta, d, n)``: (tr_hat, tau) -> the error bounds
-      of the clipped plain and separate mechanisms, each holding with
-      probability at least 1-beta.  The norm bounds are evaluated in this
-      call, which is made once per key: the function is kept and returned
-      again.
+      ``value`` runs the sparse vector technique.
+
+    Both read the samplers and norm bounds from this module when called, so a
+    wrapper set on the module's names sees every draw and evaluation.
     """
 
     kind: str
@@ -129,16 +130,33 @@ class NoiseFamily:
             raise ValueError(f"{self.adaptive} budget split composes to {total.value}, not {value}")
         return MappingProxyType(ledger)
 
+    @functools.lru_cache(maxsize=64, typed=True)
+    def noise_bounds(self, value: float, beta: float, d: int, n: int) -> NoiseBounds:
+        """(tr_hat, tau) -> the error bounds of the clipped plain and separate
+        mechanisms, each holding with probability at least 1-beta, from the
+        scales of ``noise`` and the ``norm_bounds``.  These are evaluated in
+        this call, made once per key: the function is kept and returned again."""
+        frob, op, vec = self.norm_bounds(d, beta)
+        (_, plain), _ = self.noise(d, n, value)
+        (_, matrix), (_, vector) = self.noise(d, n, value / 2)
+
+        def bounds(tr_hat, tau):
+            return (
+                tau * tau * plain * frob,
+                2.0 * tau * math.sqrt(max(tr_hat, 0.0) * matrix * op) + tau * tau * vector * vec,
+            )
+
+        return bounds
+
 
 @dataclass(frozen=True)
 class _Gaussian(NoiseFamily):
-    def matrix_noise(self, stream, d, n, value):
-        noise = sgw_matrix(stream, d)
-        noise *= gaussian_scale(math.sqrt(2.0) / n, self.budget(value))
-        return noise
+    def noise(self, d, n, value):
+        scale = gaussian_scale(math.sqrt(2.0) / n, self.budget(value))
+        return (sgw_matrix, scale), (gaussian_vector, scale)
 
-    def vector_noise(self, stream, d, n, value):
-        return gaussian_scale(math.sqrt(2.0) / n, self.budget(value)) * gaussian_vector(stream, d)
+    def norm_bounds(self, d, beta):
+        return omega(d, beta), upsilon(d, beta / 2), eta(d, beta / 2)
 
     def scalar_noise(self, stream, sensitivity, value, p):
         scale = gaussian_scale(sensitivity, self.budget(value))
@@ -148,30 +166,16 @@ class _Gaussian(NoiseFamily):
     def svt_eps(self, value):
         return math.sqrt(2.0 * value)  # eps-DP implies eps^2/2-zCDP
 
-    @functools.lru_cache(maxsize=64, typed=True)
-    def noise_bounds(self, value, beta, d, n):
-        frob, op, vec = omega(d, beta), upsilon(d, beta / 2), eta(d, beta / 2)
-
-        def bounds(tr_hat, tau):
-            lead = 2.0**1.25 * math.sqrt(max(tr_hat, 0.0)) / (value**0.25 * math.sqrt(n))
-            return (
-                tau * tau * frob / (math.sqrt(value) * n),
-                tau * lead * math.sqrt(op)
-                + tau * tau * math.sqrt(2.0) / (math.sqrt(value) * n) * vec,
-            )
-
-        return bounds
-
 
 @dataclass(frozen=True)
 class _Laplace(NoiseFamily):
-    def matrix_noise(self, stream, d, n, value):
-        noise = slw_matrix(stream, d)
-        noise *= laplace_scale(math.sqrt(2.0) * d / n, self.budget(value))
-        return noise
+    def noise(self, d, n, value):
+        budget = self.budget(value)
+        matrix = slw_matrix, laplace_scale(math.sqrt(2.0) * d / n, budget)
+        return matrix, (laplace_vector, laplace_scale(2.0 / n, budget))
 
-    def vector_noise(self, stream, d, n, value):
-        return laplace_vector(stream, d, laplace_scale(2.0 / n, self.budget(value)))
+    def norm_bounds(self, d, beta):
+        return slw_frob_bound(d, beta), slw_op_bound(d, beta / 2), lap_vec_bound(d, beta / 2)
 
     def scalar_noise(self, stream, sensitivity, value, p):
         scale = laplace_scale(sensitivity, self.budget(value))
@@ -179,21 +183,6 @@ class _Laplace(NoiseFamily):
 
     def svt_eps(self, value):
         return value
-
-    @functools.lru_cache(maxsize=64, typed=True)
-    def noise_bounds(self, value, beta, d, n):
-        frob = slw_frob_bound(d, beta)
-        op_noise = (2.0 * math.sqrt(2.0) * d / (value * n)) * slw_op_bound(d, beta / 2)
-        vec = lap_vec_bound(d, beta / 2)
-
-        def bounds(tr_hat, tau):
-            return (
-                tau * tau * (math.sqrt(2.0) * d / (value * n)) * frob,
-                tau * 2.0 * math.sqrt(max(tr_hat, 0.0) * op_noise)
-                + tau * tau * (4.0 / (value * n)) * vec,
-            )
-
-        return bounds
 
 
 GAUSSIAN = _Gaussian(
@@ -252,23 +241,23 @@ class MechanismReport:
 
 
 def gauss_cov(x: Dataset, rho: float, stream: RandomStream) -> MechanismReport:
-    """Covariance plus a symmetric Gaussian Wigner matrix scaled by
-    1/(sqrt(rho) * n)."""
+    """Covariance plus a symmetric Gaussian Wigner matrix at the scale of
+    ``GAUSSIAN.noise(d, n, rho)``."""
     return _release(GAUSSIAN, GAUSSIAN.plain, x, rho, stream)
 
 
 def lap_cov(x: Dataset, eps: float, stream: RandomStream) -> MechanismReport:
-    """Covariance plus a symmetric Laplace Wigner matrix scaled by
-    sqrt(2)*d/(eps*n)."""
+    """Covariance plus a symmetric Laplace Wigner matrix at the scale of
+    ``LAPLACE.noise(d, n, eps)``."""
     return _release(LAPLACE, LAPLACE.plain, x, eps, stream)
 
 
 def separate_cov(x: Dataset, rho: float, stream: RandomStream) -> MechanismReport:
     """Privatize eigenvalues and eigenvectors separately, rho/2 each.
 
-    Eigenvalue noise is an i.i.d. Gaussian vector calibrated to the
-    sqrt(2)/n l2-sensitivity of the sorted spectrum.  The basis comes from
-    eigendecomposing the Gaussian-noised covariance.
+    The sorted spectrum gets an i.i.d. Gaussian vector and the covariance a
+    Gaussian Wigner matrix, at the scales of ``GAUSSIAN.noise(d, n, rho/2)``;
+    the basis comes from eigendecomposing the noised covariance.
     """
     return _release(GAUSSIAN, GAUSSIAN.separate, x, rho, stream)
 
@@ -276,8 +265,9 @@ def separate_cov(x: Dataset, rho: float, stream: RandomStream) -> MechanismRepor
 def separate_cov_pure(x: Dataset, eps: float, stream: RandomStream) -> MechanismReport:
     """Pure-DP variant of the eigenvalue/eigenvector split, eps/2 each.
 
-    Eigenvalues get Laplace noise calibrated to their 2/n l1-sensitivity;
-    the basis comes from the Laplace-noised covariance.
+    The sorted spectrum gets an i.i.d. Laplace vector and the covariance a
+    Laplace Wigner matrix, at the scales of ``LAPLACE.noise(d, n, eps/2)``;
+    the basis comes from the noised covariance.
     """
     return _release(LAPLACE, LAPLACE.separate, x, eps, stream)
 
@@ -296,19 +286,22 @@ def _body(family, base, x, tau, value, stream) -> np.ndarray:
     on ``x.gram(tau)``, scaled back by tau^2 for a clip threshold tau.  The
     caller checks tau, base and budget."""
     cov, d, n = x.gram(tau), x.dim, x.count
-    # the Gram is added into the noise: addition commutes, so these are the
-    # bits of cov + noise, without a second d x d array
-    if base == family.plain:
-        estimate = family.matrix_noise(stream, d, n, value)
-        estimate += cov
-    else:
-        lam_noisy = x.spectrum(tau) + family.vector_noise(stream, d, n, value / 2)
-        noise = family.matrix_noise(stream, d, n, value / 2)
-        noise += cov
-        basis = eig_sym(noise).basis
+    plain = base == family.plain
+    (matrix, m_scale), (vector, v_scale) = family.noise(d, n, value if plain else value / 2)
+    if not plain:  # the spectrum's noise is drawn first, from the same stream
+        lam_noisy = vector(stream, d)
+        lam_noisy *= v_scale
+        lam_noisy += x.spectrum(tau)
+    # unit noise scaled in place, and the Gram added into it: addition
+    # commutes, so these are the bits of cov + noise, without a second array
+    estimate = matrix(stream, d)
+    estimate *= m_scale
+    estimate += cov
+    if not plain:
+        basis = eig_sym(estimate).basis
         # freed before reconstruct's d x d temporaries: held through them, it
         # raised the wide-spectrum benchmark's peak RSS from 148 to 172 MB
-        del noise
+        del estimate
         estimate = reconstruct(basis, lam_noisy)
     if tau is not None:
         estimate *= tau * tau

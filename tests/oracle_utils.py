@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from dpcov.adaptive import priv_radius, private_trace_ub
 from dpcov.datagen import SynthSpec, zipf_bin_counts
 from dpcov.linalg import Dataset, EigenDecomp, clip_dataset, column_norms, covariance, eig_sym
-from dpcov.mechanisms import GAUSSIAN
+from dpcov.mechanisms import GAUSSIAN, LAPLACE
 from dpcov.privacy import zcdp
 from dpcov.randomness import RandomStream
 
@@ -296,4 +296,18 @@ def sensitivity_probe(x: Dataset, x_prime: Dataset) -> dict[str, float]:
         "lambda_fro": float(np.linalg.norm(lam_a - lam_b)),
         "sigma_l1": float(np.sum(np.abs(sig_a - sig_b))),
         "lambda_l1": float(np.sum(np.abs(lam_a - lam_b))),
+    }
+
+
+def calibrations(d: int, n: int) -> dict[str, float]:
+    """The sensitivities the noise families calibrate to, per key of
+    :func:`sensitivity_probe`, read from the scales they draw at: at rho = 1/2
+    and eps = 1 a Gaussian or Laplace scale equals its sensitivity exactly."""
+    (_, sigma_fro), (_, lambda_fro) = GAUSSIAN.noise(d, n, 0.5)
+    (_, sigma_l1), (_, lambda_l1) = LAPLACE.noise(d, n, 1.0)
+    return {
+        "sigma_fro": sigma_fro,
+        "lambda_fro": lambda_fro,
+        "sigma_l1": sigma_l1,
+        "lambda_l1": lambda_l1,
     }

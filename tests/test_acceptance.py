@@ -14,7 +14,12 @@ import time
 
 import numpy as np
 
-from oracle_utils import sensitivity_probe, skewed_dataset, zero_noise_tau_oracle
+from oracle_utils import (
+    calibrations,
+    sensitivity_probe,
+    skewed_dataset,
+    zero_noise_tau_oracle,
+)
 
 from dpcov.adaptive import adaptive_cov, adaptive_cov_pure, svt
 from dpcov.bounds import (
@@ -96,12 +101,7 @@ def test_criterion_02_sensitivity_suite(capsys):
         replacement /= max(np.linalg.norm(replacement), 1.0)
         primed[:, rng.integers(n)] = replacement * rng.uniform(0.0, 1.0)
         probe = sensitivity_probe(Dataset(cols), Dataset(primed))
-        margins = (
-            probe["sigma_fro"] - math.sqrt(2) / n,
-            probe["lambda_fro"] - math.sqrt(2) / n,
-            probe["sigma_l1"] - math.sqrt(2) * d / n,
-            probe["lambda_l1"] - 2.0 / n,
-        )
+        margins = [probe[key] - value for key, value in calibrations(d, n).items()]
         worst = max(worst, *margins)
         ok = ok and all(m <= slack for m in margins)
     report(

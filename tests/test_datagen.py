@@ -107,6 +107,25 @@ class TestSynth:
         with pytest.raises(ValueError, match="cannot populate bins"):
             SynthSpec(n=3, d=4, bins=5)
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("n", dict(n=10.5, d=2)),
+            ("n", dict(n=10.0, d=2)),
+            ("d", dict(n=10, d=2.0)),
+            ("bins", dict(n=10, d=2, bins=1.5)),
+            ("bins", dict(n=10, d=2, bins="2")),
+        ],
+    )
+    def test_non_integer_sizes_rejected(self, field, kwargs):
+        # a whole float too: synth indexes and allocates with them
+        with pytest.raises(ValueError, match=f"take whole numbers, not {field}="):
+            SynthSpec(**kwargs)
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = SynthSpec(n=np.int64(10), d=np.int32(2), bins=np.uint8(2))
+        assert synth(spec).columns.shape == (2, 10)
+
 
 def block_rows(d):
     """Rows of Z per block of ``synth`` at dimension d."""

@@ -569,6 +569,29 @@ class TestCli:
         assert captured.out == ""
         assert f"{axis} takes whole numbers" in captured.err
 
+    @pytest.mark.parametrize(
+        "spec, key", [("n=50.5,d=3", "n"), ("n=50,d=2.5", "d"), ("n=50,d=3,N=1.5", "bins")]
+    )
+    def test_non_integer_synthetic_sizes_name_the_field(self, spec, key, capsys):
+        argv = ["run", "--mechanism", "zero", "--synthetic", spec, "--rho", "0.5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"take whole numbers, not {key}=" in captured.err
+
+    def test_synthetic_sizes_read_like_sweep_values(self, capsys):
+        argv = ["run", "--mechanism", "zero", "--synthetic", "n=5e1,d=4.0,N=2e0", "--rho", "0.5"]
+        assert main(argv + ["--reps", "1"]) == 0
+        assert capsys.readouterr().out.startswith("zero d=4 n=50 N=2 ")
+
+    @pytest.mark.parametrize(
+        "spec, key", [("n=50,d=3,d=4", "d"), ("n=50,n=50,d=3", "n"), ("n=50,d=3,s=2,s=3", "s")]
+    )
+    def test_repeated_synthetic_key_is_input_error(self, spec, key, capsys):
+        argv = ["run", "--mechanism", "zero", "--synthetic", spec, "--rho", "0.5"]
+        assert main(argv) == 2
+        assert f"--synthetic key {key!r} is named twice" in capsys.readouterr().err
+
     def test_integer_sweep_values_stay_integers(self, tmp_path):
         out = tmp_path / "sweep.csv"
         argv = ["run", "--mechanism", "zero", "--synthetic", "n=30,d=4", "--rho", "0.5"]

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
-from oracle_utils import sensitivity_probe
+from oracle_utils import calibrations, sensitivity_probe
 
+from dpcov import mechanisms
 from dpcov.adaptive import adaptive_cov, adaptive_cov_pure
 from dpcov.bounds import eta, lap_vec_bound, omega, slw_frob_bound, slw_op_bound, upsilon
 from dpcov.linalg import (
@@ -30,7 +31,13 @@ from dpcov.mechanisms import (
     zero_cov,
 )
 from dpcov.privacy import PrivacyBudget, gaussian_scale, laplace_scale, pure, zcdp
-from dpcov.randomness import RandomStream, gaussian_vector, sgw_matrix, slw_matrix
+from dpcov.randomness import (
+    RandomStream,
+    gaussian_vector,
+    laplace_vector,
+    sgw_matrix,
+    slw_matrix,
+)
 
 
 def ball_dataset(d, n, seed, norm_groups=None):
@@ -289,6 +296,118 @@ class TestNoiseBuiltInPlace:
             assert np.array_equal(self.bits(report.estimate), self.bits(want))
 
 
+RELEASES = {
+    "gauss": gauss_cov,
+    "separate": separate_cov,
+    "lap": lap_cov,
+    "separate-pure": separate_cov_pure,
+}
+
+
+class TestNoiseFamilyScales:
+    """``family.noise(d, n, value)`` is the one statement of a family's noise:
+    the mechanisms draw its unit samplers at its scales, and
+    ``noise_bounds`` multiplies the norm bounds by the same scales."""
+
+    FAMILIES = [(GAUSSIAN, 0.3), (LAPLACE, 0.7)]
+
+    @pytest.mark.parametrize("d", [1, 16, 200])
+    def test_scales_are_the_papers_calibrations(self, d):
+        n, rho, eps = 37, 0.3, 0.7
+        (matrix, m_scale), (vector, v_scale) = GAUSSIAN.noise(d, n, rho)
+        assert (matrix, vector) == (sgw_matrix, gaussian_vector)
+        # Delta / sqrt(2 rho) for the l2-sensitivity sqrt(2)/n of both
+        assert m_scale == v_scale == math.sqrt(2.0) / n / math.sqrt(2.0 * rho)
+        assert math.isclose(m_scale, 1.0 / (math.sqrt(rho) * n), rel_tol=1e-15)
+        (matrix, m_scale), (vector, v_scale) = LAPLACE.noise(d, n, eps)
+        assert (matrix, vector) == (slw_matrix, laplace_vector)
+        # Delta / eps for the l1-sensitivities sqrt(2)*d/n and 2/n
+        assert m_scale == math.sqrt(2.0) * d / n / eps
+        assert v_scale == 2.0 / n / eps
+        # at rho = 1/2 and eps = 1 each scale is its sensitivity exactly,
+        # which the sensitivity probes read
+        assert calibrations(d, n) == {
+            "sigma_fro": math.sqrt(2) / n,
+            "lambda_fro": math.sqrt(2) / n,
+            "sigma_l1": math.sqrt(2) * d / n,
+            "lambda_l1": 2.0 / n,
+        }
+
+    @pytest.mark.parametrize("d", [1, 16, 200])
+    @pytest.mark.parametrize("family, value", FAMILIES)
+    def test_plain_noise_is_unit_draw_times_scale(self, family, value, d):
+        n = 50
+        x = Dataset(np.zeros((d, n)))  # a zero Gram: the estimate is the noise
+        (matrix, scale), _ = family.noise(d, n, value)
+        got = RELEASES[family.plain](x, value, RandomStream(7)).estimate
+        assert np.array_equal(got, scale * matrix(RandomStream(7), d))
+
+    @pytest.mark.parametrize("d", [1, 16, 200])
+    @pytest.mark.parametrize("family, value", FAMILIES)
+    def test_separate_noise_is_unit_draws_times_scales(self, family, value, d, monkeypatch):
+        n = 50
+        x = Dataset(np.zeros((d, n)))  # zero Gram and spectrum: only noise
+        seen = {}
+        real_eig, real_reconstruct = mechanisms.eig_sym, mechanisms.reconstruct
+
+        def eig(a):
+            seen["m"] = a.copy()
+            return real_eig(a)
+
+        def rec(basis, values):
+            seen["v"] = values.copy()
+            return real_reconstruct(basis, values)
+
+        monkeypatch.setattr(mechanisms, "eig_sym", eig)
+        monkeypatch.setattr(mechanisms, "reconstruct", rec)
+        (matrix, m_scale), (vector, v_scale) = family.noise(d, n, value / 2)
+        RELEASES[family.separate](x, value, RandomStream(8))
+        stream = RandomStream(8)  # the spectrum's noise comes first
+        assert np.array_equal(seen["v"], v_scale * vector(stream, d))
+        assert np.array_equal(seen["m"], m_scale * matrix(stream, d))
+        if family is LAPLACE:  # and the bits of draws made at that scale
+            assert np.array_equal(seen["v"], laplace_vector(RandomStream(8), d, v_scale))
+
+    @pytest.mark.parametrize("d", [1, 16, 200])
+    @pytest.mark.parametrize("family, value", FAMILIES)
+    def test_noise_bounds_use_the_drawn_scales(self, family, value, d):
+        n, beta = 50, 0.05
+        bounds = family.noise_bounds(value, beta, d, n)
+        frob, op, vec = family.norm_bounds(d, beta)
+        (_, plain_scale), _ = family.noise(d, n, value)
+        (_, m_scale), (_, v_scale) = family.noise(d, n, value / 2)
+        for tr_hat in (0.0, 0.01, 0.6):
+            for tau in (2.0**-9, 0.25, 1.0):
+                assert bounds(tr_hat, tau) == (
+                    tau * tau * plain_scale * frob,
+                    2.0 * tau * math.sqrt(tr_hat * m_scale * op) + tau * tau * v_scale * vec,
+                )
+
+    def test_norm_bounds_at_beta_and_half_beta(self):
+        d, beta = 16, 0.05
+        assert GAUSSIAN.norm_bounds(d, beta) == (
+            omega(d, beta), upsilon(d, beta / 2), eta(d, beta / 2)
+        )
+        assert LAPLACE.norm_bounds(d, beta) == (
+            slw_frob_bound(d, beta), slw_op_bound(d, beta / 2), lap_vec_bound(d, beta / 2)
+        )
+
+    def test_samplers_read_at_call_time(self, monkeypatch):
+        # a wrapper set on the module's names (as a tracer sets) is what
+        # the mechanisms draw through
+        calls = []
+        for name in ("sgw_matrix", "gaussian_vector", "slw_matrix", "laplace_vector"):
+            real = getattr(mechanisms, name)
+            monkeypatch.setattr(
+                mechanisms, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a)
+            )
+        x = ball_dataset(4, 20, seed=3)
+        for f in (gauss_cov, separate_cov, lap_cov, separate_cov_pure):
+            f(x, 0.5, RandomStream(2))
+        gauss = ["sgw_matrix", "gaussian_vector", "sgw_matrix"]
+        assert calls == gauss + ["slw_matrix", "laplace_vector", "slw_matrix"]
+
+
 class TestZeroCov:
     def test_error_is_sigma_norm_and_under_trace(self):
         x = ball_dataset(7, 50, seed=29)
@@ -346,12 +465,7 @@ class TestSensitivityProbe:
         x, x_prime = pair
         d, n = x.dim, x.count
         probe = sensitivity_probe(x, x_prime)
-        for key, calibration in (
-            ("sigma_fro", math.sqrt(2) / n),
-            ("lambda_fro", math.sqrt(2) / n),
-            ("sigma_l1", math.sqrt(2) * d / n),
-            ("lambda_l1", 2.0 / n),
-        ):
+        for key, calibration in calibrations(d, n).items():
             target(probe[key] / calibration, label=key)  # steer the search up to the bound
             assert probe[key] <= calibration * (1 + 1e-12), key
 
@@ -368,10 +482,8 @@ class TestSensitivityProbe:
             new_col /= max(np.linalg.norm(new_col), 1.0)
             primed[:, rng.integers(n)] = new_col
             probe = sensitivity_probe(Dataset(cols), Dataset(primed))
-            assert probe["sigma_fro"] <= math.sqrt(2) / n + slack
-            assert probe["lambda_fro"] <= math.sqrt(2) / n + slack
-            assert probe["sigma_l1"] <= math.sqrt(2) * d / n + slack
-            assert probe["lambda_l1"] <= 2.0 / n + slack
+            for key, calibration in calibrations(d, n).items():
+                assert probe[key] <= calibration + slack, key
 
     @pytest.mark.parametrize("d", [2, 5, 16])
     def test_worst_pair_reaches_bounds(self, d):
@@ -384,11 +496,8 @@ class TestSensitivityProbe:
         probe = sensitivity_probe(
             Dataset(np.column_stack([x, x, x])), Dataset(np.column_stack([y, x, x]))
         )
-        for key, calibration in (
-            ("sigma_fro", math.sqrt(2) / n),
-            ("lambda_fro", math.sqrt(2) / n),
-            ("lambda_l1", 2.0 / n),
-        ):
+        for key in ("sigma_fro", "lambda_fro", "lambda_l1"):
+            calibration = calibrations(d, n)[key]
             assert abs(probe[key] - calibration) <= 1e-9 * calibration, key
             # positive control: the pair exceeds a calibration 1% too small
             assert probe[key] > calibration / 1.01, key

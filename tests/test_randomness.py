@@ -121,6 +121,14 @@ class TestLaplace:
         with pytest.raises(ValueError):
             laplace_vector(RandomStream(0), 3, -1.0)
 
+    @pytest.mark.parametrize("scale", [1e-300, 0.04, 1.0, 3.0, 2.0 / 7, 1e300])
+    def test_scaled_unit_draws_are_the_scaled_draws(self, scale):
+        # numpy draws Lap(b) as 0 -/+ b * log(.), so b times a Lap(1) draw
+        # has the same bits: the separate-pure mechanism scales unit draws
+        unit = laplace_vector(RandomStream(5).child(str(scale)), 200_000)
+        scaled = laplace_vector(RandomStream(5).child(str(scale)), 200_000, scale)
+        assert np.array_equal((scale * unit).view(np.uint64), scaled.view(np.uint64))
+
     @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
     def test_non_finite_scale_rejected(self, scale):
         with pytest.raises(ValueError, match="finite"):
