@@ -14,10 +14,8 @@ and failure parameter beta:
 
 The family's ledger splits B over the four stages: rho/8, rho/8, rho/4 and
 rho/2 under zCDP (the two SVT stages run as eps-DP mechanisms with
-eps^2/2 equal to their share), eps/4 each under pure DP.  The ledger is
-composed with :func:`~dpcov.privacy.compose` and checked once per (family,
-B), and a split that does not add up to exactly B raises ValueError; the
-check also runs under ``python -O``.
+eps^2/2 equal to their share), eps/4 each under pure DP; the ledger
+(``NoiseFamily.ledger``) rejects a split that does not add up to exactly B.
 
 Stages 1-3 are :func:`_select`: no d x d work, and what they release is
 returned as a :class:`~dpcov.mechanisms.Selection`, the report's
@@ -80,7 +78,7 @@ def svt(
     """Sparse vector technique: the 1-based index of the first query whose
     Lap(4*sensitivity/eps)-noised value reaches the Lap(2*sensitivity/eps)-
     noised threshold, or one past the end if none does.  Both scales are
-    ``LAPLACE.scale``, so a budget too small for them raises before any draw.
+    ``LAPLACE.scale``, so an eps it rejects raises before any draw.
 
     Queries are consumed lazily; nothing beyond the returned index is
     evaluated, and one noise value is drawn per query pulled.
@@ -89,14 +87,12 @@ def svt(
         raise ValueError("sensitivity must be positive and finite")
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError("epsilon must be positive and finite")
     lo, hi = LAPLACE.scale(2.0 * sensitivity, eps), LAPLACE.scale(4.0 * sensitivity, eps)
-    noisy_threshold = threshold + laplace_scalar(stream, lo)
-    noise = laplace_sampler(stream, hi)
+    noisy_threshold = threshold + lo * laplace_scalar(stream)
+    noise = laplace_sampler(stream)
     k = 0
     for k, q in enumerate(queries, start=1):
-        if q + noise() >= noisy_threshold:
+        if q + hi * noise() >= noisy_threshold:
             return k
     return k + 1
 

@@ -131,6 +131,8 @@ def main(argv=None) -> int:
         # checked before the runs, so a mistyped directory costs none of them
         if args.out and not Path(args.out).parent.is_dir():
             raise ValueError(f"--out {args.out!r}: its directory does not exist")
+        if args.out and Path(args.out).is_dir():
+            raise ValueError(f"--out {args.out!r} is a directory, not a file")
         rows, summaries = run_plan(plan)
         if args.verbose:
             family, v = FAMILIES[plan.budget.kind], plan.budget.value

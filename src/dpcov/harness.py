@@ -278,12 +278,13 @@ def summarize(rows: list[ResultRow]) -> list[SummaryRow]:
     out = []
     for key, errors in groups.items():
         mech, d, n, bins, kind, value = key
-        # in units of 2^e, the largest error's binade, as frobenius_dist
-        # rescales: the squares in np.std cannot overflow
-        _, e = math.frexp(max(errors))
+        # in units of 2^e, the largest finite error's binade, as frobenius_dist
+        # rescales: neither the sum nor the squares in np.std can overflow
+        _, e = math.frexp(max(filter(math.isfinite, errors), default=0.0))
         scaled = np.ldexp(errors, -e)
         mean = math.ldexp(float(np.mean(scaled)), e)
-        std = math.ldexp(float(np.std(scaled, ddof=1)), e) if len(errors) > 1 else 0.0
+        with np.errstate(invalid="ignore"):  # an inf error: inf - inf, so the std is nan
+            std = math.ldexp(float(np.std(scaled, ddof=1)), e) if len(errors) > 1 else 0.0
         out.append(SummaryRow(mech, d, n, bins, kind, value, mean, std, len(errors)))
     return out
 

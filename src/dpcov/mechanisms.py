@@ -47,7 +47,7 @@ from .bounds import (
     upsilon,
 )
 from .linalg import Dataset, _is_symmetric, eig_sym, reconstruct
-from .privacy import PrivacyBudget, compose
+from .privacy import PrivacyBudget
 from .randomness import (
     RandomStream,
     gaussian_vector,
@@ -91,8 +91,8 @@ class NoiseFamily:
 
     * ``scale(sensitivity, value)``: the noise scale calibrated to that
       sensitivity, Delta/sqrt(2*rho) (Gaussian, l2) or Delta/eps (Laplace,
-      l1); a scale that overflows raises ValueError naming the family and
-      the value;
+      l1); a scale that overflows, or is not positive (it underflows to 0),
+      raises ValueError naming the family and the value;
     * ``noise(d, n, value)``: ((matrix sampler, scale), (vector sampler,
       scale)), the noise of the covariance and of its sorted spectrum:
       ``sampler(stream, d)`` draws it at unit scale, and the mechanisms and
@@ -126,18 +126,21 @@ class NoiseFamily:
         scale = self._calibrate(sensitivity, self.budget(value).value)
         if math.isinf(scale):
             raise ValueError(f"{self.kind} budget {value} is too small: its noise scale overflows")
+        if not scale > 0:
+            raise ValueError(
+                f"{self.kind} budget {value} at sensitivity {sensitivity}: noise scale {scale}"
+            )
         return scale
 
     @functools.lru_cache(maxsize=64, typed=True)
     def ledger(self, value: float) -> Mapping[str, float]:
-        """The adaptive mechanism's budget per stage, read-only.  The stages
-        are composed with :func:`compose` once per (family, value); a split
-        that does not add up to exactly ``value`` raises ValueError (a check,
-        not an assert, so it also runs under ``python -O``), and is not kept."""
+        """The adaptive mechanism's budget per stage, read-only, built once
+        per (family, value); a split with a share of 0 or not adding up to
+        exactly ``value`` raises ValueError, also under ``python -O``."""
+        value = self.budget(value).value  # checked before it is split
         ledger = {stage: value * share for stage, share in self.split}
-        total = compose(self.budget(v) for v in ledger.values())
-        if total != self.budget(value):
-            raise ValueError(f"{self.adaptive} budget split composes to {total.value}, not {value}")
+        if 0.0 in ledger.values() or sum(ledger.values()) != value:
+            raise ValueError(f"{self.kind} budget {value} does not split exactly: shares {ledger}")
         return MappingProxyType(ledger)
 
     @functools.lru_cache(maxsize=64, typed=True)
@@ -194,7 +197,7 @@ class _Laplace(NoiseFamily):
 
     def scalar_noise(self, stream, sensitivity, value, p):
         scale = self.scale(sensitivity, value)
-        return laplace_scalar(stream, scale), scale * math.log(1.0 / p)
+        return scale * laplace_scalar(stream), scale * math.log(1.0 / p)
 
     def svt_eps(self, value):
         return value

@@ -1,5 +1,6 @@
-"""Privacy budgets, their composition and the zCDP-to-(eps, delta)
-conversion; each noise family calibrates its own noise (``NoiseFamily.scale``).
+"""Privacy budgets and the zCDP-to-(eps, delta) conversion.  Each noise
+family calibrates its noise and splits its budget (``NoiseFamily.scale``
+and ``NoiseFamily.ledger``).
 
 Budgets are immutable values; mechanisms receive explicit sub-budgets rather
 than drawing from a mutable ledger, so budget accounting is a checkable
@@ -10,14 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 __all__ = [
     "PrivacyBudget",
     "zcdp",
     "pure",
     "zcdp_to_approx",
-    "compose",
 ]
 
 
@@ -53,13 +52,3 @@ def zcdp_to_approx(rho: float, delta: float) -> float:
         raise ValueError("delta must lie in (0, 1)")
     return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
 
-
-def compose(budgets: Iterable[PrivacyBudget]) -> PrivacyBudget:
-    """Sequential composition: budgets of one kind add up."""
-    budgets = list(budgets)
-    if not budgets:
-        raise ValueError("nothing to compose")
-    kinds = {b.kind for b in budgets}
-    if len(kinds) > 1:
-        raise ValueError("cannot compose budgets of different kinds")
-    return PrivacyBudget(budgets[0].kind, sum(b.value for b in budgets))

@@ -7,10 +7,10 @@ repetitions reproducible regardless of scheduling order.  A stream builds its
 generator on its first draw: a stream that only derives children (a root, or
 the run-level stream of an adaptive run) never builds one.
 
-Every sampler honours a ``zero_noise`` flag on the stream: when set, the
-noise distributions collapse to their location parameter (0), turning each
-mechanism built on top into its exact non-private target.  This is a test
-mode, not a privacy mode.
+Every sampler draws unit noise, N(0, 1) or Lap(1), for its caller to scale.
+With the stream's ``zero_noise`` flag set it draws 0 instead, which turns
+each mechanism built on top into its exact non-private target: a test mode,
+not a privacy mode.
 
 Known limitation: samples are ordinary float64 draws; defenses against
 floating-point side channels on DP noise are out of scope.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 from typing import Callable
 
 import numpy as np
@@ -126,32 +125,27 @@ def gaussian_vector(stream: RandomStream, d: int) -> np.ndarray:
     return stream.generator.standard_normal(d)
 
 
-def laplace_sampler(stream: RandomStream, scale: float) -> Callable[[], float]:
-    """A function that draws one value from Lap(scale), density
-    (1/2b) exp(-|x|/b), per call: the scale is checked and the generator's
-    sampler bound once, here, for a caller that draws many."""
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError("laplace scale must be positive and finite")
+def laplace_sampler(stream: RandomStream) -> Callable[[], float]:
+    """A function that draws one Lap(1) value per call: the generator's
+    sampler is bound once, here, for a caller that draws many."""
     if stream.zero_noise:
         return lambda: 0.0
     # Generator.laplace returns a Python float when given scalars
-    return functools.partial(stream.generator.laplace, 0.0, scale)
+    return functools.partial(stream.generator.laplace, 0.0, 1.0)
 
 
-def laplace_scalar(stream: RandomStream, scale: float) -> float:
-    """One draw from Lap(scale), density (1/2b) exp(-|x|/b)."""
-    return laplace_sampler(stream, scale)()
+def laplace_scalar(stream: RandomStream) -> float:
+    """One draw from Lap(1), density (1/2) exp(-|x|)."""
+    return laplace_sampler(stream)()
 
 
-def laplace_vector(stream: RandomStream, d: int, scale: float = 1.0) -> np.ndarray:
-    """d i.i.d. Lap(scale) draws."""
+def laplace_vector(stream: RandomStream, d: int) -> np.ndarray:
+    """d i.i.d. Lap(1) draws."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError("laplace scale must be positive and finite")
     if stream.zero_noise:
         return np.zeros(d)
-    return stream.generator.laplace(0.0, scale, size=d)
+    return stream.generator.laplace(0.0, 1.0, size=d)
 
 
 # Wigner matrices up to this size are filled by one gather through a cached

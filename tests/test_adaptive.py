@@ -88,7 +88,8 @@ class TestSVT:
     def test_bad_sensitivity_and_epsilon_rejected(self, bad):
         with pytest.raises(ValueError, match="sensitivity"):
             svt(iter([1.0]), bad, 0.0, 1.0, RandomStream(0))
-        with pytest.raises(ValueError, match="epsilon"):
+        # eps is checked by LAPLACE.scale, through the family's budget
+        with pytest.raises(ValueError, match="positive and finite"):
             svt(iter([1.0]), 1.0, 0.0, bad, RandomStream(0))
 
     @pytest.mark.parametrize("eps", [1e-320, 2e-308])
@@ -98,6 +99,13 @@ class TestSVT:
         with pytest.raises(ValueError, match=f"pure budget {eps!r} is too small"):
             svt(iter([1.0]), 1.0, 0.0, eps, stream)
         assert stream.generator.random() == RandomStream(0).generator.random()
+
+    def test_zero_scale_rejected_before_any_draw(self):
+        # 2e-320 / 1e10 underflows to 0: the threshold would go unnoised
+        stream = RandomStream(0)
+        with pytest.raises(ValueError, match="at sensitivity 2e-320: noise scale 0.0$"):
+            svt(iter([0.0]), 1e-320, 0.0, 1e10, stream)
+        assert stream._gen is None
 
     def test_lazy_consumption(self):
         seen = []
@@ -1078,19 +1086,20 @@ class TestBudgetLedger:
             assert rep.budget_spent == family.budget(value)
 
     def test_composed_once_per_value(self, monkeypatch):
-        composed = []
-        real = mechanisms.compose
-        monkeypatch.setattr(mechanisms, "compose", lambda b: composed.append(1) or real(b))
+        # each split built is wrapped read-only once, as it is returned
+        built = []
+        real = mechanisms.MappingProxyType
+        monkeypatch.setattr(mechanisms, "MappingProxyType", lambda m: built.append(1) or real(m))
         for family in (GAUSSIAN, LAPLACE):
-            composed.clear()
+            built.clear()
             assert family.ledger(0.3125) is family.ledger(0.3125)
-            assert composed == [1]
+            assert built == [1]
 
     def test_wrong_split_rejected(self, monkeypatch):
         short = (("radius", 1 / 8), ("trace", 1 / 8), ("svt", 1 / 4), ("mechanism", 1 / 4))
         monkeypatch.setattr(adaptive, "GAUSSIAN", dataclasses.replace(GAUSSIAN, split=short))
         x = dataset_with_norms(np.linspace(0.1, 1.0, 16), seed=19)
-        with pytest.raises(ValueError, match="composes to"):
+        with pytest.raises(ValueError, match="^zcdp budget 0.5 does not split exactly"):
             adaptive_cov(x, 0.5, 0.05, RandomStream(0))
 
     def test_wrong_split_rejected_under_python_O(self):
@@ -1116,4 +1125,4 @@ class TestBudgetLedger:
             [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
         )
         assert out.returncode == 0, out.stderr
-        assert "ValueError: adaptive budget split composes to" in out.stdout
+        assert "ValueError: zcdp budget 0.5 does not split exactly" in out.stdout

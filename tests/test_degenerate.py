@@ -13,6 +13,7 @@ that overflowed, before any noise is drawn; no Gaussian scale overflows.
 import numpy as np
 import pytest
 
+from dpcov import randomness
 from dpcov.adaptive import adaptive_cov, adaptive_cov_pure, private_trace_ub
 from dpcov.linalg import Dataset, clip_dataset, covariance
 from dpcov.mechanisms import gauss_cov, lap_cov, separate_cov, separate_cov_pure, zero_cov
@@ -97,11 +98,37 @@ def test_smallest_gaussian_budgets_run(run):
     assert np.all(np.isfinite(estimate)) and np.array_equal(estimate, estimate.T)
 
 
+@pytest.fixture
+def generators_built(monkeypatch):
+    """The keys of the generators the test's streams build: a stream builds
+    one on its first draw."""
+    built, real = [], randomness._philox_generator
+    monkeypatch.setattr(randomness, "_philox_generator", lambda key: built.append(key) or real(key))
+    return built
+
+
 @pytest.mark.parametrize("run", [adaptive_cov, adaptive_cov_pure])
-def test_budget_with_a_share_rounded_to_zero_is_rejected(run):
+def test_budget_with_a_share_rounded_to_zero_is_rejected(run, generators_built):
     # 5e-324 times each share of the split rounds to zero, a budget the
-    # ledger's composition rejects before any draw
-    stream = RandomStream(7)
-    with pytest.raises(ValueError, match="positive and finite"):
-        run(Dataset(np.array(DATASETS["d3-n1"])), 5e-324, 0.05, stream)
-    assert stream.generator.random() == RandomStream(7).generator.random()
+    # ledger rejects before any draw
+    want = r"budget 5e-324 does not split exactly: shares \{'radius': 0.0"
+    with pytest.raises(ValueError, match=want):
+        run(Dataset(np.array(DATASETS["d3-n1"])), 5e-324, 0.05, RandomStream(7))
+    assert generators_built == []
+
+
+@pytest.mark.parametrize(
+    "run, kind, value",
+    [
+        # the four shares of eps/4 lose bits and add up to 4.999999999999995e-309
+        (adaptive_cov_pure, "pure", 5e-309),
+        # 3 ulps: the shares round to 0, 0, 1 and 2 ulps, which do add up to rho
+        (adaptive_cov, "zcdp", 1.5e-323),
+    ],
+)
+def test_subnormal_budget_that_does_not_split_exactly_is_rejected(
+    run, kind, value, generators_built
+):
+    with pytest.raises(ValueError, match=f"^{kind} budget {value!r} does not split exactly: "):
+        run(Dataset(np.array(DATASETS["d3-n1"])), value, 0.05, RandomStream(7))
+    assert generators_built == []

@@ -347,6 +347,20 @@ class TestSummarize:
         assert summary.mean_error == 2e200
         assert summary.std_error == math.sqrt(2) * 1e200
 
+    def test_infinite_error_takes_no_warning(self):
+        # finite errors whose sum overflows, and one inf error: the mean is
+        # inf and the std nan, with no overflow in the sum and no inf - inf
+        # warned of
+        rows = [
+            ResultRow("lap", 3, 50, 1, "pure", 1.5e-309, 0.05, 0, i, v, 1.0, None, None)
+            for i, v in enumerate([9.3e307, 1.55e308, 1.71e308, math.inf])
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (summary,) = summarize(rows)
+        assert summary.mean_error == math.inf
+        assert math.isnan(summary.std_error)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nothing to summarize"):
             summarize([])
@@ -480,19 +494,31 @@ class TestCli:
         assert "does not exist" in captured.err
         assert not out.parent.exists()
 
-    def test_unwritable_out_is_input_error_after_the_runs(self, tmp_path, capsys, monkeypatch):
-        # --out names a directory: its parent exists, so the runs go ahead,
-        # and writing the results there fails
+    def test_out_naming_a_directory_is_input_error_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
         ran, real = [], cli.run_plan
         monkeypatch.setattr(cli, "run_plan", lambda plan: ran.append(plan) or real(plan))
-        out = tmp_path / "res.csv"
-        out.mkdir()
         argv = ["run", "--mechanism", "gauss", "--synthetic", "n=10,d=4", "--rho", "1"]
-        assert main(argv + ["--reps", "1", "--out", str(out)]) == 2
+        assert main(argv + ["--reps", "1", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert ran == [] and captured.out == ""
+        assert f"input error: --out {str(tmp_path)!r} is a directory" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_is_input_error_after_the_runs(self, tmp_path, capsys, monkeypatch):
+        # the summary's path names a directory: --out itself passes the
+        # checks, so the runs go ahead, and writing the summary there fails
+        ran, real = [], cli.run_plan
+        monkeypatch.setattr(cli, "run_plan", lambda plan: ran.append(plan) or real(plan))
+        summary = tmp_path / "res.summary.csv"
+        summary.mkdir()
+        argv = ["run", "--mechanism", "gauss", "--synthetic", "n=10,d=4", "--rho", "1"]
+        assert main(argv + ["--reps", "1", "--out", str(tmp_path / "res.csv")]) == 2
         captured = capsys.readouterr()
         assert len(ran) == 1 and "gauss" in captured.out
         assert "dpcov: input error" in captured.err
-        assert list(out.iterdir()) == []
+        assert list(summary.iterdir()) == []
 
     def test_missing_file_is_input_error(self):
         assert main(["run", "--mechanism", "gauss", "--input", "no_such.csv", "--rho", "1"]) == 2

@@ -1,12 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 
 from oracle_utils import pure_to_zcdp
 
 from dpcov.mechanisms import GAUSSIAN, LAPLACE
-from dpcov.privacy import PrivacyBudget, compose, pure, zcdp, zcdp_to_approx
+from dpcov.privacy import PrivacyBudget, pure, zcdp, zcdp_to_approx
 
 
 class TestBudget:
@@ -48,26 +47,6 @@ class TestConversions:
                 assert zcdp_to_approx(pure_to_zcdp(eps), delta) >= eps
 
 
-class TestCompose:
-    def test_sums_same_kind(self):
-        total = compose([zcdp(0.5), zcdp(0.5)])
-        assert total == zcdp(1.0)
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(ValueError):
-            compose([zcdp(0.5), pure(0.5)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compose([])
-
-    def test_associative_and_order_free(self):
-        parts = [zcdp(v) for v in (0.125, 0.25, 0.5, 0.0625)]
-        a = compose([compose(parts[:2]), compose(parts[2:])])
-        b = compose(parts[::-1])
-        assert np.isclose(a.value, b.value) and a.kind == b.kind
-
-
 class TestNoiseScales:
     """Each noise family calibrates its own noise: ``GAUSSIAN.scale`` is
     Delta / sqrt(2 rho) and ``LAPLACE.scale`` is Delta / eps."""
@@ -82,8 +61,10 @@ class TestNoiseScales:
         assert abs(got - math.sqrt(2) / n) < 1e-15
 
     def test_gaussian_zero_sensitivity(self):
-        assert GAUSSIAN.scale(0.0, 2.0) == 0.0
-        assert LAPLACE.scale(0.0, 2.0) == 0.0
+        # a zero scale would release the data unnoised
+        for family in (GAUSSIAN, LAPLACE):
+            with pytest.raises(ValueError, match="at sensitivity 0.0: noise scale 0.0$"):
+                family.scale(0.0, 2.0)
 
     def test_laplace_scale(self):
         d, n, eps = 8, 100, 0.5
@@ -103,3 +84,11 @@ class TestNoiseScales:
     def test_overflowing_scale_names_family_and_value(self, eps):
         with pytest.raises(ValueError, match=f"^pure budget {eps!r} is too small"):
             LAPLACE.scale(2.0, eps)
+
+    @pytest.mark.parametrize("sensitivity", [1e-320, -1.0, math.nan])
+    def test_scale_not_positive_rejected(self, sensitivity):
+        # 1e-320 / 1e10 underflows to 0 in both families
+        for family in (GAUSSIAN, LAPLACE):
+            want = f"^{family.kind} budget {1e10!r} at sensitivity {sensitivity!r}: noise scale"
+            with pytest.raises(ValueError, match=want):
+                family.scale(sensitivity, 1e10)
