@@ -7,10 +7,10 @@ independently, and an adaptive mechanism that privately picks a clipping
 threshold from the data's norm distribution.  All mechanisms come in zCDP
 and pure-DP flavours, with a reproducible benchmark harness and CLI on top.
 
-The package exports the mechanisms, the dataset and what runs a plan; the
-samplers, norm bounds, adaptive stages and budget arithmetic live in their
-modules (``dpcov.randomness``, ``dpcov.bounds``, ``dpcov.adaptive``,
-``dpcov.privacy``, ...).
+The package exports the mechanisms, the dataset, the budgets and what runs
+a plan; the samplers, norm bounds, adaptive stages and the zCDP-to-(eps,
+delta) conversion live in their modules (``dpcov.randomness``,
+``dpcov.bounds``, ``dpcov.adaptive``, ``dpcov.mechanisms``, ...).
 """
 
 from .adaptive import adaptive_cov, adaptive_cov_pure, svt
@@ -21,14 +21,16 @@ from .mechanisms import (
     GAUSSIAN,
     LAPLACE,
     MechanismReport,
+    PrivacyBudget,
     clip_mechanism,
     gauss_cov,
     lap_cov,
+    pure,
     separate_cov,
     separate_cov_pure,
+    zcdp,
     zero_cov,
 )
-from .privacy import PrivacyBudget, pure, zcdp
 from .randomness import RandomStream
 
 __version__ = "0.1.0"

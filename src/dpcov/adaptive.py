@@ -45,10 +45,10 @@ from .mechanisms import (
     MechanismReport,
     NoiseBounds,
     NoiseFamily,
+    PrivacyBudget,
     Selection,
     _body,
 )
-from .privacy import PrivacyBudget
 from .randomness import RandomStream, laplace_sampler, laplace_scalar
 
 __all__ = [

@@ -17,12 +17,12 @@ from .harness import (
     MECHANISMS,
     ExperimentPlan,
     NumericalFailure,
+    output_paths,
     run_plan,
     write_results,
 )
 from .datagen import SynthSpec
-from .mechanisms import FAMILIES
-from .privacy import pure, zcdp
+from .mechanisms import FAMILIES, pure, zcdp
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -129,10 +129,15 @@ def main(argv=None) -> int:
     try:
         plan = _plan_from_args(args)
         # checked before the runs, so a mistyped directory costs none of them
-        if args.out and not Path(args.out).parent.is_dir():
-            raise ValueError(f"--out {args.out!r}: its directory does not exist")
-        if args.out and Path(args.out).is_dir():
-            raise ValueError(f"--out {args.out!r} is a directory, not a file")
+        if args.out:
+            out = Path(args.out)
+            if not out.parent.is_dir():
+                raise ValueError(f"--out {args.out!r}: its directory does not exist")
+            if out.is_dir():  # before its sidecars: "." has no name to give them a suffix
+                raise ValueError(f"--out {args.out!r} is a directory, not a file")
+            for path in output_paths(out)[1:]:
+                if path.is_dir():
+                    raise ValueError(f"--out {args.out!r} writes {str(path)!r}, a directory")
         rows, summaries = run_plan(plan)
         if args.verbose:
             family, v = FAMILIES[plan.budget.kind], plan.budget.value

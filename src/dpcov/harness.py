@@ -35,16 +35,19 @@ from .adaptive import adaptive_cov, adaptive_cov_pure
 from .datagen import SynthSpec, load_csv, rescale_radius, synth
 from .linalg import Dataset, frobenius_dist
 from .mechanisms import (
+    FAMILIES,
     GAUSSIAN,
     LAPLACE,
     ZERO,
+    NumericalFailure,
+    PrivacyBudget,
     gauss_cov,
     lap_cov,
     separate_cov,
     separate_cov_pure,
+    zcdp_to_approx,
     zero_cov,
 )
-from .privacy import PrivacyBudget, zcdp_to_approx
 from .randomness import RandomStream
 
 __all__ = [
@@ -52,6 +55,7 @@ __all__ = [
     "ExperimentPlan",
     "ResultRow",
     "SummaryRow",
+    "output_paths",
     "run_plan",
     "summarize",
     "write_results",
@@ -72,9 +76,6 @@ MECHANISMS = {
 _BUDGET_FLAGS = {"zcdp": "--rho (zCDP budget)", "pure": "--eps (pure-DP budget)"}
 # sweep axis -> the SynthSpec field it sets; the budget axes set none
 SWEEP_AXES = {"d": "d", "n": "n", "N": "bins", "rho": None, "eps": None}
-
-class NumericalFailure(RuntimeError):
-    """A mechanism produced a non-finite estimate."""
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def _configs(plan: ExperimentPlan):
         if field:
             spec = dataclasses.replace(spec, **{field: int(value)})
         elif plan.sweep_axis:
-            budget = PrivacyBudget(budget.kind, float(value))
+            budget = FAMILIES[budget.kind].budget(float(value))
         configs.append((spec, budget))
     shared = None if plan.csv_path is None else rescale_radius(load_csv(plan.csv_path))
     for index, (spec, budget) in enumerate(configs):
@@ -348,6 +349,13 @@ def _openblas_get_num_threads():
     return None
 
 
+def output_paths(out_path: str | Path) -> tuple[Path, Path, Path]:
+    """The results CSV at ``out_path`` and its two sidecars, the summary CSV
+    and the metadata, that :func:`write_results` writes."""
+    out_path = Path(out_path)
+    return out_path, out_path.with_suffix(".summary.csv"), out_path.with_suffix(".meta.json")
+
+
 def write_results(
     rows: list[ResultRow],
     summaries: list[SummaryRow],
@@ -355,18 +363,25 @@ def write_results(
     out_path: str | Path,
 ) -> dict:
     """Write the results CSV, a plot-ready summary CSV, and a JSON metadata
-    sidecar; returns the metadata.  All three are deterministic functions of
-    the plan and master seed.  The metadata of a CSV plan carries
-    ``"non_private": true``: its data were rescaled by a non-private,
-    data-dependent factor."""
-    out_path = Path(out_path)
+    sidecar (:func:`output_paths`); returns the metadata.  All three are
+    deterministic functions of the plan and master seed.  The metadata of a
+    CSV plan carries ``"non_private": true``: its data were rescaled by a
+    non-private, data-dependent factor."""
+    results_path, summary_path, meta_path = output_paths(out_path)
     result_fields = get_type_hints(ResultRow)
     # wall-clock times stay out of the file, which must be rerun-stable
     del result_fields["elapsed_ms"]
-    _write_csv(out_path, rows, result_fields)
-    _write_csv(out_path.with_suffix(".summary.csv"), summaries, get_type_hints(SummaryRow))
+    _write_csv(results_path, rows, result_fields)
+    _write_csv(summary_path, summaries, get_type_hints(SummaryRow))
+    spec = plan.synth_spec
     meta = {
         "mechanisms": list(plan.mechanisms),
+        # the spec's seed is left out: run_plan draws each configuration's
+        # data from a sub-seed of the master seed
+        "synthetic": None if spec is None else {
+            "n": int(spec.n), "d": int(spec.d), "bins": int(spec.bins), "skew": float(spec.skew),
+        },
+        "csv_path": None if plan.csv_path is None else str(plan.csv_path),
         "budget_kind": plan.budget.kind,
         "budget_value": plan.budget.value,
         "beta": plan.beta,
@@ -393,6 +408,5 @@ def write_results(
         # two read off the data without noise (datagen.rescale_radius), so
         # no budget covers the release
         meta["non_private"] = True
-    meta_path = out_path.with_suffix(".meta.json")
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return meta

@@ -7,7 +7,10 @@ noise to l2-sensitivities and bounds it with ``omega`` / ``upsilon`` /
 ``eta``; ``LAPLACE`` (pure DP, budget eps) calibrates Laplace noise to
 l1-sensitivities and bounds it with ``slw_frob_bound`` / ``slw_op_bound`` /
 ``lap_vec_bound``.  A family also names its three mechanisms and holds the
-adaptive mechanism's budget split.
+adaptive mechanism's budget split.  It is the one maker of its budgets, a
+:class:`PrivacyBudget` of its kind: ``zcdp`` and ``pure`` are
+``GAUSSIAN.budget`` and ``LAPLACE.budget``, and ``zcdp_to_approx`` converts
+a zCDP budget to (eps, delta)-DP.
 
 Two bodies run on either family, over the covariance of data in the unit
 l2-ball.  Plain (``gauss_cov`` / ``lap_cov``): the covariance plus a
@@ -19,7 +22,10 @@ noise-matrix-perturbed covariance), reassembled as P diag(lambda) P^T.
 The unit ball is checked once, on the largest norm of the dataset a plain
 or separate mechanism reads.  ``clip_mechanism`` wraps either body: clip
 columns to radius tau (a power of two), run it on the (1/tau)-rescaled data,
-and scale the estimate back by tau^2.
+and scale the estimate back by tau^2.  Noise that overflows when scaled (at
+a budget near the float limit) is a :class:`NumericalFailure`: a separate
+mechanism raises it before its eigendecomposition, the harness for a plain
+one.
 
 Every mechanism takes a :class:`Dataset` and reads only the summaries it
 keeps (its Grams, spectra and norms; see :class:`~dpcov.linalg.Dataset`),
@@ -47,7 +53,6 @@ from .bounds import (
     upsilon,
 )
 from .linalg import Dataset, _is_symmetric, eig_sym, reconstruct
-from .privacy import PrivacyBudget
 from .randomness import (
     RandomStream,
     gaussian_vector,
@@ -58,12 +63,17 @@ from .randomness import (
 )
 
 __all__ = [
+    "PrivacyBudget",
+    "zcdp",
+    "pure",
+    "zcdp_to_approx",
     "NoiseFamily",
     "GAUSSIAN",
     "LAPLACE",
     "FAMILIES",
     "ZERO",
     "MechanismReport",
+    "NumericalFailure",
     "Selection",
     "gauss_cov",
     "lap_cov",
@@ -78,6 +88,32 @@ _NORM_RTOL = 1e-9
 
 # (tr_hat, tau) -> (plain bound, separate bound); see NoiseFamily.noise_bounds
 NoiseBounds = Callable[[float, float], tuple[float, float]]
+
+
+@dataclass(frozen=True)
+class PrivacyBudget:
+    """A budget of a noise family's kind (a key of ``FAMILIES``): 'zcdp'
+    (value rho) or 'pure' (value epsilon).  Immutable: mechanisms receive
+    explicit sub-budgets rather than drawing from a mutable ledger."""
+
+    kind: str
+    value: float
+
+    def __post_init__(self):
+        if self.kind not in FAMILIES:
+            raise ValueError(f"unknown budget kind {self.kind!r}")
+        if not (self.value > 0 and math.isfinite(self.value)):
+            raise ValueError("budget value must be positive and finite")
+
+
+def zcdp_to_approx(rho: float, delta: float) -> float:
+    """The epsilon for which rho-zCDP implies (epsilon, delta)-DP:
+    rho + 2*sqrt(rho * log(1/delta))."""
+    if not (rho > 0 and math.isfinite(rho)):
+        raise ValueError("rho must be positive and finite")
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+    return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
 
 
 @dataclass(frozen=True)
@@ -218,8 +254,14 @@ LAPLACE = _Laplace(
     split=(("radius", 1 / 4), ("trace", 1 / 4), ("svt", 1 / 4), ("mechanism", 1 / 4)),
 )
 FAMILIES = {f.kind: f for f in (GAUSSIAN, LAPLACE)}
+# the top-level budget makers: a budget a user makes is one a mechanism makes
+zcdp, pure = GAUSSIAN.budget, LAPLACE.budget
 ZERO = "zero"
 _VARIANTS = {ZERO} | {name for f in FAMILIES.values() for name in (f.plain, f.separate)}
+
+
+class NumericalFailure(RuntimeError):
+    """A mechanism produced a non-finite estimate."""
 
 
 class Selection(NamedTuple):
@@ -306,16 +348,24 @@ def _body(family, base, x, tau, value, stream) -> np.ndarray:
     cov, d, n = x.gram(tau), x.dim, x.count
     plain = base == family.plain
     (matrix, m_scale), (vector, v_scale) = family.noise(d, n, value if plain else value / 2)
+    # a scale near the float limit overflows unit noise to inf, a numerical
+    # failure: raised below for a separate mechanism, before eig_sym rejects
+    # it as input or reconstruct warns on inf - inf; by the harness for a
+    # plain one
     if not plain:  # the spectrum's noise is drawn first, from the same stream
         lam_noisy = vector(stream, d)
-        lam_noisy *= v_scale
+        with np.errstate(over="ignore"):
+            lam_noisy *= v_scale
         lam_noisy += x.spectrum(tau)
     # unit noise scaled in place, and the Gram added into it: addition
     # commutes, so these are the bits of cov + noise, without a second array
     estimate = matrix(stream, d)
-    estimate *= m_scale
+    with np.errstate(over="ignore"):
+        estimate *= m_scale
     estimate += cov
     if not plain:
+        if not (np.isfinite(estimate).all() and np.isfinite(lam_noisy).all()):
+            raise NumericalFailure(f"non-finite noise in {base!r}")
         basis = eig_sym(estimate).basis
         # freed before reconstruct's d x d temporaries: held through them, it
         # raised the wide-spectrum benchmark's peak RSS from 148 to 172 MB

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from dpcov.adaptive import priv_radius, private_trace_ub
 from dpcov.datagen import SynthSpec, zipf_bin_counts
 from dpcov.linalg import Dataset, EigenDecomp, clip_dataset, column_norms, covariance, eig_sym
-from dpcov.mechanisms import GAUSSIAN, LAPLACE
-from dpcov.privacy import zcdp
+from dpcov.mechanisms import GAUSSIAN, LAPLACE, zcdp
 from dpcov.randomness import RandomStream
 
 

@@ -48,8 +48,8 @@ from dpcov.mechanisms import (
     lap_cov,
     separate_cov,
     separate_cov_pure,
+    zcdp,
 )
-from dpcov.privacy import zcdp
 from dpcov.randomness import (
     RandomStream,
     gaussian_vector,

@@ -16,8 +16,15 @@ import pytest
 from dpcov import randomness
 from dpcov.adaptive import adaptive_cov, adaptive_cov_pure, private_trace_ub
 from dpcov.linalg import Dataset, clip_dataset, covariance
-from dpcov.mechanisms import gauss_cov, lap_cov, separate_cov, separate_cov_pure, zero_cov
-from dpcov.privacy import pure, zcdp
+from dpcov.mechanisms import (
+    gauss_cov,
+    lap_cov,
+    pure,
+    separate_cov,
+    separate_cov_pure,
+    zcdp,
+    zero_cov,
+)
 from dpcov.randomness import RandomStream
 
 TINY = 2.0**-1074

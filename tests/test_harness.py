@@ -28,7 +28,7 @@ from dpcov.harness import (
     write_results,
 )
 from dpcov.linalg import frobenius_dist
-from dpcov.privacy import pure, zcdp
+from dpcov.mechanisms import pure, zcdp
 from dpcov.randomness import RandomStream
 
 BUDGETS = {"zcdp": zcdp(0.5), "pure": pure(1.0)}
@@ -404,7 +404,7 @@ class TestOutputFiles:
         # records the count the run had (1 here: any host has one core)
         code = (
             "import sys; from dpcov.harness import run_plan, write_results, ExperimentPlan;"
-            "from dpcov.datagen import SynthSpec; from dpcov.privacy import zcdp;"
+            "from dpcov.datagen import SynthSpec; from dpcov.mechanisms import zcdp;"
             "plan = ExperimentPlan(mechanisms=('zero',), budget=zcdp(0.5),"
             " synth_spec=SynthSpec(n=8, d=2), repetitions=1, master_seed=1);"
             "write_results(*run_plan(plan), plan, sys.argv[1])"
@@ -425,6 +425,27 @@ class TestOutputFiles:
         meta = write_results(*run_plan(plan), plan, tmp_path / "csv.csv")
         assert meta["non_private"] is True
         assert json.loads((tmp_path / "csv.meta.json").read_text())["non_private"] is True
+
+    def test_metadata_echoes_the_data(self, tmp_path):
+        # plans that differ only in their synthetic skew write different
+        # results, and their metadata tell them apart; the spec's own seed,
+        # which run_plan replaces with a sub-seed, is not written
+        metas = []
+        for skew in (2.0, 3.0):
+            spec = SynthSpec(n=100, d=4, bins=3, skew=skew, seed=5)
+            plan = small_plan(synth_spec=spec, repetitions=2)
+            out = tmp_path / f"s{skew}.csv"
+            meta = write_results(*run_plan(plan), plan, out)
+            assert meta["synthetic"] == {"n": 100, "d": 4, "bins": 3, "skew": skew}
+            assert meta["csv_path"] is None
+            metas.append((out.read_bytes(), out.with_suffix(".meta.json").read_bytes()))
+        assert metas[0][0] != metas[1][0] and metas[0][1] != metas[1][1]
+        path = tmp_path / "in.csv"
+        save_csv(synth(SynthSpec(n=40, d=3, bins=2, seed=5)), path)
+        plan = small_plan(synth_spec=None, csv_path=str(path), repetitions=1)
+        meta = write_results(*run_plan(plan), plan, tmp_path / "csv.csv")
+        assert meta["synthetic"] is None and meta["csv_path"] == str(path)
+        assert json.loads((tmp_path / "csv.meta.json").read_text())["csv_path"] == str(path)
 
     def test_synthetic_results_carry_no_non_private_label(self, tmp_path):
         plan = small_plan(repetitions=1)
@@ -506,19 +527,36 @@ class TestCli:
         assert f"input error: --out {str(tmp_path)!r} is a directory" in captured.err
         assert list(tmp_path.iterdir()) == []
 
-    def test_unwritable_out_is_input_error_after_the_runs(self, tmp_path, capsys, monkeypatch):
-        # the summary's path names a directory: --out itself passes the
-        # checks, so the runs go ahead, and writing the summary there fails
+    @pytest.mark.parametrize("suffix", [".summary.csv", ".meta.json"])
+    def test_sidecar_naming_a_directory_is_input_error_before_any_run(
+        self, tmp_path, capsys, monkeypatch, suffix
+    ):
+        # --out itself is free, but a sidecar written beside it is a directory
         ran, real = [], cli.run_plan
         monkeypatch.setattr(cli, "run_plan", lambda plan: ran.append(plan) or real(plan))
-        summary = tmp_path / "res.summary.csv"
-        summary.mkdir()
+        sidecar = tmp_path / f"res{suffix}"
+        sidecar.mkdir()
         argv = ["run", "--mechanism", "gauss", "--synthetic", "n=10,d=4", "--rho", "1"]
         assert main(argv + ["--reps", "1", "--out", str(tmp_path / "res.csv")]) == 2
         captured = capsys.readouterr()
-        assert len(ran) == 1 and "gauss" in captured.out
-        assert "dpcov: input error" in captured.err
-        assert list(summary.iterdir()) == []
+        assert ran == [] and captured.out == ""
+        assert f"input error: --out {str(tmp_path / 'res.csv')!r} writes {str(sidecar)!r}" in (
+            captured.err
+        )
+        assert sorted(tmp_path.iterdir()) == [sidecar] and list(sidecar.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "mechanism, seed", [("lap", 1), ("separate-pure", 1), ("separate-pure", 3)]
+    )
+    def test_overflowing_noise_is_numerical_failure(self, capsys, mechanism, seed):
+        # at eps = 1.5e-309 the noise scales are finite but unit draws past
+        # about 1.6 overflow when scaled: a numerical failure, and no
+        # RuntimeWarning (which pytest turns into an error) on the way
+        argv = ["run", "--mechanism", mechanism, "--synthetic", "n=50,d=3", "--eps", "1.5e-309"]
+        assert main(argv + ["--reps", "4", "--seed", str(seed)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dpcov: numerical failure: non-finite" in captured.err
 
     def test_missing_file_is_input_error(self):
         assert main(["run", "--mechanism", "gauss", "--input", "no_such.csv", "--rho", "1"]) == 2

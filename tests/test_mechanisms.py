@@ -23,14 +23,16 @@ from dpcov.mechanisms import (
     GAUSSIAN,
     LAPLACE,
     MechanismReport,
+    PrivacyBudget,
     clip_mechanism,
     gauss_cov,
     lap_cov,
+    pure,
     separate_cov,
     separate_cov_pure,
+    zcdp,
     zero_cov,
 )
-from dpcov.privacy import PrivacyBudget, pure, zcdp
 from dpcov.randomness import (
     RandomStream,
     gaussian_vector,

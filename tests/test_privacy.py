@@ -4,14 +4,19 @@ import pytest
 
 from oracle_utils import pure_to_zcdp
 
-from dpcov.mechanisms import GAUSSIAN, LAPLACE
-from dpcov.privacy import PrivacyBudget, pure, zcdp, zcdp_to_approx
+import dpcov
+from dpcov.mechanisms import GAUSSIAN, LAPLACE, PrivacyBudget, pure, zcdp, zcdp_to_approx
 
 
 class TestBudget:
     def test_valid_kinds_only(self):
         with pytest.raises(ValueError):
             PrivacyBudget("renyi", 1.0)
+
+    def test_constructors_are_the_family_budgets(self):
+        # a budget a user makes is the one a mechanism makes, from the cache
+        assert dpcov.zcdp(0.1) is GAUSSIAN.budget(0.1)
+        assert dpcov.pure(0.1) is LAPLACE.budget(0.1)
 
     def test_positive_value_required(self):
         for bad in (0.0, -1.0, math.inf, math.nan):

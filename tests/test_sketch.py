@@ -36,10 +36,11 @@ from dpcov.mechanisms import (
     clip_mechanism,
     gauss_cov,
     lap_cov,
+    pure,
     separate_cov,
     separate_cov_pure,
+    zcdp,
 )
-from dpcov.privacy import pure, zcdp
 from dpcov.randomness import RandomStream
 
 
